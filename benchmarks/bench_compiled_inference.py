@@ -2,16 +2,13 @@
 
 Trains a small NeuroCard at the paper's Base architecture (d_emb 16,
 d_ff 128 — the fig. 7d configuration) on a scaled-down JOB-light schema
-and compares three engines over one batch of >= 64 range queries:
+and compares the two engines over one batch of >= 64 range queries (both
+run the same batched walk; only the conditional provider differs):
 
-* ``off``   — the PR 1 batched path (``ProgressiveSampler``), the
-  reference and correctness oracle;
-* ``fp64``  — the compiled executor running the reference forward: must
-  be **bitwise-equal** to ``off`` (pins that the executor restructure and
-  all routing add zero drift);
-* ``fp32``  — the compiled executor + compiled kernels (folded-embedding
-  LUTs, wildcard-constant cache, prefix-sliced blocks, batched indicator
-  runs, fp32 scratch): must keep estimates within 1e-4 relative of the
+* ``off``   — the reference forward, the correctness oracle;
+* ``fp32``  — the compiled kernels (folded-embedding LUTs,
+  wildcard-constant cache, prefix-sliced blocks, fused indicator runs,
+  fp32 scratch): must keep estimates within 1e-4 relative of the
   reference (median; p90 within 1e-3 guards stray Monte Carlo boundary
   flips) and deliver **>= 2x** the reference's median batched latency.
 
@@ -19,7 +16,7 @@ On top of the fp32 gate, the quantized + adaptive serving kernels are
 measured and gated against the same workload:
 
 * ``int16`` / ``int8`` — quantized LUT kernels (per-channel scales, fp32
-  GEMM accumulate): per-query drift vs the fp64 oracle must stay within
+  GEMM accumulate): per-query drift vs the reference engine must stay within
   the documented accuracy-ladder bounds (1e-3 / 5e-2 relative), and int8
   must not be slower than fp32 on median batched latency (the win comes
   from the bandwidth-bound fold/buffer path; GEMMs stay fp32 BLAS);
@@ -59,7 +56,7 @@ from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
 SPEEDUP_FLOOR = 2.0
 REL_MEDIAN_TOL = 1e-4
 REL_P90_TOL = 1e-3
-#: Documented per-query drift ceilings vs the fp64 oracle (docs/accuracy.md).
+#: Documented per-query drift ceilings vs the reference engine (docs/accuracy.md).
 QUANT_DRIFT_BOUNDS = {"int16": 1e-3, "int8": 5e-2}
 #: int8 kernels must at least match fp32 on median batched latency.
 QUANT_SPEEDUP_FLOOR = 1.0
@@ -120,7 +117,6 @@ def main() -> None:
 
     J = estimator.counts.full_join_size
     reference = build_engine(estimator.model, estimator.layout, J, "off")
-    oracle = build_engine(estimator.model, estimator.layout, J, "fp64")
     compiled = build_engine(estimator.model, estimator.layout, J, "fp32")
     quantized = {
         mode: build_engine(
@@ -144,9 +140,8 @@ def main() -> None:
             rngs=[np.random.default_rng(1000 + i) for i in range(len(queries))],
         )
 
-    # Equivalence: fp64 oracle mode must be bitwise, fp32 within tolerance.
-    est_ref, est_oracle, est_fp32 = run(reference), run(oracle), run(compiled)
-    oracle_bitwise = int(np.array_equal(est_ref, est_oracle))
+    # Equivalence: fp32 kernels within tolerance of the reference forward.
+    est_ref, est_fp32 = run(reference), run(compiled)
     rel = np.abs(est_fp32 - est_ref) / np.maximum(np.abs(est_ref), 1e-12)
     rel_median, rel_p90 = float(np.median(rel)), float(np.quantile(rel, 0.9))
     fp32_within_tol = int(rel_median <= REL_MEDIAN_TOL and rel_p90 <= REL_P90_TOL)
@@ -167,7 +162,7 @@ def main() -> None:
             break
         ref_s, fast_s, speedup = measure_interleaved(ref_fn, fast_fn, args.rounds)
 
-    # ---- Quantized kernels: drift vs the fp64 oracle + latency vs fp32.
+    # ---- Quantized kernels: drift vs the reference + latency vs fp32.
     quant = {}
     for mode, engine in quantized.items():
         rel_drift = measure_quantization_drift(
@@ -231,7 +226,6 @@ def main() -> None:
         "compiled_ms": round(fast_s * 1e3, 2),
         "speedup": round(speedup, 3),
         "compiled_qps": round(len(queries) / fast_s, 2),
-        "oracle_bitwise_match": oracle_bitwise,
         "fp32_within_tol": fp32_within_tol,
         "fp32_rel_median": rel_median,
         "fp32_rel_p90": rel_p90,
@@ -262,8 +256,6 @@ def main() -> None:
     print(f"[saved to {args.out}]")
 
     failures = []
-    if not oracle_bitwise:
-        failures.append("fp64 oracle mode is not bitwise-equal to the reference")
     if not fp32_within_tol:
         failures.append(
             f"fp32 drift median={rel_median:.2e} p90={rel_p90:.2e} "
@@ -295,7 +287,7 @@ def main() -> None:
         sys.exit("compiled-inference gate FAILED: " + "; ".join(failures))
     print(
         f"compiled-inference gate passed: {speedup:.2f}x at batch "
-        f"{len(queries)}, oracle bitwise, fp32 within tolerance, "
+        f"{len(queries)}, fp32 within tolerance, "
         f"int8 {quant['int8']['speedup_vs_fp32']:.2f}x vs fp32 within drift "
         f"bounds, adaptive {adaptive_speedup:.2f}x "
         f"({escalated_frac:.0%} escalated)."

@@ -5,7 +5,7 @@ JOB-light schema), then answers the same range workload with the compiled
 fp32 engine and its int16/int8-quantized variants, printing a
 latency / size / accuracy table: median batched latency, compiled-buffer
 size, median q-error vs exact cardinalities, and per-query drift vs the
-fp64 oracle. The drift columns are what the accuracy ladder in
+reference engine (``off``). The drift columns are what the accuracy ladder in
 ``docs/accuracy.md`` documents — int16 stays within 1e-3 relative, int8
 within 5e-2.
 
@@ -100,7 +100,7 @@ def main() -> None:
             f"{np.median(q_errors):>10.2f} {drift_p90:>10} {drift_max:>10}"
         )
     print(
-        "\ndrift = per-query relative deviation from the fp64 oracle; CI "
+        "\ndrift = per-query relative deviation from the reference engine; CI "
         "gates the p90 (docs/accuracy.md ladder: int16 <= 1e-3, int8 <= "
         "5e-2), the max column shows this run's worst query."
     )

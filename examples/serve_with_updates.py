@@ -23,7 +23,12 @@ from repro.eval.harness import true_cardinalities
 from repro.eval.metrics import q_error
 from repro.eval.updates import partition_stream
 from repro.joins.counts import JoinCounts
-from repro.serving import EstimationService, RefreshPolicy, StreamingIngestor
+from repro.serving import (
+    EstimationService,
+    RefreshPolicy,
+    ServingConfig,
+    StreamingIngestor,
+)
 from repro.workloads import job_light_ranges_queries, job_light_schema
 from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
 
@@ -54,7 +59,8 @@ def main() -> None:
     # re-scored against every later snapshot to show what refreshing buys.
     stale_reference = clone_estimator(estimator)
 
-    with EstimationService(n_samples=128, cache_size=0) as service:
+    serving = ServingConfig(n_samples=128, cache_size=0)
+    with EstimationService(config=serving) as service:
         service.register("imdb", estimator)
         ingestor = StreamingIngestor(snapshots[0])
         refresher = service.serve_with_updates(

@@ -6,6 +6,35 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import TrainingError
+from repro.nn.compiled import QUANTIZATION_MODES
+
+#: Recognized values for ``NeuroCardConfig.compiled_inference``.
+INFERENCE_MODES = ("off", "fp32")
+
+
+def mode_error(compiled_inference: str, quantization: str) -> Optional[str]:
+    """Why this (engine mode, kernel quantization) pair cannot be served.
+
+    The one place the pairing rule lives: the config validates with it
+    before training and ``build_engine`` before wrapping a model. Returns
+    None for a servable pair.
+    """
+    if compiled_inference not in INFERENCE_MODES:
+        return (
+            f"unknown inference mode {compiled_inference!r}; "
+            f"compiled_inference must be one of {INFERENCE_MODES}"
+        )
+    if quantization not in QUANTIZATION_MODES:
+        return (
+            f"unknown quantization {quantization!r}; "
+            f"quantization must be one of {QUANTIZATION_MODES}"
+        )
+    if quantization != "off" and compiled_inference != "fp32":
+        return (
+            "quantized kernels require compiled_inference='fp32' (got "
+            f"{compiled_inference!r}); the reference engine stays full-precision"
+        )
+    return None
 
 
 @dataclass
@@ -31,14 +60,14 @@ class NeuroCardConfig:
     exclude_columns: Tuple[str, ...] = field(default_factory=tuple)
     seed: int = 0
     #: Serving-side kernel compilation: "fp32" (compiled fast path, the
-    #: default), "fp64" (oracle mode, bitwise-equal to the reference
-    #: forward), or "off" (uncompiled reference engine).
+    #: default) or "off" (uncompiled reference engine, the oracle).
     compiled_inference: str = "fp32"
     #: Compiled-kernel weight quantization: "off" (full fp32 kernels),
     #: "int16", or "int8". Quantized modes store the folded LUTs and GEMM
     #: weights at reduced precision with per-channel scales and accumulate
-    #: in fp32; they require ``compiled_inference == "fp32"`` (the fp64
-    #: oracle stays unquantized so it can serve as the drift reference).
+    #: in fp32; they require ``compiled_inference == "fp32"`` (the
+    #: reference engine stays unquantized so it can serve as the drift
+    #: reference).
     quantization: str = "off"
 
     def validate(self) -> None:
@@ -52,19 +81,6 @@ class NeuroCardConfig:
             raise TrainingError("progressive_samples must be >= 1")
         if self.sampler_threads < 1:
             raise TrainingError("sampler_threads must be >= 1")
-        if self.compiled_inference not in ("off", "fp32", "fp64"):
-            raise TrainingError(
-                "compiled_inference must be 'off', 'fp32', or 'fp64'; "
-                f"got {self.compiled_inference!r}"
-            )
-        if self.quantization not in ("off", "int16", "int8"):
-            raise TrainingError(
-                "quantization must be 'off', 'int16', or 'int8'; "
-                f"got {self.quantization!r}"
-            )
-        if self.quantization != "off" and self.compiled_inference != "fp32":
-            raise TrainingError(
-                "quantized kernels require compiled_inference='fp32' "
-                f"(got {self.compiled_inference!r}); the fp64 oracle and the "
-                "uncompiled reference engine stay full-precision"
-            )
+        problem = mode_error(self.compiled_inference, self.quantization)
+        if problem is not None:
+            raise TrainingError(problem)

@@ -19,10 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import NeuroCardConfig
+from repro.core.config import NeuroCardConfig, mode_error
 from repro.core.encoding import FusedEncoder, Layout
 from repro.core.inference import (
-    INFERENCE_MODES,
     build_engine,
     compiled_model,
     compiled_size_bytes,
@@ -101,10 +100,9 @@ class NeuroCard:
     ) -> "NeuroCard":
         """Build join counts, train the AR model, prepare inference.
 
-        ``compile`` selects the serving kernels: ``True`` compiles (using
-        the config's mode, defaulting to fp32), ``False`` keeps the
-        reference engine, a mode string ("fp32"/"fp64"/"off") selects
-        explicitly, and ``None`` defers to ``config.compiled_inference``.
+        ``compile`` selects the serving kernels: ``True`` / ``"fp32"``
+        compiles, ``False`` / ``"off"`` keeps the reference engine, and
+        ``None`` defers to ``config.compiled_inference``.
         Compilation itself is lazy — kernels fold on first estimate.
         """
         cfg = self.config
@@ -187,18 +185,14 @@ class NeuroCard:
     def _resolve_compile_mode(self, compile: Optional[object]) -> str:
         if compile is None:
             mode = self.config.compiled_inference
-        elif compile is True:
-            mode = self.config.compiled_inference
-            mode = mode if mode != "off" else "fp32"
-        elif compile is False:
-            mode = "off"
+        elif isinstance(compile, bool):
+            mode = "fp32" if compile else "off"
         else:
             mode = str(compile)
         # Fail before training, not at the post-fit build_engine call.
-        if mode not in INFERENCE_MODES:
-            raise EstimationError(
-                f"unknown inference mode {mode!r}; expected one of {INFERENCE_MODES}"
-            )
+        problem = mode_error(mode, "off")
+        if problem is not None:
+            raise EstimationError(problem)
         return mode
 
     def build_inference(self) -> ProgressiveSampler:

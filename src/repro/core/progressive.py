@@ -13,23 +13,33 @@ exact conditional expectation Σ_f p(f|·)/f to the weight, and the value used
 to condition later columns is drawn from the tilted distribution
 q(f) ∝ p(f|·)/f, which keeps the estimator unbiased for Π 1/F.
 
-Two serving paths share the per-column programs below:
+Two paths share the per-column programs below:
 
 - ``estimate`` walks one query at a time — the readable reference
-  implementation and the correctness oracle for the batched engine;
+  implementation and the correctness oracle for the batched walk;
 - ``estimate_batch`` packs Q queries into one ``(Q · n_samples, n_cols)``
-  token matrix and shares a single ``model.conditional`` forward pass per
-  column across every query constraining it, gathering only the still-alive
-  rows of participating queries.
+  token matrix and shares a single forward pass per column across every
+  query constraining it: only the still-alive rows of participating
+  queries are evaluated, one representative per distinct prefix, with the
+  draws vectorized per op class and applied in one gather/scatter pass.
 
-Both resolve queries through :meth:`ProgressiveSampler.plan`, which caches
-the table-set-dependent plan parts (indicator and fanout column sets) and
-per-predicate region translations across calls.
+There is exactly one batched walk. What differs between engines is the
+*conditional provider* it obtains once per walk: a model offering
+``begin_session(tokens, wildcard)`` (the compiled fp32 kernels'
+incremental :class:`~repro.nn.compiled.FoldSession`) supplies its own;
+any other model is wrapped in :class:`_ReferenceSession`. The provider
+declares which shortcuts apply to it (``fuses_indicator_runs``,
+``dedup_cutoff``); the walk never looks at the model's type.
+
+Both paths resolve queries through :meth:`ProgressiveSampler.plan`, which
+caches the table-set-dependent plan parts (indicator and fanout column
+sets) and per-predicate region translations across calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,8 +63,8 @@ def _draw_interval(probs, lo, hi, u):
     upper = cum[rows, hi]
     lower = np.where(lo > 0, cum[rows, np.maximum(lo - 1, 0)], 0.0)
     mass = np.maximum(upper - lower, 0.0)
-    # Compare in the probs' own dtype: a no-op in the fp64 reference path,
-    # and half the comparison traffic for fp32 compiled conditionals.
+    # Compare in the probs' own dtype: a no-op for the reference model's
+    # float64 conditionals, half the comparison traffic for fp32 kernels.
     target = (lower + u * mass).astype(probs.dtype, copy=False)
     drawn = (cum < target[:, None]).sum(axis=1)
     return mass, np.clip(drawn, lo, hi)
@@ -97,8 +107,23 @@ class QueryPlan:
     def is_empty(self) -> bool:
         return any(region.is_empty for _, region in self.regions)
 
-    def region_map(self) -> Dict[str, Region]:
+    @cached_property
+    def _region_map(self) -> Dict[str, Region]:
         return dict(self.regions)
+
+    def region(self, name: str) -> Region:
+        """The valid region of a constrained content spec."""
+        return self._region_map[name]
+
+    @cached_property
+    def _constrained(self) -> FrozenSet[str]:
+        return frozenset(self._region_map) | self.indicators | self.fanouts
+
+    def constrains(self, spec) -> bool:
+        """True when the column walk must process ``spec`` for this plan;
+        every other spec stays a wildcard (MASK) and is never sampled.
+        (Spec names are unique across content/indicator/fanout kinds.)"""
+        return spec.name in self._constrained
 
     def cache_key(self) -> tuple:
         """Hashable canonical form of this plan.
@@ -120,7 +145,7 @@ class QueryPlan:
 # ----------------------------------------------------------------------
 # Per-column programs. One op instance handles one (query, spec) pair and
 # is stepped through the spec's model columns; ``live`` index arrays let
-# the batched engine run the same program on a row subset.
+# the batched walk run the same program on a row subset.
 # ----------------------------------------------------------------------
 
 
@@ -140,9 +165,12 @@ class _IntervalOp:
             self.lo = np.full(n, region.lo, dtype=np.int64)
             self.hi = np.full(n, region.hi, dtype=np.int64)
 
-    def draw(self, k, probs, live, u):
+    def bounds(self, k, live):
         lo, hi = (self.lo, self.hi) if self.state is None else self.state.bounds(k)
-        return _draw_interval(probs, lo[live], hi[live], u)
+        return lo[live], hi[live]
+
+    def draw(self, k, probs, live, u):
+        return _draw_interval(probs, *self.bounds(k, live), u)
 
     def observe(self, k, live, drawn):
         if self.state is not None:
@@ -225,12 +253,106 @@ def _content_op(
     return _SetOp(factorizer, region, n, trie=trie)
 
 
+# ----------------------------------------------------------------------
+# Batched-walk plumbing: the conditional provider, the walk's mutable
+# state, and the sort-free group-id helpers the prefix dedup runs on.
+# ----------------------------------------------------------------------
+
+
+class _ReferenceSession:
+    """Conditional provider over any ``conditional(tokens, col, wildcard)``.
+
+    The batched walk asks a *session* for ``probs(rows, col)`` and reads two
+    declared attributes to pick its shortcuts; models with kernels of their
+    own return a richer session from ``begin_session`` (see
+    :class:`repro.nn.compiled.FoldSession`). This one gathers the rows and
+    runs the model's forward.
+    """
+
+    #: Needs ``ensure_folded`` / ``fold_slices`` / ``probs_multi``.
+    fuses_indicator_runs = False
+    #: Unique-row share above which the walk stops deduplicating prefixes;
+    #: None keeps it on — a full forward always costs more than the ids.
+    dedup_cutoff = None
+
+    def __init__(self, conditional, tokens, wildcard):
+        self._conditional = conditional
+        self._tokens = tokens
+        self._wildcard = wildcard
+
+    def probs(self, rows: np.ndarray, col: int) -> np.ndarray:
+        return self._conditional(self._tokens[rows], col, self._wildcard[rows])
+
+
+@dataclass
+class _BatchWalk:
+    """Mutable state of one batched walk (query ``qi`` owns ``slices[qi]``)."""
+
+    plans: Sequence[QueryPlan]
+    rngs: Sequence[np.random.Generator]
+    n: int
+    slices: List[slice]
+    tokens: np.ndarray
+    wildcard: np.ndarray
+    weight: np.ndarray
+    alive: np.ndarray
+    #: Prefix group ids: rows sharing (token, wildcard) history share one.
+    group: np.ndarray
+    session: object
+    dedup: bool = True
+    #: ``(col, rows, inverse, probs)`` left by an indicator run for the
+    #: next processed column.
+    tail: Optional[tuple] = None
+
+
+def _compress(key: np.ndarray) -> np.ndarray:
+    """``np.unique(key, return_inverse=True)[1]`` without the sort.
+
+    Ranks each key by value via a presence-count prefix sum, which yields
+    exactly the inverse array ``np.unique`` produces (ids ordered by key
+    value) in O(n + span) — the group-id maintenance of the batched walk
+    is called once per model column, so this is hot. Falls back to the
+    sort when the value span dwarfs the array (counting would scan more
+    memory than sorting touches).
+    """
+    kmin = int(key.min())
+    span = int(key.max()) - kmin + 1
+    if span > max(4 * len(key), 1 << 15):
+        return np.unique(key, return_inverse=True)[1]
+    shifted = key - kmin
+    rank = np.cumsum(np.bincount(shifted, minlength=span) > 0) - 1
+    return rank[shifted]
+
+
+def _first_and_inverse(ids: np.ndarray):
+    """First-occurrence indices + inverse for already-compressed group ids.
+
+    Equivalent to ``np.unique(ids, return_index=True, return_inverse=True)``
+    (ids are dense ranks, so value order == sorted order) without sorting.
+    """
+    span = int(ids.max()) + 1
+    rank = np.cumsum(np.bincount(ids, minlength=span) > 0) - 1
+    inverse = rank[ids]
+    first = np.empty(int(rank[-1]) + 1, dtype=np.int64)
+    first[inverse[::-1]] = np.arange(len(ids) - 1, -1, -1)
+    return first, inverse
+
+
+def _live_segments(alive: np.ndarray, slices: Sequence[slice]) -> List[np.ndarray]:
+    """Global ids of the live rows inside each slice, from one scan of
+    ``alive`` (equivalent to a ``flatnonzero`` per slice)."""
+    live = np.flatnonzero(alive)
+    bounds = np.searchsorted(live, [b for sl in slices for b in (sl.start, sl.stop)])
+    return [live[bounds[2 * i] : bounds[2 * i + 1]] for i in range(len(slices))]
+
+
 class ProgressiveSampler:
     """Monte Carlo cardinality estimates over a trained density model.
 
     ``model`` only needs ``conditional(tokens, col, wildcard) -> (B, dom)``;
     tests exercise this class against an exact tabular oracle as well as the
-    trained ResMADE.
+    trained ResMADE. Optional extras are picked up when present: a sliced
+    ``column_conditional`` and a ``begin_session`` conditional provider.
     """
 
     #: Bound on cached per-predicate region translations before reset.
@@ -240,11 +362,14 @@ class ProgressiveSampler:
         self.model = model
         self.layout = layout
         self.full_join_size = float(full_join_size)
-        # Resolve the per-column conditional once: compiled models and
-        # ResMADE expose the sliced ``column_conditional`` fast path, duck-
-        # typed oracles fall back to the full ``conditional``.
-        self._column_conditional = (
-            getattr(model, "column_conditional", None) or model.conditional
+        # Resolve the batched walk's conditional provider once: a model with
+        # kernels of its own opens its session; any other gets the reference
+        # session over its per-column conditional (ResMADE exposes the sliced
+        # ``column_conditional`` fast path, duck-typed oracles fall back to
+        # the full ``conditional``).
+        self._begin_session = getattr(model, "begin_session", None) or partial(
+            _ReferenceSession,
+            getattr(model, "column_conditional", None) or model.conditional,
         )
         self._shape_cache: Dict[FrozenSet[str], Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self._region_cache: Dict[tuple, Region] = {}
@@ -340,6 +465,14 @@ class ProgressiveSampler:
                 self._trie_cache[key] = trie
         return _content_op(factorizer, region, n, trie=trie)
 
+    def _op_for(self, spec, plan: QueryPlan, n: int):
+        """Column program running a constrained ``spec`` over ``n`` rows."""
+        if spec.kind == "content":
+            return self._content_op_for(spec.name, plan.region(spec.name), n)
+        if spec.kind == "indicator":
+            return _IndicatorOp()
+        return _FanoutOp(self.layout.fanout_encoders[spec.name].reciprocals)
+
     def plan(self, query: Query) -> QueryPlan:
         """Resolve ``query`` into a :class:`QueryPlan`, using the caches.
 
@@ -387,7 +520,6 @@ class ProgressiveSampler:
         plan = self.plan(query)
         if plan.is_empty:
             return 0.0
-        regions = plan.region_map()
 
         n_cols = self.layout.n_columns
         tokens = np.zeros((n_samples, n_cols), dtype=np.int64)
@@ -397,25 +529,12 @@ class ProgressiveSampler:
         all_rows = np.arange(n_samples)
 
         for spec in self.layout.specs:
-            start, _end = self.layout.spec_ranges[spec.name]
-            if spec.kind == "content":
-                region = regions.get(spec.name)
-                if region is None:
-                    continue
-                op = self._content_op_for(spec.name, region, n_samples)
-                n_sub = self.layout.factorizers[spec.name].n_sub
-            elif spec.kind == "indicator":
-                if spec.name not in plan.indicators:
-                    continue
-                op, n_sub = _IndicatorOp(), 1
-            else:  # fanout
-                if spec.name not in plan.fanouts:
-                    continue
-                op, n_sub = _FanoutOp(
-                    self.layout.fanout_encoders[spec.name].reciprocals
-                ), 1
-            for k in range(n_sub):
-                col = start + k
+            if not plan.constrains(spec):
+                continue
+            op = self._op_for(spec, plan, n_samples)
+            start, end = self.layout.spec_ranges[spec.name]
+            for col in range(start, end):
+                k = col - start
                 probs = self.model.conditional(tokens, col, wildcard)
                 u = rng.random(n_samples) if op.needs_rng else None
                 mass, drawn = op.draw(k, probs, all_rows, u)
@@ -562,113 +681,265 @@ class ProgressiveSampler:
         n_cols = self.layout.n_columns
         tokens = np.zeros((n_queries * n, n_cols), dtype=np.int64)
         wildcard = np.ones((n_queries * n, n_cols), dtype=bool)
-        weight = np.ones(n_queries * n, dtype=np.float64)
-        alive = np.ones(n_queries * n, dtype=bool)
-        slices = [slice(qi * n, (qi + 1) * n) for qi in range(n_queries)]
-        regions = [plan.region_map() for plan in plans]
-
+        w = _BatchWalk(
+            plans=plans,
+            rngs=rngs,
+            n=n,
+            slices=[slice(qi * n, (qi + 1) * n) for qi in range(n_queries)],
+            tokens=tokens,
+            wildcard=wildcard,
+            weight=np.ones(n_queries * n, dtype=np.float64),
+            alive=np.ones(n_queries * n, dtype=bool),
+            group=np.zeros(n_queries * n, dtype=np.int64),
+            session=self._begin_session(tokens, wildcard),
+        )
         active: List[int] = []
         for qi, plan in enumerate(plans):
             if plan.is_empty:
-                weight[slices[qi]] = 0.0
-                alive[slices[qi]] = False
+                w.weight[w.slices[qi]] = 0.0
+                w.alive[w.slices[qi]] = False
             else:
                 active.append(qi)
 
-        # Prefix group ids: rows sharing (token, wildcard) history share a
-        # group, so the shared forward pass only evaluates unique prefixes.
-        # Maintained incrementally — one cheap 1-D unique per column —
-        # instead of re-deduplicating full token rows.
-        group = np.zeros(n_queries * n, dtype=np.int64)
-
-        for spec in self.layout.specs:
-            if not active:
-                break
-            start, _end = self.layout.spec_ranges[spec.name]
-            if spec.kind == "content":
-                parts = [qi for qi in active if spec.name in regions[qi]]
-                if not parts:
-                    continue
-                ops = {
-                    qi: self._content_op_for(spec.name, regions[qi][spec.name], n)
-                    for qi in parts
-                }
-                n_sub = self.layout.factorizers[spec.name].n_sub
-            elif spec.kind == "indicator":
-                parts = [qi for qi in active if spec.name in plans[qi].indicators]
-                if not parts:
-                    continue
-                ops = {qi: _IndicatorOp() for qi in parts}
-                n_sub = 1
-            else:  # fanout
-                parts = [qi for qi in active if spec.name in plans[qi].fanouts]
-                if not parts:
-                    continue
-                tilt = self.layout.fanout_encoders[spec.name].reciprocals
-                ops = {qi: _FanoutOp(tilt) for qi in parts}
-                n_sub = 1
-            for k in range(n_sub):
-                col = start + k
-                self._batch_column(
-                    col, k, parts, ops, slices,
-                    tokens, wildcard, weight, alive, rngs, group,
+        specs = self.layout.specs
+        i = 0
+        while i < len(specs) and active:
+            spec = specs[i]
+            j = i + 1
+            if w.session.fuses_indicator_runs and spec.kind == "indicator":
+                while j < len(specs) and specs[j].kind == "indicator":
+                    j += 1
+            i, run = j, specs[i:j]
+            if len(run) > 1:
+                # The first processed column after the run also has a fully
+                # deterministic prefix (indicator tokens follow membership,
+                # skipped columns stay MASK) — its head rides the same pass.
+                tail_col = next(
+                    (
+                        self.layout.spec_ranges[later.name][0]
+                        for later in specs[j:]
+                        if any(plans[qi].constrains(later) for qi in active)
+                    ),
+                    None,
                 )
-                # Fold the new column into the prefix groups (wildcard rows
-                # of non-participating queries share one sentinel value).
-                dom = self.layout.domains[col] + 1
-                key = group * (dom + 1) + np.where(
-                    wildcard[:, col], dom, tokens[:, col]
-                )
-                _, group = np.unique(key, return_inverse=True)
-            active = [qi for qi in active if alive[slices[qi]].any()]
-        return weight.reshape(n_queries, n)
-
-    def _batch_column(
-        self, col, k, parts, ops, slices, tokens, wildcard, weight, alive, rngs, group
-    ) -> None:
-        """One shared forward pass + per-query draw/apply for model column ``col``.
-
-        ``group`` assigns rows with identical (token, wildcard) prefixes to
-        the same id — mostly-wildcard prefixes repeat heavily across queries
-        and samples, so the forward pass only evaluates one representative
-        row per group and fans the conditionals back out.
-        """
-        live_local = {qi: np.flatnonzero(alive[slices[qi]]) for qi in parts}
-        rows = np.concatenate(
-            [slices[qi].start + live_local[qi] for qi in parts]
-        )
-        conditional = self._column_conditional
-        probs = None
-        if len(rows):
-            _, first_local, inverse = np.unique(
-                group[rows], return_index=True, return_inverse=True
-            )
-            if len(first_local) < len(rows):
-                first = rows[first_local]
-                probs = conditional(tokens[first], col, wildcard[first])[inverse]
+                self._indicator_run(w, run, active, tail_col)
             else:
-                probs = conditional(tokens[rows], col, wildcard[rows])
-        offset = 0
-        for qi in parts:
-            sl, live = slices[qi], live_local[qi]
-            op = ops[qi]
-            # Full-length uniform draw keeps the query's stream identical to
-            # the sequential path regardless of how many rows are alive.
-            u = rngs[qi].random(sl.stop - sl.start) if op.needs_rng else None
-            if len(live) == 0:
+                parts = [qi for qi in active if plans[qi].constrains(spec)]
+                if not parts:
+                    continue
+                ops = [self._op_for(spec, plans[qi], n) for qi in parts]
+                start, end = self.layout.spec_ranges[spec.name]
+                for col in range(start, end):
+                    self._batch_column(w, col, col - start, parts, ops)
+                    self._fold_group(w, col)
+            any_alive = w.alive.reshape(n_queries, n).any(axis=1)
+            active = [qi for qi in active if any_alive[qi]]
+        return w.weight.reshape(n_queries, n)
+
+    def _fold_group(self, w: _BatchWalk, col: int) -> None:
+        """Refine the prefix-group ids with one more finalized column.
+
+        Rows sharing a (token, wildcard) history share a group id, so the
+        shared forward pass only evaluates unique prefixes. The column's
+        token values are rank-compressed first (usually only a handful of
+        distinct values were drawn; wildcard rows of non-participating
+        queries share one sentinel), which keeps the combined key span small
+        enough for the counting relabel.
+        """
+        if not w.dedup:
+            return
+        dom = self.layout.columns[col].domain
+        tok = _compress(np.where(w.wildcard[:, col], dom, w.tokens[:, col]))
+        w.group = _compress(w.group * (int(tok.max()) + 1) + tok)
+
+    def _column_probs(self, w: _BatchWalk, rows: np.ndarray, col: int):
+        """Conditionals of ``col`` for the live ``rows``, one forward per
+        distinct prefix while deduplication pays (see ``dedup_cutoff``)."""
+        tail, w.tail = w.tail, None
+        if tail is not None and tail[0] == col:
+            # Produced by the preceding indicator run's shared blocks pass;
+            # map our live rows into it.
+            _, t_rows, t_inverse, t_probs = tail
+            pos = np.searchsorted(t_rows, rows)
+            return t_probs[pos if t_inverse is None else t_inverse[pos]]
+        if not w.dedup:
+            return w.session.probs(rows, col)
+        first, inverse = _first_and_inverse(w.group[rows])
+        cutoff = w.session.dedup_cutoff
+        # Duplicates across rows can only shrink as the walk conditions on
+        # more columns, so once a column sees almost no sharing the group
+        # bookkeeping is pure overhead for a session that declares a cutoff.
+        if cutoff is not None and len(first) > cutoff * len(rows):
+            w.dedup = False
+        if len(first) < len(rows):
+            return w.session.probs(rows[first], col)[inverse]
+        return w.session.probs(rows, col)
+
+    def _batch_column(self, w: _BatchWalk, col, k, parts, ops) -> None:
+        """One column step: shared forward + per-op-class vectorized draws.
+
+        Row-wise math is identical to the sequential path (same
+        conditionals, same uniform streams, same update formulas); all
+        queries filtering the column by intervals share one cumulative-sum
+        draw over their concatenated rows (same for fanout tilts and
+        indicators; IN-set walks keep the per-query trie state).
+        """
+        slices = [w.slices[qi] for qi in parts]
+        segments = _live_segments(w.alive, slices)
+        rows = np.concatenate(segments)
+        probs = self._column_probs(w, rows, col) if len(rows) else None
+
+        # Per-query uniform draws, full length, in parts order — the exact
+        # stream consumption of the sequential path, regardless of how many
+        # rows are still alive.
+        us = [
+            w.rngs[qi].random(w.n) if op.needs_rng else None
+            for qi, op in zip(parts, ops)
+        ]
+        taking = [pi for pi, seg in enumerate(segments) if len(seg)]
+        if not taking:
+            return
+        live = [seg - sl.start for seg, sl in zip(segments, slices)]
+        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        np.cumsum([len(seg) for seg in segments], out=offsets[1:])
+        mass = np.zeros(len(rows), dtype=np.float64)
+        drawn = np.zeros(len(rows), dtype=np.int64)
+
+        def rows_of(members):
+            # Homogeneous column (every query runs the same op class, the
+            # common case): address all rows with a no-copy slice.
+            if len(members) == len(taking):
+                return slice(None)
+            return np.concatenate(
+                [np.arange(offsets[pi], offsets[pi + 1]) for pi in members]
+            )
+
+        def uniforms_of(members):
+            return np.concatenate([us[pi][live[pi]] for pi in members])
+
+        by_class: Dict[type, List[int]] = {}
+        for pi in taking:
+            by_class.setdefault(type(ops[pi]), []).append(pi)
+        for cls, members in by_class.items():
+            if cls is _IntervalOp:
+                pos = rows_of(members)
+                lo, hi = zip(*(ops[pi].bounds(k, live[pi]) for pi in members))
+                mass[pos], drawn[pos] = _draw_interval(
+                    probs[pos], np.concatenate(lo), np.concatenate(hi),
+                    uniforms_of(members),
+                )
+            elif cls is _FanoutOp:
+                pos = rows_of(members)
+                mass[pos], drawn[pos] = _draw_tilted(
+                    probs[pos], ops[members[0]].reciprocals, uniforms_of(members)
+                )
+            elif cls is _IndicatorOp:
+                pos = rows_of(members)
+                mass[pos], drawn[pos] = probs[pos, 1], 1
+            else:  # IN-set ops: per-query trie state
+                for pi in members:
+                    seg = slice(offsets[pi], offsets[pi + 1])
+                    mass[seg], drawn[seg] = ops[pi].draw(
+                        k, probs[seg], live[pi], us[pi][live[pi]]
+                    )
+        self._apply_batch(w, col, slices, live, mass, drawn)
+        for pi in taking:
+            ops[pi].observe(k, live[pi], drawn[offsets[pi] : offsets[pi + 1]])
+
+    def _indicator_run(self, w: _BatchWalk, run, active, tail_col) -> None:
+        """Consecutive indicator columns: one blocks pass serves them all.
+
+        Indicator draws are deterministic — a participating row's token is
+        pinned to 1 (or the row is dead and its token/weight are zeroed
+        regardless of the conditional) and a non-participating row stays
+        MASK — so every column of the run can be folded into the session
+        buffer *before* its conditional is evaluated, and a single blocks
+        pass at the widest prefix yields all run conditionals via
+        per-column output heads. Rows that die mid-run read garbage
+        conditionals afterwards, but every consumer multiplies them by
+        ``where(alive, ·, 0)``, so the results match the column-at-a-time
+        walk. Only sessions declaring ``fuses_indicator_runs`` get here.
+        """
+        session, n = w.session, w.n
+        cols = [self.layout.spec_ranges[s.name][0] for s in run]
+        parts_per = [
+            [qi for qi in active if w.plans[qi].constrains(s)] for s in run
+        ]
+        session.ensure_folded(cols[0])
+        # Pre-fold the run columns with their (deterministic) post-draw
+        # ids: 1 inside participating slices, MASK elsewhere. With a tail
+        # column riding the pass, the last run column (and the skipped
+        # all-MASK columns up to the tail) pre-fold too.
+        prefold, head_cols = cols[:-1], cols
+        if tail_col is not None:
+            prefold, head_cols = cols, cols + [tail_col]
+        for col, parts in zip(prefold, parts_per):
+            session.fold_slices(col, [w.slices[qi] for qi in parts], 1)
+        if tail_col is not None:
+            session.folded = max(session.folded, tail_col)
+
+        # ``active`` queries have live rows, so ``union`` is never empty.
+        union = np.flatnonzero(w.alive)
+        reps, inverse = union, None
+        if w.dedup:
+            # Rows may share a token prefix across queries, but their
+            # indicator columns depend on which tables the row's query
+            # joins — extend the dedup key with that membership pattern,
+            # ranked by its bit value (Python ints: any number of tables).
+            bits = [0] * len(w.plans)
+            for bit, parts in enumerate(parts_per):
+                for qi in parts:
+                    bits[qi] |= 1 << bit
+            rank = {value: r for r, value in enumerate(sorted(set(bits)))}
+            pattern = np.array([rank[value] for value in bits])
+            key = w.group[union] * (int(pattern.max()) + 1) + pattern[union // n]
+            first, first_inverse = _first_and_inverse(_compress(key))
+            if len(first) < len(union):
+                reps, inverse = union[first], first_inverse
+        probs_per = session.probs_multi(reps, head_cols)
+        if tail_col is not None:
+            w.tail = (tail_col, union, inverse, probs_per[-1])
+
+        for col, parts, probs_u in zip(cols, parts_per, probs_per):
+            if not parts:
                 continue
-            p = probs[offset : offset + len(live)]
-            offset += len(live)
-            mass_live, drawn_live = op.draw(
-                k, p, live, u[live] if u is not None else None
-            )
-            mass = np.zeros(sl.stop - sl.start, dtype=np.float64)
-            drawn = np.zeros(sl.stop - sl.start, dtype=np.int64)
-            mass[live], drawn[live] = mass_live, drawn_live
-            self._apply(
-                tokens[sl], wildcard[sl], weight[sl], alive[sl], col, mass, drawn
-            )
-            op.observe(k, live, drawn_live)
+            slices = [w.slices[qi] for qi in parts]
+            segments = _live_segments(w.alive, slices)
+            rows = np.concatenate(segments)
+            if len(rows):
+                pos = np.searchsorted(union, rows)
+                p = probs_u[pos if inverse is None else inverse[pos]]
+                live = [seg - sl.start for seg, sl in zip(segments, slices)]
+                self._apply_batch(w, col, slices, live, p[:, 1], 1)
+            self._fold_group(w, col)
+            if not w.alive.any():
+                break
+
+    @staticmethod
+    def _apply_batch(w: _BatchWalk, col, slices, live, mass, drawn) -> None:
+        """Apply one column's update to every query with live rows at once.
+
+        ``live`` holds the live row ids local to each of ``slices`` and
+        ``mass`` / ``drawn`` the values of those rows, concatenated in the
+        same order. A query with live rows updates its whole slice (its dead
+        rows take mass 0); fully dead queries are left untouched. Same
+        formulas as :meth:`_apply`, one gather/scatter pass instead of one
+        Python iteration per query.
+        """
+        taking = [(sl, ids) for sl, ids in zip(slices, live) if len(ids)]
+        rows = np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in taking])
+        at = np.concatenate([j * w.n + ids for j, (_, ids) in enumerate(taking)])
+        mass_full = np.zeros(len(rows), dtype=np.float64)
+        drawn_full = np.zeros(len(rows), dtype=np.int64)
+        mass_full[at] = mass
+        drawn_full[at] = drawn
+        mass_full = np.clip(mass_full, 0.0, None)
+        alive = w.alive[rows]
+        w.weight[rows] *= np.where(alive, mass_full, 0.0)
+        alive &= mass_full > 0
+        w.alive[rows] = alive
+        w.tokens[rows, col] = np.where(alive, drawn_full, 0)
+        w.wildcard[rows, col] = False
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -29,22 +29,17 @@ per query plan:
   thread-local scratch buffers that are reused across steps and calls
   (no per-call allocation on the hot path).
 
-Modes
------
-``mode="fp32"`` is the compiled fast path; conditionals match the reference
-forward to fp32 round-off (the estimator-level contract is ≤1e-4 relative
-drift on estimates, gated by ``benchmarks/bench_compiled_inference.py``).
-``mode="fp64"`` is the *oracle* mode: it routes every conditional through
-the wrapped model's reference implementation unchanged (with fp64 softmax,
-exactly as :meth:`ResMADE.column_conditional` does), so its results are
-bitwise-equal to the uncompiled path by construction. The oracle mode pins
-down that all the surrounding wiring (batch-of-1 routing, registry
-hot-swap, scheduler coalescing) is drift-free; the fp32 mode buys the
-speed.
+Precision
+---------
+Conditionals match the reference forward to fp32 round-off (the
+estimator-level contract is ≤1e-4 relative drift on estimates, gated by
+``benchmarks/bench_compiled_inference.py``). The wrapped model itself is
+the oracle: an engine built over :attr:`CompiledResMADE.reference` runs the
+identical walk on the reference forward.
 
 Quantization
 ------------
-``quantization="int16"`` / ``"int8"`` (fp32 mode only) store the folded
+``quantization="int16"`` / ``"int8"`` store the folded
 weights at reduced precision with per-channel symmetric scales:
 
 * **LUTs in a shared integer domain** — every embedding LUT (and the input
@@ -62,9 +57,9 @@ weights at reduced precision with per-channel symmetric scales:
   accumulates in fp32. Only the *stored* (and shared-memory exported)
   buffers shrink.
 
-The fp64 oracle stays unquantized, which makes it the drift reference:
+The wrapped model stays unquantized, which makes it the drift reference:
 :meth:`record_drift` keeps the latest per-query relative-error measurement
-against the oracle and :meth:`stats` surfaces it for ``/metrics``.
+against it and :meth:`stats` surfaces it for ``/metrics``.
 
 The wrapper is **lazy**: nothing is folded until the first conditional is
 requested, so loading weights into an already-constructed model (see
@@ -85,6 +80,9 @@ from repro.nn.layers import softmax
 
 #: Wildcard-pattern constants cached per compiled model before reset.
 PATTERN_CACHE_LIMIT = 4096
+
+#: Recognized kernel weight precisions ("off" = full fp32).
+QUANTIZATION_MODES = ("off", "int16", "int8")
 
 _REQUIRED_ATTRS = (
     "embeddings",
@@ -146,6 +144,15 @@ def read_blob(manifest: list, buf) -> Dict[str, np.ndarray]:
     return out
 
 
+def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """Row softmax written over ``logits`` (shifted exps are <= 1, well
+    inside fp32 range); downstream Monte Carlo draws work in this dtype."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
 class CompiledResMADE:
     """Inference-only compiled view over a trained ResMADE.
 
@@ -156,27 +163,17 @@ class CompiledResMADE:
     persisted.
     """
 
-    def __init__(self, model, mode: str = "fp32", quantization: str = "off"):
-        if mode not in ("fp32", "fp64"):
+    def __init__(self, model, quantization: str = "off"):
+        if quantization not in QUANTIZATION_MODES:
             raise EstimationError(
-                f"unknown compile mode {mode!r} (expected 'fp32' or 'fp64')"
-            )
-        if quantization not in ("off", "int16", "int8"):
-            raise EstimationError(
-                f"unknown quantization {quantization!r} "
-                "(expected 'off', 'int16', or 'int8')"
-            )
-        if quantization != "off" and mode != "fp32":
-            raise EstimationError(
-                "quantized kernels require mode='fp32'; the fp64 oracle "
-                "stays full-precision so it can serve as the drift reference"
+                f"unknown quantization {quantization!r}; "
+                f"expected one of {QUANTIZATION_MODES}"
             )
         if not supports_compilation(model):
             raise EstimationError(
                 f"cannot compile {type(model).__name__}: not a ResMADE-like model"
             )
         self.model = model
-        self.mode = mode
         self.quantization = quantization
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -200,7 +197,7 @@ class CompiledResMADE:
         # Quantized-mode state: the shared per-channel LUT scale (None in
         # full-precision mode — every quantized branch keys off it), the
         # quantized GEMM weights with their per-output-channel scales, and
-        # the latest measured drift vs the fp64 oracle.
+        # the latest measured drift vs the reference engine.
         self._q_scale: Optional[np.ndarray] = None
         self._block_weights_q: List[tuple] = []
         self._w_out_q: Optional[np.ndarray] = None
@@ -236,7 +233,7 @@ class CompiledResMADE:
     # ------------------------------------------------------------------
     def compile(self) -> "CompiledResMADE":
         """Fold the current weights into inference kernels (idempotent)."""
-        if self.mode == "fp64" or self._compiled:
+        if self._compiled:
             return self
         with self._lock:
             if self._compiled:
@@ -391,11 +388,8 @@ class CompiledResMADE:
         refolding, so a serving worker pool can publish one copy in shared
         memory and attach it in every process. Dynamic per-width caches
         (block corners, output heads, scratch) are derived from these
-        buffers and rebuilt lazily per process. fp64 mode holds no
-        compiled buffers and cannot be exported.
+        buffers and rebuilt lazily per process.
         """
-        if self.mode == "fp64":
-            raise EstimationError("fp64 oracle mode has no compiled state to export")
         self.compile()
         with self._lock:
             arrays: Dict[str, np.ndarray] = {
@@ -453,8 +447,6 @@ class CompiledResMADE:
         worker processes can attach the same physical pages. Marks the
         kernel compiled; dynamic caches start empty and grow per process.
         """
-        if self.mode == "fp64":
-            raise EstimationError("fp64 oracle mode cannot attach compiled state")
         n_cols = self.model.n_columns
         n_blocks = len(self.model.blocks)
         with self._lock:
@@ -556,9 +548,9 @@ class CompiledResMADE:
         return out
 
     def record_drift(self, rel_errors) -> Dict[str, float]:
-        """Record per-query relative drift vs the fp64 oracle (quantized modes).
+        """Record per-query relative drift vs the reference engine (quantized modes).
 
-        ``rel_errors`` holds one ``|est_q - est_oracle| / est_oracle`` per
+        ``rel_errors`` holds one ``|est_q - est_ref| / est_ref`` per
         query (see ``inference.measure_quantization_drift``). The summary
         rides :meth:`stats` — and from there the scheduler's stats and the
         HTTP ``/metrics`` gauges — until the next measurement or
@@ -583,16 +575,9 @@ class CompiledResMADE:
         self, tokens: np.ndarray, col: int, wildcard: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """``p(X_col | inputs)`` — same contract as the reference model."""
-        if self.mode == "fp64":
-            return self.model.conditional(tokens, col, wildcard)
         return self._probs(tokens, col, wildcard)
 
-    def column_conditional(
-        self, tokens: np.ndarray, col: int, wildcard: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if self.mode == "fp64":
-            return self.model.column_conditional(tokens, col, wildcard)
-        return self._probs(tokens, col, wildcard)
+    column_conditional = conditional
 
     # ------------------------------------------------------------------
     # Kernels
@@ -644,10 +629,17 @@ class CompiledResMADE:
         """Blocks + sliced output head + softmax over a pre-activation ``h``.
 
         ``h`` is an augmented ``(n, cut + 1)`` buffer whose last column is a
-        constant 1: every weight matrix carries its bias as an extra input
-        row (and propagates the ones column through itself), so the whole
-        residual stack runs as bare ``relu``/``matmul``/``add`` passes with
-        no separate bias traversals over the batch.
+        constant 1 (see :meth:`_blocks`).
+        """
+        return _softmax_inplace(self._blocks(h, cut) @ self._out_head(col, cut))
+
+    def _blocks(self, h, cut: int) -> np.ndarray:
+        """Residual stack over ``h`` in place; returns the final ReLU output.
+
+        Every weight matrix carries its bias as an extra input row (and
+        propagates the ones column through itself), so the whole stack runs
+        as bare ``relu``/``matmul``/``add`` passes with no separate bias
+        traversals over the batch.
         """
         h[:, cut] = 1.0
         _, r, a, t = self._scratch(len(h), cut)
@@ -658,13 +650,7 @@ class CompiledResMADE:
             np.matmul(a, w2a, out=t)
             h += t
         np.maximum(h, 0.0, out=r)
-        logits = r @ self._out_head(col, cut)
-        # In-place fp32 softmax (shifted exps are <= 1, well inside range);
-        # downstream Monte Carlo draws work in the probs' own dtype.
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        return logits
+        return r
 
     def _scratch(self, n: int, cut: int):
         """Four contiguous ``(n, cut + 1)`` fp32 views over thread-local buffers.
@@ -813,6 +799,7 @@ class CompiledResMADE:
                 self._pattern_cache.clear()
             self._pattern_cache[key] = const
         return const
+
     def _pattern_groups(self, wc: Optional[np.ndarray], n: int, col: int):
         """Group rows by wildcard signature over columns ``< col``.
 
@@ -854,7 +841,7 @@ class CompiledResMADE:
         Used by plan pre-compilation so a registered query plan pays its
         pattern-assembly cost before traffic arrives.
         """
-        if self.mode == "fp64" or col == 0:
+        if col == 0:
             return 0
         self.compile()
         wc = np.ascontiguousarray(wc_row[None, :col], dtype=bool)
@@ -880,6 +867,15 @@ class FoldSession:
     """
 
     __slots__ = ("compiled", "tokens", "wildcard", "buffer", "folded")
+
+    # What the batched walk may do with this provider (see
+    # ``core.progressive._ReferenceSession`` for the contract).
+    #: Indicator draws are deterministic, so a run of them pre-folds and
+    #: shares one blocks pass (:meth:`fold_slices` + :meth:`probs_multi`).
+    fuses_indicator_runs = True
+    #: Past 90 % unique rows a kernel call on the raw rows is cheaper than
+    #: maintaining prefix-group ids to skip the few duplicates.
+    dedup_cutoff = 0.9
 
     def __init__(self, compiled: CompiledResMADE, tokens, wildcard):
         self.compiled = compiled
@@ -922,13 +918,16 @@ class FoldSession:
         """Fold a shared token into contiguous row slices (indicator runs).
 
         The delta is one constant row, so each participating query's slice
-        takes a contiguous broadcast add — no index arrays, no gathers.
+        takes a contiguous broadcast add — no index arrays, no gathers. With
+        no slices the column stays MASK on every row and is merely marked
+        folded.
         """
-        c = self.compiled
-        cut = int(c._cuts[col])
-        delta = c._luts[col][int(token), cut:] - c._mask_stack[col][cut:]
-        for sl in slcs:
-            self.buffer[sl, cut:] += delta
+        if slcs:
+            c = self.compiled
+            cut = int(c._cuts[col])
+            delta = c._luts[col][int(token), cut:] - c._mask_stack[col][cut:]
+            for sl in slcs:
+                self.buffer[sl, cut:] += delta
         self.folded = max(self.folded, col + 1)
 
     def ensure_folded(self, col: int) -> None:
@@ -973,21 +972,5 @@ class FoldSession:
         else:
             np.multiply(self.buffer[rows, :cut], c._q_scale[:cut], out=h[:, :cut])
         head, spans = c._multi_head(tuple(cols), cut)
-        h[:, cut] = 1.0
-        _, r, a, t = c._scratch(len(rows), cut)
-        for w1a, w2a in c._block_slices(cut):
-            np.maximum(h, 0.0, out=r)
-            np.matmul(r, w1a, out=a)
-            np.maximum(a, 0.0, out=a)
-            np.matmul(a, w2a, out=t)
-            h += t
-        np.maximum(h, 0.0, out=r)
-        logits = r @ head
-        out = []
-        for lo, hi in spans:
-            piece = logits[:, lo:hi]
-            piece -= piece.max(axis=1, keepdims=True)
-            np.exp(piece, out=piece)
-            piece /= piece.sum(axis=1, keepdims=True)
-            out.append(piece)
-        return out
+        logits = c._blocks(h, cut) @ head
+        return [_softmax_inplace(logits[:, lo:hi]) for lo, hi in spans]

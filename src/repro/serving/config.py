@@ -11,17 +11,15 @@ construction with a :class:`~repro.errors.ServingError`, not at the first
 flush), and round-trips through plain dicts (:meth:`from_dict` /
 :meth:`to_dict`) so a config can live in a JSON/YAML deployment file.
 
-Legacy keyword arguments on ``EstimationService`` keep working for one
-release with a :class:`DeprecationWarning`; the field mapping is:
+``EstimationService`` takes the config object only; where each field came
+from:
 
 ======================  ==========================================
-legacy kwarg            ServingConfig field
+earlier home            ServingConfig field
 ======================  ==========================================
-``max_batch``           ``max_batch``
-``max_wait_us``         ``max_wait_us``
-``cache_size``          ``cache_size``
-``n_samples``           ``n_samples``
-``poll_interval``       ``poll_interval`` (serve_with_updates)
+(service kwargs)        ``max_batch``, ``max_wait_us``,
+                        ``cache_size``, ``n_samples``
+(serve_with_updates)    ``poll_interval``
 (registry ctor)         ``budget_bytes``
 (RefreshPolicy ctor)    ``drift_threshold`` … ``min_interval_seconds``
 (new in PR 6)           ``workers``, ``worker_start``, ``min_shard``,

@@ -29,10 +29,8 @@ caller's signal, not a serving failure.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
-import warnings
 from concurrent.futures import Future
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -56,9 +54,6 @@ from repro.serving.updates import (
 )
 from repro.serving.workers import WorkerPool
 
-#: Legacy constructor kwargs and the ServingConfig fields they map to.
-_LEGACY_KWARGS = ("max_batch", "max_wait_us", "cache_size", "n_samples")
-
 
 class EstimationService:
     """Registry + schedulers (+ worker pools) behind one façade.
@@ -75,31 +70,8 @@ class EstimationService:
         registry: Optional[ModelRegistry] = None,
         *,
         config: Optional[ServingConfig] = None,
-        max_batch: Optional[int] = None,
-        max_wait_us: Optional[int] = None,
-        cache_size: Optional[int] = None,
-        n_samples: Optional[int] = None,
     ):
         config = config if config is not None else ServingConfig()
-        legacy = {
-            name: value
-            for name, value in (
-                ("max_batch", max_batch),
-                ("max_wait_us", max_wait_us),
-                ("cache_size", cache_size),
-                ("n_samples", n_samples),
-            )
-            if value is not None
-        }
-        if legacy:
-            warnings.warn(
-                f"EstimationService({', '.join(sorted(legacy))}=...) keyword "
-                "arguments are deprecated; pass "
-                f"config=ServingConfig({', '.join(sorted(legacy))}=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = dataclasses.replace(config, **legacy)
         self.config = config
         self.registry = (
             registry

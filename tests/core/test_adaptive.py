@@ -12,7 +12,6 @@ the declared bound — both pinned here on the deterministic tabular oracle.
 import numpy as np
 import pytest
 
-from repro.core.inference import CompiledEngine
 from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError
 from tests.core.oracle import OracleModel
@@ -21,14 +20,13 @@ from tests.core.test_compiled import batch, engines, fitted, workload  # noqa: F
 from tests.core.test_progressive_oracle import rich_schema
 
 
-@pytest.fixture(scope="module", params=["reference", "fp64"])
+@pytest.fixture(scope="module", params=[None, 2], ids=["flat", "factorized"])
 def oracle_engine(request):
-    """Both executors over the exact tabular oracle (bitwise-stable)."""
+    """The reference engine over the exact tabular oracle (bitwise-stable),
+    on both column layouts the per-column programs specialize for."""
     schema = rich_schema(seed=3)
-    oracle = OracleModel(schema, factorization_bits=2)
-    if request.param == "reference":
-        return ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size)
-    return CompiledEngine(oracle, oracle.layout, oracle.full_join_size, mode="fp64")
+    oracle = OracleModel(schema, factorization_bits=request.param)
+    return ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size)
 
 
 def run(engine, queries, n=200, max_rel_var=None, min_samples=None, base_seed=90):
@@ -85,7 +83,7 @@ class TestEscalationBitwise:
         fixed = run(oracle_engine, queries)
         np.testing.assert_array_equal(adaptive[escalated], fixed[escalated])
 
-    def test_trained_fp64_engine_close_to_fixed_run(self, fitted):
+    def test_trained_reference_engine_close_to_fixed_run(self, fitted):
         """Escalation on a trained model reproduces the fixed run to GEMM noise.
 
         The strict bitwise property lives on the tabular oracle above: its
@@ -96,7 +94,7 @@ class TestEscalationBitwise:
         gate, but not bitwise.
         """
         _, estimator = fitted
-        engine = engines(estimator, "fp64")[0]
+        engine = engines(estimator, "off")[0]
         queries = workload()
         fixed = batch(engine, queries)
         adaptive = engine.estimate_batch(

@@ -1,10 +1,12 @@
-"""Batched inference engine: equivalence with the sequential oracle path.
+"""The single batched walk: equivalence with the sequential oracle path.
 
 The sequential ``estimate`` loop is the correctness oracle: given the same
-per-query generator, ``estimate_batch`` must reproduce its results — exactly
+per-query generator, ``estimate_batch`` must reproduce its results — bitwise
 under the deterministic tabular oracle model (both paths draw identical
 uniform streams and the oracle's conditionals are row-independent), and
-within Monte Carlo tolerance end-to-end on a trained NeuroCard.
+within Monte Carlo tolerance end-to-end on a trained NeuroCard. This is
+the contract that pins the walk itself (prefix dedup, per-op-class draws,
+one-pass apply); ``test_compiled.py`` pins the fp32 kernels against it.
 """
 
 import numpy as np
@@ -26,8 +28,72 @@ def oracle_sampler(schema, factorization_bits=None):
     return ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size)
 
 
+class _OracleSession:
+    """Test double for a model-provided session over the tabular oracle.
+
+    Keeps its own copy of the prefix (like the compiled fold buffer), so a
+    walk that pre-folds the wrong tokens or reads a stale column shows up
+    as a wrong conditional rather than being masked by the live matrices.
+    """
+
+    def __init__(self, oracle, tokens, wildcard, kind):
+        self.oracle, self.live_tokens, self.live_wildcard = oracle, tokens, wildcard
+        self.tokens, self.wildcard = tokens.copy(), wildcard.copy()
+        self.folded = 0
+        self.fuses_indicator_runs = kind == "fused_runs"
+        self.dedup_cutoff = 0.0 if kind == "raw_rows" else None
+        self.multi_calls = 0
+
+    def ensure_folded(self, col):
+        for prev in range(self.folded, col):
+            self.tokens[:, prev] = self.live_tokens[:, prev]
+            self.wildcard[:, prev] = self.live_wildcard[:, prev]
+        self.folded = max(self.folded, col)
+
+    def fold_slices(self, col, slices, token):
+        for sl in slices:
+            self.tokens[sl, col] = token
+            self.wildcard[sl, col] = False
+        self.folded = max(self.folded, col + 1)
+
+    def probs(self, rows, col):
+        self.ensure_folded(col)
+        return self.oracle.conditional(self.tokens[rows], col, self.wildcard[rows])
+
+    def probs_multi(self, rows, cols):
+        assert self.folded >= cols[-1]
+        self.multi_calls += 1
+        return [
+            self.oracle.conditional(self.tokens[rows], col, self.wildcard[rows])
+            for col in cols
+        ]
+
+
+class SessionOracle(OracleModel):
+    """The tabular oracle, offering ``begin_session`` like a compiled model."""
+
+    def __init__(self, schema, factorization_bits, kind):
+        super().__init__(schema, factorization_bits=factorization_bits)
+        self.kind = kind
+        self.sessions = []
+
+    def begin_session(self, tokens, wildcard):
+        self.sessions.append(_OracleSession(self, tokens, wildcard, self.kind))
+        return self.sessions[-1]
+
+
+#: Non-empty regions with zero joint mass under ``rich_schema(seed=3)``: the
+#: 1996 rows have C1 children, none of kind 1, so every row dies at C1.kind.
+DIES_MID_WALK = Query.make(
+    ["R", "C1"],
+    [Predicate("R", "year", "=", 1996), Predicate("C1", "kind", "=", 1)],
+)
+
+
 def mixed_workload():
-    """Queries spanning interval, IN, fanout-downscaled, and empty regions."""
+    """One batch mixing every op class and every way a query can end:
+    interval, IN-set (a trie once factorized), fanout-downscaled subset,
+    indicator-only, an empty region, and rows that all die mid-walk."""
     return [
         Query.make(["R"], [Predicate("R", "year", ">=", 1993)]),
         Query.make(["R", "C1"], [Predicate("C1", "kind", "IN", (0, 2, 3))]),
@@ -40,13 +106,14 @@ def mixed_workload():
         Query.make(["R"], [Predicate("R", "year", "=", 3000)]),  # empty region
         Query.make(["R", "C2"], [Predicate("C2", "score", "IN", (1, 7, 30, 44))]),
         Query.make(["R"], [Predicate("R", "year", "=", 1995)]),
+        DIES_MID_WALK,
     ]
 
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("bits", [None, 2], ids=["flat", "factorized"])
     def test_batch_matches_sequential_loop(self, bits):
-        """Same per-query rng => batched == sequential, to fp exactness."""
+        """Same per-query rng => batched == sequential, bit for bit."""
         schema = rich_schema(seed=3)
         ps = oracle_sampler(schema, factorization_bits=bits)
         queries = mixed_workload()
@@ -62,7 +129,43 @@ class TestOracleEquivalence:
             n_samples=n,
             rngs=[np.random.default_rng(50 + i) for i in range(len(queries))],
         )
-        np.testing.assert_allclose(batched, sequential, rtol=1e-9)
+        np.testing.assert_array_equal(batched, sequential)
+        dies = queries.index(DIES_MID_WALK)
+        assert not ps.plan(DIES_MID_WALK).is_empty and batched[dies] == 0.0
+        assert (batched[[0, 1, 3, 4]] > 0).all()  # the batch is not trivial
+
+    @pytest.mark.parametrize("bits", [None, 2], ids=["flat", "factorized"])
+    @pytest.mark.parametrize("session", ["raw_rows", "fused_runs"])
+    def test_session_declared_shortcuts_stay_exact(self, bits, session):
+        """The walk picks its shortcuts from what the session declares. Under
+        the exact oracle each one must still equal the sequential loop:
+        ``dedup_cutoff`` switching prefix dedup off, and a fused indicator
+        run (pre-folded tokens, one multi-column pass, tail column riding)."""
+        oracle = SessionOracle(rich_schema(seed=3), bits, session)
+        ps = ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size)
+        # The trio shares the all-wildcard content prefix and every query in
+        # it joins C1, so the run's tail is C2's fanout — read by two of them
+        # behind different R indicators (MASK vs 1): only the membership
+        # pattern in the run's dedup key tells those rows apart.
+        membership_trio = [
+            Query.make(["R", "C1", "C2"], []),
+            Query.make(["C1"], []),
+            Query.make(["R", "C1"], []),
+        ]
+        for queries in (mixed_workload(), membership_trio):
+            sequential = [
+                ps.estimate(q, n_samples=120, rng=np.random.default_rng(8 + i))
+                for i, q in enumerate(queries)
+            ]
+            batched = ps.estimate_batch(
+                queries,
+                n_samples=120,
+                rngs=[np.random.default_rng(8 + i) for i in range(len(queries))],
+            )
+            np.testing.assert_array_equal(batched, sequential)
+        assert oracle.sessions  # the walk asked the model for its provider
+        if session == "fused_runs":
+            assert all(s.multi_calls for s in oracle.sessions)
 
     def test_fanout_downscaled_subset(self):
         """The paper's Q2 shape: single-table query with fanout scaling."""
@@ -164,6 +267,32 @@ class TestTrainedModelEquivalence:
         )
         # Identical uniform streams; only BLAS batching order may differ.
         np.testing.assert_allclose(batched, sequential, rtol=0.05)
+
+    def test_reference_engine_matches_sequential_to_gemm_noise(self, fitted):
+        """On the reference forward the only batched/sequential difference
+        is float64 GEMM round-off from the batch shape (prefix dedup hands
+        the model fewer, differently ordered rows) — orders of magnitude
+        inside the fp32 engine's tolerance above."""
+        _, estimator = fitted
+        reference = ProgressiveSampler(
+            estimator.model, estimator.layout, estimator.full_join_size
+        )
+        queries = [
+            Query.make(["R"], [Predicate("R", "year", ">=", 1995)]),
+            Query.make(["R", "C2"], [Predicate("C2", "score", "<", 10)]),
+            Query.make(["R", "C1"], [Predicate("R", "year", "IN", (1991, 1996))]),
+            Query.make(["C1"], []),
+        ]
+        sequential = [
+            reference.estimate(q, n_samples=128, rng=np.random.default_rng(900 + i))
+            for i, q in enumerate(queries)
+        ]
+        batched = reference.estimate_batch(
+            queries,
+            n_samples=128,
+            rngs=[np.random.default_rng(900 + i) for i in range(len(queries))],
+        )
+        np.testing.assert_allclose(batched, sequential, rtol=1e-7)
 
     def test_public_api_returns_one_estimate_per_query(self, fitted):
         _, estimator = fitted

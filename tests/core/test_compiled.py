@@ -1,10 +1,11 @@
 """Compiled inference engine: kernel equivalence, plan caches, lifecycle.
 
-The uncompiled path is the correctness oracle throughout: ``fp64`` mode
-must match it bitwise (same executor, reference forward), ``fp32`` mode to
-fp32 round-off on conditionals and estimates, and the dynamic caches
-(wildcard-pattern constants, per-step kernels, fold sessions) must never
-leak state across queries, calls, or weight changes.
+The reference engine (``off``) is the correctness oracle throughout — both
+engines run the same batched walk (pinned to the sequential loop in
+``test_batched.py``), so ``fp32`` mode must match it to fp32 round-off on
+conditionals and estimates, and the dynamic caches (wildcard-pattern
+constants, per-step kernels, fold sessions) must never leak state across
+queries, calls, or weight changes.
 """
 
 import numpy as np
@@ -12,21 +13,18 @@ import pytest
 
 from repro.core.estimator import NeuroCard
 from repro.core.inference import (
-    CompiledEngine,
     build_engine,
     compiled_model,
     compiled_size_bytes,
     precompile_plan,
 )
-from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError
 from repro.nn.compiled import CompiledResMADE
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
-from tests.core.oracle import OracleModel
-from tests.core.test_batched import mixed_workload
+from repro.relational.schema import JoinEdge, JoinSchema
+from repro.relational.table import Table
 from tests.core.test_estimator import correlated_schema, small_config
-from tests.core.test_progressive_oracle import rich_schema
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +66,7 @@ class TestKernelEquivalence:
         """Folded LUT kernels reproduce the reference forward to fp32 noise."""
         _, estimator = fitted
         model = estimator.model
-        compiled = CompiledResMADE(model, mode="fp32")
+        compiled = CompiledResMADE(model)
         rng = np.random.default_rng(3)
         tokens = np.column_stack([rng.integers(0, d, 64) for d in model.domains])
         wildcard = rng.random((64, model.n_columns)) < 0.5
@@ -81,7 +79,7 @@ class TestKernelEquivalence:
     def test_scratch_reuse_is_bitwise_stable(self, fitted):
         """Reused fp32 scratch buffers never bleed between calls."""
         _, estimator = fitted
-        compiled = CompiledResMADE(estimator.model, mode="fp32")
+        compiled = CompiledResMADE(estimator.model)
         rng = np.random.default_rng(5)
         model = estimator.model
         tokens = np.column_stack([rng.integers(0, d, 40) for d in model.domains])
@@ -93,28 +91,6 @@ class TestKernelEquivalence:
         again = compiled.column_conditional(tokens, col, wildcard)
         assert np.array_equal(first, again)
 
-    def test_fp64_oracle_engine_bitwise_on_trained_model(self, fitted):
-        _, estimator = fitted
-        ref, oracle = engines(estimator, "off", "fp64")
-        queries = workload()
-        np.testing.assert_array_equal(batch(ref, queries), batch(oracle, queries))
-
-    @pytest.mark.parametrize("bits", [None, 2], ids=["flat", "factorized"])
-    def test_fp64_executor_bitwise_on_tabular_oracle(self, bits):
-        """The restructured executor (vectorized draws, one-pass apply,
-        indicator batching off) is exact against the PR-1 reference loop
-        under the deterministic tabular oracle."""
-        schema = rich_schema(seed=3)
-        oracle = OracleModel(schema, factorization_bits=bits)
-        reference = ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size)
-        compiled = CompiledEngine(
-            oracle, oracle.layout, oracle.full_join_size, mode="fp64"
-        )
-        queries = mixed_workload()
-        np.testing.assert_array_equal(
-            batch(reference, queries, n=200), batch(compiled, queries, n=200)
-        )
-
     def test_fp32_estimates_within_tolerance(self, fitted):
         _, estimator = fitted
         ref, fast = engines(estimator, "off", "fp32")
@@ -123,6 +99,47 @@ class TestKernelEquivalence:
         rel = np.abs(b - a) / np.maximum(np.abs(a), 1e-12)
         assert np.median(rel) <= 1e-4
         assert np.quantile(rel, 0.9) <= 1e-3
+
+
+    def test_indicator_run_wider_than_a_machine_word(self):
+        """The fused indicator run keys its membership dedup on boolean
+        rows, so joining the 64th-or-later table of a wide star works (the
+        key used to be an int64 bit pattern and overflowed)."""
+        n_children = 65
+        root = Table.from_dict("R", {"id": [0, 1, 2], "x": [5, 6, 6]})
+        children = {
+            f"C{i:02d}": Table.from_dict(
+                f"C{i:02d}", {"rid": [i % 3, (i + 1) % 3], "v": [i % 2, 1]}
+            )
+            for i in range(n_children)
+        }
+        schema = JoinSchema(
+            tables={"R": root, **children},
+            edges=[JoinEdge("R", name, (("id", "rid"),)) for name in children],
+            root="R",
+        )
+        config = small_config(
+            d_ff=256, progressive_samples=16, sampler_threads=1, exclude_columns=()
+        )
+        last = f"C{n_children - 1:02d}"
+        queries = [
+            Query.make(["R", last], [Predicate("R", "x", "=", 6)]),
+            Query.make(["R", "C00"], []),
+        ]
+        results = {}
+        for mode in ("off", "fp32"):
+            estimator = NeuroCard(schema, config).prepare(compile=mode)
+            indicator_specs = [
+                s.name for s in estimator.layout.specs if s.kind == "indicator"
+            ]
+            assert indicator_specs.index(
+                estimator.layout.indicator_spec_name(last)
+            ) >= 64
+            results[mode] = estimator.estimate_batch(
+                queries, rngs=[np.random.default_rng(i) for i in range(2)]
+            )
+        assert np.isfinite(results["fp32"]).all() and (results["fp32"] >= 0).all()
+        np.testing.assert_allclose(results["fp32"], results["off"], rtol=1e-4)
 
 
 class TestPlanCaches:
@@ -143,7 +160,7 @@ class TestPlanCaches:
         """Two wildcard sets at one step never share a cached constant."""
         _, estimator = fitted
         model = estimator.model
-        compiled = CompiledResMADE(model, mode="fp32")
+        compiled = CompiledResMADE(model)
         col = model.n_columns - 1
         a = np.zeros(model.n_columns, dtype=bool)
         b = np.zeros(model.n_columns, dtype=bool)
@@ -212,10 +229,12 @@ class TestLifecycle:
         off = NeuroCard(schema, small_config(train_tuples=1_000)).fit(compile=False)
         assert off.inference.model is off.model  # raw reference engine
         assert compiled_model(off.inference) is None
-        assert isinstance(estimator.inference, CompiledEngine)  # default fp32
+        assert compiled_model(estimator.inference) is not None  # default fp32
+        for retired_or_unknown in ("fp64", "fp16"):
+            with pytest.raises(EstimationError, match="unknown inference mode"):
+                build_engine(
+                    estimator.model, estimator.layout, estimator.full_join_size,
+                    retired_or_unknown,
+                )
         with pytest.raises(EstimationError):
-            build_engine(
-                estimator.model, estimator.layout, estimator.full_join_size, "fp16"
-            )
-        with pytest.raises(EstimationError):
-            CompiledResMADE(object(), mode="fp32")
+            CompiledResMADE(object())

@@ -156,6 +156,15 @@ class TestCompatibilityValidation:
         with pytest.raises(PersistenceError, match="config"):
             load_model(path, schema)
 
+    def test_retired_fp64_mode_rejected_naming_the_field(self, trained, tmp_path):
+        """Artifacts saved with the retired ``"fp64"`` executor mode fail the
+        config validation up front, naming ``compiled_inference``."""
+        schema, estimator = trained
+        path = save_model(estimator, tmp_path / "fp64.npz")
+        _corrupt_meta(path, lambda m: m["config"].update(compiled_inference="fp64"))
+        with pytest.raises(PersistenceError, match="'fp64'; compiled_inference must be"):
+            load_model(path, schema)
+
     def test_v1_artifact_without_columns_still_loads(self, trained, tmp_path):
         """Back-compat: pre-metadata artifacts load via the domains check."""
         schema, estimator = trained

@@ -5,14 +5,15 @@ import pytest
 
 from repro.errors import ServingError
 from repro.eval.harness import evaluate_estimator, true_cardinalities
-from repro.serving import EstimationService
+from repro.serving import EstimationService, ServingConfig
 from tests.serving.conftest import FakeModel
 
 
 @pytest.fixture()
 def service(tiny_trained):
     _, estimator = tiny_trained
-    with EstimationService(max_batch=16, max_wait_us=1_000, n_samples=64) as svc:
+    config = ServingConfig(max_batch=16, max_wait_us=1_000, n_samples=64)
+    with EstimationService(config=config) as svc:
         svc.register("tiny", estimator)
         yield svc
 
@@ -39,7 +40,7 @@ class TestFacade:
 
     def test_multi_model_requires_name(self, tiny_trained, workload):
         _, estimator = tiny_trained
-        with EstimationService(n_samples=64) as svc:
+        with EstimationService(config=ServingConfig(n_samples=64)) as svc:
             svc.register("a", estimator)
             svc.registry.register("b", FakeModel(tag=5.0))
             with pytest.raises(ServingError, match="model name required"):
@@ -48,7 +49,7 @@ class TestFacade:
 
     def test_closed_service_rejects_submits(self, tiny_trained, workload):
         _, estimator = tiny_trained
-        svc = EstimationService(n_samples=64)
+        svc = EstimationService(config=ServingConfig(n_samples=64))
         svc.register("tiny", estimator)
         svc.close()
         with pytest.raises(ServingError):
@@ -66,7 +67,8 @@ class TestRefreshInvalidation:
     def test_result_cache_invalidated_after_refresh(self, tiny_trained, workload):
         schema, estimator = tiny_trained
         query = workload[1]
-        with EstimationService(max_batch=8, max_wait_us=500, n_samples=64) as svc:
+        config = ServingConfig(max_batch=8, max_wait_us=500, n_samples=64)
+        with EstimationService(config=config) as svc:
             svc.register("tiny", estimator)
             svc.estimate(query, seed=11)
             svc.estimate(query, seed=11)
@@ -89,7 +91,8 @@ class TestRefreshInvalidation:
         import threading
 
         schema, estimator = tiny_trained
-        with EstimationService(max_batch=8, max_wait_us=200, n_samples=32) as svc:
+        config = ServingConfig(max_batch=8, max_wait_us=200, n_samples=32)
+        with EstimationService(config=config) as svc:
             svc.register("tiny", estimator)
             stop = threading.Event()
             errors = []

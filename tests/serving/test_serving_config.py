@@ -2,8 +2,8 @@
 
 Covers the PR 6 API-redesign satellites: one validated config object for
 every serving knob (dict round-trip for deployment files, hard errors on
-typos), legacy kwargs surviving one release behind a DeprecationWarning,
-a single client protocol every serving depth satisfies, and the
+typos) that is the only way to configure a service, a single client
+protocol every serving depth satisfies, and the
 regression gate accepting comma-separated ``--only`` bench lists.
 """
 
@@ -90,38 +90,14 @@ def test_unknown_keys_are_hard_errors():
 
 
 # ----------------------------------------------------------------------
-# Legacy kwargs: one release of DeprecationWarning compatibility
+# ServingConfig is the only way in: the pre-config keywords are gone
 # ----------------------------------------------------------------------
-def test_legacy_service_kwargs_warn_but_apply():
-    with pytest.warns(DeprecationWarning, match="max_batch"):
-        service = EstimationService(max_batch=8, cache_size=0)
-    try:
-        assert service.config.max_batch == 8
-        assert service.config.cache_size == 0
-        assert service.config.max_wait_us == ServingConfig().max_wait_us
-    finally:
-        service.close()
-
-
-def test_config_object_does_not_warn(recwarn):
-    service = EstimationService(config=ServingConfig(max_batch=8))
-    try:
-        assert service.config.max_batch == 8
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-    finally:
-        service.close()
-
-
-def test_legacy_kwargs_override_explicit_config():
-    with pytest.warns(DeprecationWarning):
-        service = EstimationService(
-            config=ServingConfig(max_batch=16), n_samples=32
-        )
-    try:
-        assert service.config.max_batch == 16
-        assert service.config.n_samples == 32
-    finally:
-        service.close()
+@pytest.mark.parametrize(
+    "legacy", ["max_batch", "max_wait_us", "cache_size", "n_samples"]
+)
+def test_legacy_service_kwargs_are_rejected(legacy):
+    with pytest.raises(TypeError, match=legacy):
+        EstimationService(**{legacy: 8})
 
 
 # ----------------------------------------------------------------------

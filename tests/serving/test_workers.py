@@ -11,7 +11,7 @@ The pool's contracts under test:
 * **hot-swap under load** — a registry swap during multiprocess traffic
   produces zero failed and zero stale-version responses;
 * **the inline path stays the oracle** — pooled results match inline
-  results (bitwise for the fp64/pickled engines, to fp32-kernel
+  results (bitwise for the pickled reference engine, to fp32-kernel
   tolerance for compiled estimators).
 """
 
@@ -37,8 +37,6 @@ from repro.serving import (
     ServingConfig,
     WorkerPool,
 )
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class SlowModel:
@@ -111,15 +109,13 @@ def test_attach_parameters_rejects_mismatched_shapes(tiny_trained):
         twin.attach_parameters(bad)
 
 
-def test_export_state_requires_compiled_mode(tiny_trained):
-    from repro.core.inference import compiled_model
-
+def test_reference_engine_has_no_state_to_share(tiny_trained):
     schema, est = tiny_trained
-    fp64 = NeuroCard(schema, est.config).prepare(compile="fp64")
-    with pytest.raises(EstimationError, match="fp64"):
-        compiled_model(fp64.inference).export_state()
-    # And the engine-level helper degrades to "nothing to share" instead.
-    assert export_engine_state(fp64.inference) == {}
+    reference = NeuroCard(schema, est.config).prepare(compile="off")
+    assert export_engine_state(reference.inference) == {}
+    attach_engine_state(reference.inference, {})  # nothing to attach: no-op
+    with pytest.raises(EstimationError, match="reference engine"):
+        attach_engine_state(reference.inference, export_engine_state(est.inference))
 
 
 # ----------------------------------------------------------------------
@@ -141,13 +137,13 @@ def test_pool_matches_inline_compiled(tiny_trained):
     np.testing.assert_allclose(pooled, np.asarray(inline), rtol=5e-6)
 
 
-def test_pool_is_bitwise_on_fp64_engine(oracle_engine, workload):
-    """Pickle-transported fp64 oracle engine: sharding changes nothing."""
+def test_pool_is_bitwise_on_reference_engine(oracle_engine, workload):
+    """Pickle-transported reference engine: sharding changes nothing."""
     inline = [
         float(oracle_engine.estimate(q, rng=np.random.default_rng(100 + i)))
         for i, q in enumerate(workload)
     ]
-    with WorkerPool(n_workers=2, name="fp64", min_shard=1) as pool:
+    with WorkerPool(n_workers=2, name="ref", min_shard=1) as pool:
         pool.publish(oracle_engine, 1)
         pooled = [
             pool.estimate(q, seed=100 + i) for i, q in enumerate(workload)
