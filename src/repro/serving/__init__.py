@@ -6,9 +6,10 @@ batched inference fast path:
 * :class:`ModelRegistry` — named fitted estimators with lazy artifact
   loading, size-budgeted eviction, and non-blocking hot-swap/refresh;
 * :class:`MicroBatchScheduler` — coalesces concurrent ``submit(query)``
-  calls into single ``estimate_batch`` invocations (max-batch /
-  max-wait-µs policy) with per-caller futures and a plan-keyed LRU result
-  cache;
+  calls into single ``estimate_batch`` invocations (a batch goes once
+  it holds every expected caller; ``max_batch`` caps it and
+  ``max_wait_us`` bounds the wait for a straggler) with per-caller futures
+  and a plan-keyed LRU result cache;
 * :class:`WorkerPool` — shards those micro-batches across N worker
   processes that attach the model's weights and compiled buffers from
   immutable versioned shared-memory blobs (zero-copy, hot-swap aware);

@@ -217,7 +217,9 @@ class ServingConfig:
     # -- micro-batching scheduler ------------------------------------
     #: Largest micro-batch one flush may coalesce.
     max_batch: int = 64
-    #: Longest a request waits (microseconds) for batch-mates.
+    #: Straggler bound (microseconds): how long a batch waits for callers
+    #: the scheduler expects but that have not shown up yet. A batch that
+    #: already holds every expected caller does not wait at all.
     max_wait_us: int = 2000
     #: Plan-keyed LRU result-cache entries per model (0 disables).
     cache_size: int = 1024

@@ -646,7 +646,7 @@ class EstimationHttpServer:
             staleness_qerror.set(report.staleness_qerror, model=refresher.name)
             divergence.set(report.max_divergence, model=refresher.name)
             ingested.set(report.ingested_fraction, model=refresher.name)
-        return self.metrics.render()
+        return self.metrics.render() + "\n".join(self.service.queue_wait.render()) + "\n"
 
 
 class HttpServerThread:

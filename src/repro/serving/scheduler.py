@@ -3,16 +3,33 @@
 PR 1's ``estimate_batch`` made *one caller with many queries* fast; this
 module makes *many callers with one query each* fast. Concurrent
 ``submit(query)`` calls land in a queue; a background flusher coalesces
-them — up to ``max_batch`` requests, waiting at most ``max_wait_us``
-microseconds from the oldest pending request — into single
-``estimate_batch`` invocations, and each caller gets a
-:class:`concurrent.futures.Future` resolving to its own estimate.
+them into single ``estimate_batch`` invocations of up to ``max_batch``
+requests, and each caller gets a :class:`concurrent.futures.Future`
+resolving to its own estimate.
+
+Coalescing decides on a count, not on a timer. The scheduler tracks how
+many requests are *outstanding* (submitted, not yet resolved) and keeps
+``expected``, the peak of that number since the last flush: its estimate
+of how many callers are out there. A batch that already holds
+``expected`` requests flushes at once — nobody else can arrive, so
+waiting buys nothing. Only while fewer callers than expected have shown
+up does the flusher wait for the stragglers, for ``max_wait_us``
+microseconds at most. A lone closed-loop caller therefore never waits.
+Two callers that turn around (result to next submit) inside that window
+wait for each other, a fraction of a millisecond, and share every walk;
+two that are slower than the window take turns, one walk each (a fixed
+timer pairs those only when they happen to start together).
+:meth:`MicroBatchScheduler._next_batch` has the rule and its bounds.
 
 Determinism: a request may pin a ``seed``; its per-query generator is then
-``np.random.default_rng(seed)``, which makes the result bitwise-equal to a
-sequential ``estimate(query, rng=np.random.default_rng(seed))`` call no
-matter which requests it happened to share a batch with (the batched
-engine keeps one uniform-variate stream per query).
+``np.random.default_rng(seed)`` (the batched engine keeps one
+uniform-variate stream per query). On the deterministic tabular test
+oracle that makes the result bitwise-equal to a sequential
+``estimate(query, rng=np.random.default_rng(seed))`` call no matter which
+requests it happened to share a batch with. A trained model's GEMM
+round-off depends on how many rows share the batch, so coalescing
+reproduces its answers to ~1e-9 (reference engine) or <= 5e-6 (fp32
+kernels) relative rather than bit for bit (``docs/architecture.md``).
 
 Results are cached in an LRU keyed on the *canonicalized plan* —
 ``(model version, table set + predicate regions, seed, n_samples,
@@ -40,9 +57,29 @@ import numpy as np
 from repro.errors import DeadlineError, ServingError
 from repro.relational.query import Query
 from repro.serving import faults
+from repro.serving.metrics import Histogram
 
 #: ``source`` contract: returns the current (model, version) pair.
 ModelSource = Callable[[], Tuple[object, int]]
+
+#: Queue-wait buckets (seconds): 50us .. 250ms. A wait is a fraction of a
+#: millisecond when every caller is present and ``max_wait_us`` (plus any
+#: time behind a running batch) when one is not.
+QUEUE_WAIT_BUCKETS = (
+    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25,
+)
+
+
+def queue_wait_histogram() -> Histogram:
+    """submit -> start of the ``estimate_batch`` / ``submit_batch`` call that
+    carried the request, labelled by model."""
+    return Histogram(
+        "repro_scheduler_queue_wait_seconds",
+        "Time from submit to the start of the batch that carried the request.",
+        threading.Lock(),
+        buckets=QUEUE_WAIT_BUCKETS,
+    )
 
 
 @dataclass
@@ -53,7 +90,7 @@ class _Request:
     max_rel_var: Optional[float]
     future: Future
     cache_key: Optional[tuple]
-    enqueued_at: float
+    submitted_at: float
     #: Absolute ``time.monotonic()`` deadline (None = no deadline). Expired
     #: requests are failed with :class:`DeadlineError` at flush time,
     #: *before* dispatch, so dead work never burns batch slots.
@@ -115,16 +152,28 @@ class MicroBatchScheduler:
         self._closed = False
         self._flusher_failure: Optional[BaseException] = None
         self._rng = np.random.default_rng(0)
+        # Coalescing state (see _next_batch): requests submitted and not
+        # yet resolved, and the peak of that count since the last flush.
+        self._outstanding = 0
+        self._expected = 1
+        # Fresh straggler windows in a row that nobody used, and how many
+        # chances to open another one are still to be passed up.
+        self._unused_windows = 0
+        self._skip_windows = 0
         # Telemetry (reads are approximate; guarded writes only).
         self.n_requests = 0
         self.n_batches = 0
         self.n_cache_hits = 0
         self.n_flushed_requests = 0
         self.n_deadline_expired = 0
+        self.n_short_batches = 0
         # Exponentially weighted submit->resolve latency (ms); the cascade
         # reads this as the neural tier's predicted latency when deciding
         # whether the scheduler path fits a caller's budget_ms.
         self._ewma_latency_ms: Optional[float] = None
+        #: An :class:`~repro.serving.service.EstimationService` points this
+        #: at the one histogram all its schedulers share.
+        self.queue_wait = queue_wait_histogram()
         self._flusher = threading.Thread(
             target=self._run, name=f"microbatch-{name}", daemon=True
         )
@@ -158,6 +207,7 @@ class MicroBatchScheduler:
         :class:`~repro.errors.DeadlineError` before dispatch instead of
         occupying a slot in a batch whose answer nobody is waiting for.
         """
+        submitted_at = time.perf_counter()
         model, version = self._source()
         n_samples = n_samples if n_samples is not None else self.n_samples
         max_rel_var = max_rel_var if max_rel_var is not None else self.max_rel_var
@@ -176,14 +226,25 @@ class MicroBatchScheduler:
                 self.n_cache_hits += 1
                 future.set_result(self._cache[key])
                 return future
+            # Counted out again by whoever ends it: _resolve_batch / _fail
+            # just before they wake the caller, or this callback if the
+            # caller cancels first.
+            future.add_done_callback(self._cancelled)
+            self._outstanding += 1
+            self._expected = max(self._expected, self._outstanding)
             self._queue.append(
                 _Request(
                     query, seed, n_samples, max_rel_var, future, key,
-                    time.perf_counter(), deadline,
+                    submitted_at, deadline,
                 )
             )
             self._work.notify()
         return future
+
+    def _cancelled(self, future: Future) -> None:
+        if future.cancelled():
+            with self._lock:
+                self._outstanding -= 1
 
     def estimate(self, query: Query, *, seed: Optional[int] = None) -> float:
         """Blocking convenience wrapper around :meth:`submit`."""
@@ -215,6 +276,9 @@ class MicroBatchScheduler:
                     self.n_flushed_requests / self.n_batches if self.n_batches else 0.0
                 ),
                 "deadline_expired": self.n_deadline_expired,
+                "short_batches": self.n_short_batches,
+                "outstanding": self._outstanding,
+                "expected_concurrency": self._expected,
                 "ewma_latency_ms": (
                     self._ewma_latency_ms
                     if self._ewma_latency_ms is not None
@@ -297,9 +361,10 @@ class MicroBatchScheduler:
                 self._flusher_failure = exc
                 stranded = batch + self._queue
                 self._queue = []
-            for request in stranded:
-                if not request.future.done():
-                    request.future.set_exception(self._flusher_death_error())
+            self._fail(
+                [r for r in stranded if not r.future.done()],
+                self._flusher_death_error(),
+            )
 
     def _flusher_death_error(self) -> ServingError:
         failure = self._flusher_failure
@@ -311,20 +376,65 @@ class MicroBatchScheduler:
         return error
 
     def _next_batch(self) -> Optional[List[_Request]]:
-        """Block until a batch is due; None means closed-and-drained."""
+        """Block until a batch is due; None means closed-and-drained.
+
+        A batch is due when it holds ``expected`` requests (every caller
+        the scheduler believes exists), when it is full, or when its
+        straggler window of ``max_wait_us`` has run out. The window counts
+        from the oldest request's submit, as a fixed timer would. For
+        requests that sat queued behind a running batch it may instead
+        count from now: the callers they are short of are the ones that
+        batch has just handed their results to, and those get
+        ``max_wait_us`` to come back. Without that, callers that fell out
+        of step around a walk longer than the window would take turns for
+        good, each walk carrying half of them.
+
+        Such a fresh window only pays if callers turn around (result to
+        next submit) faster than ``max_wait_us``. One that runs out unused
+        doubles how many chances to open another are passed up (1, 3, 7,
+        .. 63) and one that fills the batch clears the count, so callers
+        that are always slower cost a stall on every 64th batch at worst.
+
+        ``expected`` is raised to ``outstanding`` by every submit and reset
+        to it here, so it is the most requests that were outstanding at
+        once since the previous flush. With all N callers present it stays
+        N. When some leave, the next batch stalls ``max_wait_us`` for them
+        once and resets ``expected`` to those still here: one stall per
+        departure, whatever N. A caller that was merely late raises it back
+        with its next submit.
+        """
+        def short() -> bool:
+            return len(self._queue) < min(self.max_batch, self._expected)
+
         with self._work:
+            behind_a_batch = bool(self._queue)
             while not self._queue:
                 if self._closed:
                     return None
                 self._work.wait()
-            deadline = self._queue[0].enqueued_at + self.max_wait_s
-            while len(self._queue) < self.max_batch and not self._closed:
+            window_start = self._queue[0].submitted_at
+            fresh_window = False
+            if behind_a_batch and short():
+                if self._skip_windows:
+                    self._skip_windows -= 1
+                else:
+                    fresh_window = True
+                    window_start = time.perf_counter()
+            deadline = window_start + self.max_wait_s
+            while short() and not self._closed:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
+                    self.n_short_batches += 1
                     break
                 self._work.wait(timeout=remaining)
+            if fresh_window:
+                self._unused_windows = (
+                    min(self._unused_windows + 1, 6) if short() else 0
+                )
+                self._skip_windows = 2 ** self._unused_windows - 1
             batch = self._queue[: self.max_batch]
             del self._queue[: self.max_batch]
+            self._expected = max(self._outstanding, 1)
             return batch
 
     def _flush(self, batch: List[_Request]) -> None:
@@ -382,6 +492,11 @@ class MicroBatchScheduler:
             else self._rng.spawn(1)[0]
             for r in requests
         ]
+        dispatched_at = time.perf_counter()
+        for request in requests:
+            self.queue_wait.observe(
+                dispatched_at - request.submitted_at, model=self.name
+            )
         if self._executor is not None:
             # Sharded path: hand the whole micro-batch to the worker pool.
             # submit_batch applies backpressure by blocking this flusher
@@ -450,10 +565,11 @@ class MicroBatchScheduler:
             return
         now = time.perf_counter()
         with self._lock:
+            self._outstanding -= len(requests)
             self.n_batches += 1
             self.n_flushed_requests += len(requests)
             for request in requests:
-                lat_ms = (now - request.enqueued_at) * 1e3
+                lat_ms = (now - request.submitted_at) * 1e3
                 self._ewma_latency_ms = (
                     lat_ms
                     if self._ewma_latency_ms is None
@@ -475,8 +591,9 @@ class MicroBatchScheduler:
         for request, estimate in zip(requests, estimates):
             request.future.set_result(float(estimate))
 
-    @staticmethod
-    def _fail(requests: List[_Request], exc: BaseException) -> None:
+    def _fail(self, requests: List[_Request], exc: BaseException) -> None:
+        with self._lock:
+            self._outstanding -= len(requests)
         for request in requests:
             request.future.set_exception(exc)
 

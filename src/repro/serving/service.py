@@ -45,7 +45,7 @@ from repro.serving.cascade import CascadeCalibration, EstimatorCascade, Tier
 from repro.serving.config import ServingConfig
 from repro.serving.registry import ModelRegistry
 from repro.serving.resilience import FALLBACK, PROBE, CircuitBreaker
-from repro.serving.scheduler import MicroBatchScheduler
+from repro.serving.scheduler import MicroBatchScheduler, queue_wait_histogram
 from repro.serving.updates import (
     BackgroundRefresher,
     DriftMonitor,
@@ -79,6 +79,9 @@ class EstimationService:
             else ModelRegistry(budget_bytes=config.budget_bytes)
         )
         self._schedulers: Dict[str, MicroBatchScheduler] = {}
+        #: Every scheduler observes into this one histogram, labelled by
+        #: model; ``/metrics`` renders it.
+        self.queue_wait = queue_wait_histogram()
         self._pools: Dict[str, WorkerPool] = {}
         self._refreshers: list[BackgroundRefresher] = []
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -373,6 +376,7 @@ class EstimationService:
                     executor=pool,
                     **self.config.scheduler_opts(),
                 )
+                scheduler.queue_wait = self.queue_wait
                 self._schedulers[name] = scheduler
         return scheduler
 

@@ -282,6 +282,12 @@ class TestObservability:
             assert (
                 samples['repro_http_request_seconds_count{tenant="t1"}'] == ok
             )
+            # Distinct seeds, so no cache hits: every answered query waited
+            # in the scheduler's queue exactly once.
+            waits = 'repro_scheduler_queue_wait_seconds'
+            assert samples[f'{waits}_count{{model="oracle"}}'] == queries
+            assert samples[f'{waits}_bucket{{model="oracle",le="+Inf"}}'] == queries
+            assert samples['repro_scheduler_stat{model="oracle",stat="outstanding"}'] == 0
             client.close()
         service.close()
 
@@ -290,6 +296,27 @@ class TestObservability:
         samples = parse_samples(client.metrics_text())
         key = 'repro_scheduler_stat{model="oracle",stat="requests"}'
         assert samples[key] >= 1
+        key = 'repro_scheduler_stat{model="oracle",stat="expected_concurrency"}'
+        assert samples[key] >= 1
+
+    def test_queue_wait_is_one_histogram_family_across_models(self, oracle_engine):
+        service = EstimationService()
+        service.register("a", oracle_engine)
+        service.register("b", oracle_engine)
+        with HttpServerThread(service, HttpConfig(port=0)) as server:
+            for model, n in (("a", 1), ("b", 2)):
+                client = HttpEstimationClient(server.host, server.port, model)
+                for seed in range(n):
+                    client.estimate(Query.make(["R"], []), seed=seed)
+                text = client.metrics_text()
+                client.close()
+        service.close()
+        name = "repro_scheduler_queue_wait_seconds"
+        assert text.count(f"# TYPE {name} histogram") == 1
+        samples = parse_samples(text)
+        assert samples[f'{name}_count{{model="a"}}'] == 1
+        assert samples[f'{name}_count{{model="b"}}'] == 2
+        assert samples[f'{name}_sum{{model="b"}}'] > 0
 
 
 class TestGracefulDrain:

@@ -1,12 +1,14 @@
 """MicroBatchScheduler: coalescing, flush timing, caching, failure semantics."""
 
+import sys
 import threading
 import time
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.errors import QueryError, ServingError
+from repro.errors import DeadlineError, QueryError, ServingError
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
 from repro.serving import MicroBatchScheduler
@@ -15,6 +17,89 @@ from tests.serving.conftest import FakeModel
 
 def fixed_source(model, version=0):
     return lambda: (model, version)
+
+
+class GatedModel(FakeModel):
+    """Every batch stops inside ``estimate_batch`` until the test releases it.
+
+    The test thread plays the callers and steps the scheduler one batch at
+    a time, so which requests share a batch is decided by the coalescing
+    policy alone, never by how fast this machine happens to run.
+    """
+
+    def __init__(self, tag: float = 1.0):
+        super().__init__(tag)
+        self._entered = threading.Semaphore(0)
+        self._proceed = threading.Semaphore(0)
+        self.entered_at = 0.0
+
+    def estimate_batch(self, queries, n_samples=None, rngs=None):
+        self.entered_at = time.perf_counter()
+        self.calls += 1
+        self.batch_sizes.append(len(queries))
+        self._entered.release()
+        assert self._proceed.acquire(timeout=30), "test never released the batch"
+        if self.fail:
+            raise RuntimeError(f"model {self.tag} exploded")
+        return np.full(len(queries), float(self.tag))
+
+    def wait_entered(self) -> None:
+        assert self._entered.acquire(timeout=30), "no batch started"
+
+    def release(self) -> None:
+        self._proceed.release()
+
+    def step(self) -> int:
+        """Let the next batch run to completion; returns its size."""
+        self.wait_entered()
+        size = self.batch_sizes[-1]
+        self.release()
+        return size
+
+
+class ThreadExecutor:
+    """The ``executor=`` protocol on a thread: batches run off the flusher,
+    as they do on a :class:`~repro.serving.workers.WorkerPool`."""
+
+    def __init__(self):
+        self._threads = ThreadPoolExecutor(max_workers=4)
+
+    def submit_batch(self, model, version, queries, *, rngs, n_samples, max_rel_var):
+        return self._threads.submit(model.estimate_batch, queries, n_samples=n_samples, rngs=rngs)
+
+    def close(self) -> None:
+        self._threads.shutdown()
+
+
+@pytest.fixture(params=["inline", "pool"])
+def executor(request):
+    """None (batches run on the flusher) or an off-flusher executor."""
+    if request.param == "inline":
+        yield None
+        return
+    pool = ThreadExecutor()
+    yield pool
+    pool.close()
+
+
+def prime(scheduler, gate, n):
+    """Bring ``scheduler`` to ``n`` known callers, all resolved.
+
+    One caller's batch is held inside the model while the other ``n - 1``
+    arrive; it then comes back, and the batch of ``n`` runs.
+    """
+    q = Query.make(["T"])
+    futures = [scheduler.submit(q)]
+    gate.wait_entered()
+    futures += [scheduler.submit(q) for _ in range(n - 1)]
+    gate.release()
+    futures[0].result(timeout=30)
+    if n > 1:
+        futures[0] = scheduler.submit(q)
+        assert gate.step() == n
+    for future in futures:
+        future.result(timeout=30)
+    assert scheduler.stats()["expected_concurrency"] == n
 
 
 class TestCoalescing:
@@ -49,18 +134,35 @@ class TestCoalescing:
         assert elapsed < 2.0
 
     def test_max_wait_flush_timing(self):
-        """A lone request flushes at the max-wait deadline, not at max-batch."""
+        """``max_wait_us`` bounds the wait for a straggler, and only that.
+
+        A lone caller is every caller there is, so its batch starts at once
+        (the window here is a minute: waiting it out would time the test
+        out). Once a second caller has been seen and then stays away, the
+        batch waits for it the full window and then goes alone.
+        """
         model = FakeModel(tag=1.0)
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(model), max_batch=64, max_wait_us=60_000, cache_size=0
+            fixed_source(model), max_batch=64, max_wait_us=60_000_000, cache_size=0
         ) as scheduler:
+            for _ in range(3):
+                assert scheduler.submit(q).result(timeout=10) == 1.0
+        assert model.batch_sizes == [1, 1, 1]
+
+        gate = GatedModel()
+        with MicroBatchScheduler(
+            fixed_source(gate), max_batch=64, max_wait_us=60_000, cache_size=0
+        ) as scheduler:
+            prime(scheduler, gate, 2)
             start = time.perf_counter()
-            scheduler.submit(q).result(timeout=10)
-            elapsed = time.perf_counter() - start
-        # Must have waited out (at least) the 60ms window, and not hung.
-        assert 0.05 <= elapsed < 5.0
-        assert model.calls == 1
+            lone = scheduler.submit(q)
+            gate.wait_entered()
+            waited = gate.entered_at - start
+            gate.release()
+            assert lone.result(timeout=10) == 1.0
+        assert gate.batch_sizes[-1] == 1
+        assert waited >= 0.06  # the straggler got its whole window
 
     def test_done_callback_may_resubmit(self):
         """Futures resolve outside the scheduler lock, so async chaining works."""
@@ -92,6 +194,244 @@ class TestCoalescing:
         with pytest.raises(ServingError):
             scheduler.submit(q)
         scheduler.close()  # idempotent
+
+
+class TestExpectedConcurrency:
+    """The coalescing policy, one batch at a time (see ``_next_batch``).
+
+    Windows are a minute long wherever the policy should *not* wait for it:
+    a wrong wait shows up as a timeout, not as a slow assertion.
+    """
+
+    MINUTE_US = 60_000_000
+
+    def test_alternating_callers_are_paired_and_stay_paired(self, executor):
+        gate = GatedModel()
+        q = Query.make(["T"])
+        with MicroBatchScheduler(
+            fixed_source(gate), max_wait_us=self.MINUTE_US, cache_size=0, executor=executor
+        ) as scheduler:
+            a = scheduler.submit(q)  # the only caller known: goes alone
+            gate.wait_entered()
+            b = scheduler.submit(q)  # arrives while a's batch runs
+            gate.release()
+            a.result(timeout=30)
+            # b is next and a is known to exist: b's batch waits for a's
+            # next request rather than running the two in alternation.
+            a = scheduler.submit(q)
+            assert gate.step() == 2
+            for _cycle in range(3):
+                assert a.result(timeout=30) == b.result(timeout=30) == 1.0
+                a = scheduler.submit(q)
+                b = scheduler.submit(q)
+                assert gate.step() == 2
+            assert a.result(timeout=30) == b.result(timeout=30) == 1.0
+        assert gate.batch_sizes == [1, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize("callers, remaining", [(2, 1), (3, 2), (4, 1), (8, 7)])
+    def test_departed_callers_cost_one_stall(self, executor, callers, remaining):
+        """N callers, K stay: the next batch waits the window out, no later one."""
+        gate = GatedModel()
+        q = Query.make(["T"])
+        stalled = []
+        with MicroBatchScheduler(
+            fixed_source(gate), max_wait_us=100_000, cache_size=0, executor=executor
+        ) as scheduler:
+            prime(scheduler, gate, callers)
+            for _cycle in range(3):
+                start = time.perf_counter()
+                futures = [scheduler.submit(q) for _ in range(remaining)]
+                assert gate.step() == remaining
+                # A stall lasts the whole window by construction; a batch
+                # that went at once would need a 100 ms hiccup to look like one.
+                stalled.append(gate.entered_at - start >= 0.1)
+                for future in futures:
+                    future.result(timeout=30)
+            assert scheduler.stats()["outstanding"] == 0
+        assert stalled == [True, False, False]
+
+    def test_walk_longer_than_the_window_still_pairs(self):
+        """Inline, where a request can sit behind a running batch for longer
+        than its own window: the caller that batch frees gets a fresh one."""
+        gate = GatedModel()
+        q = Query.make(["T"])
+        with MicroBatchScheduler(
+            fixed_source(gate), max_wait_us=200_000, cache_size=0
+        ) as scheduler:
+            a = scheduler.submit(q)
+            gate.wait_entered()
+            b = scheduler.submit(q)
+            time.sleep(0.25)  # b's window runs out while a's batch runs
+            gate.release()
+            a.result(timeout=30)
+            a = scheduler.submit(q)  # back long before 200 ms are up
+            assert gate.step() == 2
+            for _cycle in range(2):
+                assert a.result(timeout=30) == b.result(timeout=30) == 1.0
+                a = scheduler.submit(q)
+                b = scheduler.submit(q)
+                assert gate.step() == 2
+        assert gate.batch_sizes == [1, 2, 2, 2]
+        assert scheduler.stats()["short_batches"] == 0
+
+    @staticmethod
+    def slow_turn(scheduler, gate, running):
+        """One turn of two callers that take longer than the 50 ms window to
+        come back: the other one submits while ``running``'s batch is in the
+        model, that batch ends, and nobody else shows up. Returns the queued
+        request, now running alone, and whether its batch waited the window out.
+        """
+        queued = scheduler.submit(Query.make(["T"]))
+        time.sleep(0.06)  # its own window runs out behind the batch
+        freed_at = time.perf_counter()
+        gate.release()
+        running.result(timeout=30)
+        gate.wait_entered()
+        assert gate.batch_sizes[-1] == 1
+        # A stall lasts the whole window by construction; a batch that went
+        # at once would need a 50 ms hiccup to look like one.
+        return queued, gate.entered_at - freed_at >= 0.05
+
+    def test_fresh_windows_nobody_uses_are_opened_less_and_less(self):
+        gate = GatedModel()
+        stalled = []
+        with MicroBatchScheduler(
+            fixed_source(gate), max_wait_us=50_000, cache_size=0
+        ) as scheduler:
+            running = scheduler.submit(Query.make(["T"]))
+            gate.wait_entered()
+            for _turn in range(7):
+                running, waited = self.slow_turn(scheduler, gate, running)
+                stalled.append(waited)
+            gate.release()
+            running.result(timeout=30)
+            assert scheduler.stats()["short_batches"] == 7
+        assert stalled == [True, False, True, False, False, False, True]
+
+    def test_a_fresh_window_that_fills_clears_the_count(self):
+        gate = GatedModel()
+        q = Query.make(["T"])
+        with MicroBatchScheduler(
+            fixed_source(gate), max_wait_us=50_000, cache_size=0
+        ) as scheduler:
+            a = scheduler.submit(q)
+            gate.wait_entered()
+            b, waited = self.slow_turn(scheduler, gate, a)
+            assert waited
+            a, waited = self.slow_turn(scheduler, gate, b)
+            assert not waited
+            # This time the freed caller is back at once: the window is used.
+            b = scheduler.submit(q)
+            gate.release()
+            a.result(timeout=30)
+            a = scheduler.submit(q)
+            assert gate.step() == 2
+            assert a.result(timeout=30) == b.result(timeout=30) == 1.0
+            # Out of step again (a alone, b behind it): with the count
+            # cleared the next fresh window opens right away, not after 3 turns.
+            a = scheduler.submit(q)
+            gate.wait_entered()
+            b, waited = self.slow_turn(scheduler, gate, a)
+            assert waited
+            gate.release()
+            b.result(timeout=30)
+
+    def test_close_while_waiting_for_a_straggler_drains(self, executor):
+        gate = GatedModel()
+        with MicroBatchScheduler(
+            fixed_source(gate), max_wait_us=self.MINUTE_US, cache_size=0, executor=executor
+        ) as scheduler:
+            prime(scheduler, gate, 2)
+            waiting = scheduler.submit(Query.make(["T"]))
+            closer = threading.Thread(target=scheduler.close)
+            closer.start()
+            assert gate.step() == 1  # close() cut the wait short
+            assert waiting.result(timeout=30) == 1.0
+            closer.join(timeout=30)
+            assert not closer.is_alive()
+
+    def test_concurrent_callers_never_lose_a_count(self):
+        """More callers than cores, short switch interval: ``outstanding``
+        returns to zero and ``expected`` never exceeds the callers there are."""
+        n_callers, rounds = 8, 40
+        model = FakeModel(tag=1.0)
+        q = Query.make(["T"])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MicroBatchScheduler(
+                fixed_source(model), max_batch=64, max_wait_us=200, cache_size=0
+            ) as scheduler:
+
+                def caller():
+                    for _ in range(rounds):
+                        assert scheduler.submit(q).result(timeout=30) == 1.0
+
+                threads = [threading.Thread(target=caller) for _ in range(n_callers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = scheduler.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats["outstanding"] == 0
+        assert 1.0 <= stats["expected_concurrency"] <= n_callers
+        assert sum(model.batch_sizes) == n_callers * rounds
+        assert scheduler.queue_wait.count(model="model") == n_callers * rounds
+
+    @pytest.mark.parametrize(
+        "exit_path", ["result", "cancelled", "deadline", "batch_failure", "flusher_death"]
+    )
+    def test_every_exit_decrements_outstanding_once(self, exit_path):
+        """A leaked count would inflate ``expected`` for good, and every
+        later request would silently pay ``max_wait_us`` again."""
+        gate = GatedModel()
+        q = Query.make(["T"])
+        scheduler = MicroBatchScheduler(fixed_source(gate), max_wait_us=1_000, cache_size=0)
+        try:
+            # Hold the flusher inside a batch so the request under test is
+            # still queued when its fate is decided.
+            holder = scheduler.submit(q)
+            gate.wait_entered()
+            deadline = time.monotonic() - 1.0 if exit_path == "deadline" else None
+            future = scheduler.submit(q, deadline=deadline)
+            assert scheduler.stats()["outstanding"] == 2
+            if exit_path == "cancelled":
+                assert future.cancel()
+            elif exit_path == "batch_failure":
+                gate.fail = True
+            elif exit_path == "flusher_death":
+
+                def dying_flush(batch):
+                    raise RuntimeError("flusher exploded")
+
+                scheduler._flush = dying_flush
+            gate.release()  # the holder's batch
+            if exit_path in ("result", "batch_failure"):
+                gate.step()  # the batch carrying the request under test
+            expected_error = {
+                "result": None,
+                "cancelled": CancelledError,
+                "deadline": DeadlineError,
+                "batch_failure": RuntimeError,
+                "flusher_death": ServingError,
+            }[exit_path]
+            if expected_error is None:
+                assert future.result(timeout=30) == 1.0
+            else:
+                with pytest.raises(expected_error):
+                    future.result(timeout=30)
+            if exit_path == "batch_failure":
+                with pytest.raises(RuntimeError):
+                    holder.result(timeout=30)
+            else:
+                assert holder.result(timeout=30) == 1.0
+            # Counted out before its caller was woken: no need to wait.
+            assert scheduler.stats()["outstanding"] == 0
+        finally:
+            scheduler.close()
 
 
 class TestFailureSemantics:
