@@ -101,19 +101,10 @@ class IntervalState:
         hi = np.where(self.tight_hi, self.hi_chunks[sub], dom - 1)
         return lo, hi
 
-    def observe(self, sub: int, drawn: np.ndarray, idx=None) -> None:
-        """Relax bounds after drawing subcolumn ``sub``.
-
-        ``idx`` restricts the update to a row subset (``drawn`` then holds
-        one value per selected row), letting the batched engine step only
-        the still-alive samples.
-        """
-        if idx is None:
-            self.tight_lo &= drawn == self.lo_chunks[sub]
-            self.tight_hi &= drawn == self.hi_chunks[sub]
-        else:
-            self.tight_lo[idx] &= drawn == self.lo_chunks[sub]
-            self.tight_hi[idx] &= drawn == self.hi_chunks[sub]
+    def observe(self, sub: int, drawn: np.ndarray) -> None:
+        """Relax bounds after drawing subcolumn ``sub``."""
+        self.tight_lo &= drawn == self.lo_chunks[sub]
+        self.tight_hi &= drawn == self.hi_chunks[sub]
 
 
 class SetTrie:
@@ -170,7 +161,7 @@ class SetTrie:
         """Vectorized ``(node, drawn chunk) -> next-level node`` transition.
 
         Pairs without a matching trie edge (possible for samples that just
-        went dead) map to node 0; callers mask those out via ``alive``.
+        went dead) map to node 0; such a sample's weight is already 0.
         """
         keys = self._trans_keys[k]
         key = nodes * self.factorizer.sub_domains[k] + drawn

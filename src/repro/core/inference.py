@@ -11,9 +11,10 @@ conditionals come from (``NeuroCardConfig.compiled_inference``):
     The serving fast path: the model is wrapped in
     :class:`~repro.nn.compiled.CompiledResMADE` (embedding-folded LUTs,
     degree-sorted prefix-sliced blocks, sliced output heads, fp32 scratch
-    reuse), whose incremental :class:`~repro.nn.compiled.FoldSession` folds
-    each finalized column into a running pre-activation buffer exactly once
-    per walk. Estimates sit within 1e-4 relative of ``"off"`` (CI-gated);
+    reuse), whose incremental :class:`~repro.nn.compiled.FoldSession` owns
+    the walk's sampled prefix as a running pre-activation buffer: each
+    column's drawn tokens are folded into it exactly once per walk, as the
+    walk draws them. Estimates sit within 1e-4 relative of ``"off"`` (CI-gated);
     ``quantization`` ("int16"/"int8") further shrinks the stored kernels.
 
 Plan pre-compilation (:func:`precompile_plan`) seeds the kernel's

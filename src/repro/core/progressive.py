@@ -17,19 +17,24 @@ Two paths share the per-column programs below:
 
 - ``estimate`` walks one query at a time — the readable reference
   implementation and the correctness oracle for the batched walk;
-- ``estimate_batch`` packs Q queries into one ``(Q · n_samples, n_cols)``
-  token matrix and shares a single forward pass per column across every
-  query constraining it: only the still-alive rows of participating
-  queries are evaluated, one representative per distinct prefix, with the
-  draws vectorized per op class and applied in one gather/scatter pass.
+- ``estimate_batch`` packs Q queries into ``Q · n_samples`` rows and shares
+  a single forward pass per column across every query constraining it. The
+  walk works on *distinct prefixes*, not rows: conditionals, their cumulative
+  sums and tilts are computed once per distinct prefix, and a row only pays
+  O(1) gathers into them. There is no liveness mask — a row whose weight
+  reached 0 keeps walking (its draws are clipped into the domain and
+  nobody reads them), because 0 stays 0 under every later multiply.
 
 There is exactly one batched walk. What differs between engines is the
-*conditional provider* it obtains once per walk: a model offering
-``begin_session(tokens, wildcard)`` (the compiled fp32 kernels'
-incremental :class:`~repro.nn.compiled.FoldSession`) supplies its own;
-any other model is wrapped in :class:`_ReferenceSession`. The provider
-declares which shortcuts apply to it (``fuses_indicator_runs``,
-``dedup_cutoff``); the walk never looks at the model's type.
+*conditional provider* it opens once per walk and which owns the sampled
+prefix: ``begin_session(n_rows)`` returns an object answering
+``probs(rows, col)`` / ``probs_multi(rows, cols)`` for the prefix the walk
+handed it through ``fold(col, rows, ids)``, column by column in ascending
+order. A model with kernels of its own supplies one (the compiled fp32
+kernels' incremental :class:`~repro.nn.compiled.FoldSession`); any other
+model is wrapped in :class:`_ReferenceSession`. The provider declares which
+shortcuts apply to it (``fuses_indicator_runs``, ``dedup_cutoff``); the walk
+never looks at the model's type.
 
 Both paths resolve queries through :meth:`ProgressiveSampler.plan`, which
 caches the table-set-dependent plan parts (indicator and fanout column
@@ -51,40 +56,54 @@ from repro.errors import EstimationError, QueryError
 from repro.relational.query import Query
 
 
-def _draw_interval(probs, lo, hi, u):
+# ----------------------------------------------------------------------
+# Draws. ``probs`` holds one conditional per *distinct prefix*; ``inv`` maps
+# each sampled row to its prefix (None: row i reads ``probs[i]``). Whatever
+# is O(domain) — cumulative sums, tilts — runs once per prefix, a row pays
+# O(1) gathers plus the search for its own target. ``u`` holds one uniform
+# variate per row, drawn from the row's query generator by the caller.
+# ----------------------------------------------------------------------
+
+
+def _draw_interval(probs, inv, lo, hi, u):
     """In-interval mass and a sample from the renormalized conditional.
 
-    ``u`` holds one uniform variate per row of ``probs``; callers draw them
-    from the query's generator so row subsetting preserves the stream.
+    ``lo`` / ``hi`` are inclusive code bounds, per row or one scalar each.
     """
-    n = len(probs)
     cum = np.cumsum(probs, axis=1)
-    rows = np.arange(n)
+    rows, spread = (np.arange(len(probs)), cum) if inv is None else (inv, cum[inv])
     upper = cum[rows, hi]
     lower = np.where(lo > 0, cum[rows, np.maximum(lo - 1, 0)], 0.0)
     mass = np.maximum(upper - lower, 0.0)
     # Compare in the probs' own dtype: a no-op for the reference model's
     # float64 conditionals, half the comparison traffic for fp32 kernels.
     target = (lower + u * mass).astype(probs.dtype, copy=False)
-    drawn = (cum < target[:, None]).sum(axis=1)
-    return mass, np.clip(drawn, lo, hi)
+    drawn = (spread < target[:, None]).sum(axis=1)
+    return mass, np.minimum(np.maximum(drawn, lo), hi)
 
 
-def _draw_set(probs, codes, u):
-    """In-set mass and a sample among ``codes`` (shared across rows)."""
-    sub = probs[:, codes]
-    mass = sub.sum(axis=1)
+def _draw_set(probs, inv, codes, u):
+    """In-set mass and a sample among ``codes`` (shared across rows).
+
+    The mass is the running sum's last entry rather than a separate
+    reduction: one fixed left-to-right order, whatever the number of rows
+    and the memory layout of the gathered block.
+    """
+    sub = probs[:, codes] if inv is None else probs[inv[:, None], codes]
     cums = np.cumsum(sub, axis=1)
+    mass = cums[:, -1]
     target = (u * mass).astype(cums.dtype, copy=False)
     idx = (cums < target[:, None]).sum(axis=1)
     return mass, codes[np.minimum(idx, len(codes) - 1)]
 
 
-def _draw_tilted(probs, tilt, u):
+def _draw_tilted(probs, inv, tilt, u):
     """Mass Σ p·tilt and a sample from q ∝ p·tilt (fanout downscaling)."""
     q = probs * tilt[None, :]
     mass = q.sum(axis=1)
     cums = np.cumsum(q, axis=1)
+    if inv is not None:
+        mass, cums = mass[inv], cums[inv]
     target = (u * mass).astype(cums.dtype, copy=False)
     idx = (cums < target[:, None]).sum(axis=1)
     return mass, np.minimum(idx, probs.shape[1] - 1)
@@ -116,14 +135,15 @@ class QueryPlan:
         return self._region_map[name]
 
     @cached_property
-    def _constrained(self) -> FrozenSet[str]:
+    def constrained(self) -> FrozenSet[str]:
+        """Names of the specs the column walk must process for this plan;
+        every other spec stays a wildcard (MASK) and is never sampled.
+        (Spec names are unique across content/indicator/fanout kinds.)"""
         return frozenset(self._region_map) | self.indicators | self.fanouts
 
     def constrains(self, spec) -> bool:
-        """True when the column walk must process ``spec`` for this plan;
-        every other spec stays a wildcard (MASK) and is never sampled.
-        (Spec names are unique across content/indicator/fanout kinds.)"""
-        return spec.name in self._constrained
+        """True when the column walk must process ``spec`` for this plan."""
+        return spec.name in self.constrained
 
     def cache_key(self) -> tuple:
         """Hashable canonical form of this plan.
@@ -143,9 +163,9 @@ class QueryPlan:
 
 
 # ----------------------------------------------------------------------
-# Per-column programs. One op instance handles one (query, spec) pair and
-# is stepped through the spec's model columns; ``live`` index arrays let
-# the batched walk run the same program on a row subset.
+# Per-column programs. One op instance handles one (query, spec) pair over
+# that query's ``n`` rows and is stepped through the spec's model columns;
+# ``draw`` takes the conditionals in the (probs, inv) form described above.
 # ----------------------------------------------------------------------
 
 
@@ -155,26 +175,24 @@ class _IntervalOp:
     needs_rng = True
 
     def __init__(self, factorizer: Factorizer, region: Region, n: int):
-        if factorizer.is_factorized:
-            self.state: Optional[IntervalState] = IntervalState(
-                factorizer, region.lo, region.hi, n
-            )
-            self.lo = self.hi = None
-        else:
-            self.state = None
-            self.lo = np.full(n, region.lo, dtype=np.int64)
-            self.hi = np.full(n, region.hi, dtype=np.int64)
+        self.state: Optional[IntervalState] = (
+            IntervalState(factorizer, region.lo, region.hi, n)
+            if factorizer.is_factorized
+            else None
+        )
+        self.lo, self.hi = region.lo, region.hi
 
-    def bounds(self, k, live):
-        lo, hi = (self.lo, self.hi) if self.state is None else self.state.bounds(k)
-        return lo[live], hi[live]
+    def bounds(self, k):
+        """Inclusive bounds of subcolumn ``k``: per row, or the region's own
+        two scalars when the column is not factorized."""
+        return (self.lo, self.hi) if self.state is None else self.state.bounds(k)
 
-    def draw(self, k, probs, live, u):
-        return _draw_interval(probs, *self.bounds(k, live), u)
+    def draw(self, k, probs, inv, u):
+        return _draw_interval(probs, inv, *self.bounds(k), u)
 
-    def observe(self, k, live, drawn):
+    def observe(self, k, drawn):
         if self.state is not None:
-            self.state.observe(k, drawn, idx=live)
+            self.state.observe(k, drawn)
 
 
 class _SetOp:
@@ -182,40 +200,28 @@ class _SetOp:
 
     needs_rng = True
 
-    def __init__(
-        self,
-        factorizer: Factorizer,
-        region: Region,
-        n: int,
-        trie: Optional[SetTrie] = None,
-    ):
-        if factorizer.is_factorized:
-            self.trie: Optional[SetTrie] = (
-                trie if trie is not None else SetTrie(factorizer, region.to_codes())
-            )
-            self.nodes = np.zeros(n, dtype=np.int64)
-            self.codes = None
-        else:
-            self.trie = None
-            self.codes = region.to_codes()
+    def __init__(self, codes: np.ndarray, trie: Optional[SetTrie], n: int):
+        self.codes, self.trie = codes, trie
+        self.nodes = None if trie is None else np.zeros(n, dtype=np.int64)
 
-    def draw(self, k, probs, live, u):
+    def draw(self, k, probs, inv, u):
         if self.trie is None:
-            return _draw_set(probs, self.codes, u)
-        mass = np.zeros(len(probs), dtype=np.float64)
-        drawn = np.zeros(len(probs), dtype=np.int64)
-        nodes = self.nodes[live]
-        for node in np.unique(nodes):
-            members = np.flatnonzero(nodes == node)
+            return _draw_set(probs, inv, self.codes, u)
+        mass = np.zeros(len(u), dtype=np.float64)
+        drawn = np.zeros(len(u), dtype=np.int64)
+        for node in np.unique(self.nodes):
+            members = np.flatnonzero(self.nodes == node)
             codes = self.trie.codes_at(int(node), k)
             if len(codes) == 0:
                 continue
-            mass[members], drawn[members] = _draw_set(probs[members], codes, u[members])
+            mass[members], drawn[members] = _draw_set(
+                probs, members if inv is None else inv[members], codes, u[members]
+            )
         return mass, drawn
 
-    def observe(self, k, live, drawn):
+    def observe(self, k, drawn):
         if self.trie is not None:
-            self.nodes[live] = self.trie.advance(self.nodes[live], drawn, k)
+            self.nodes = self.trie.advance(self.nodes, drawn, k)
 
 
 class _IndicatorOp:
@@ -223,10 +229,11 @@ class _IndicatorOp:
 
     needs_rng = False
 
-    def draw(self, k, probs, live, u):
-        return probs[:, 1], np.ones(len(probs), dtype=np.int64)
+    def draw(self, k, probs, inv, u):
+        mass = probs[:, 1] if inv is None else probs[inv, 1]
+        return mass, np.ones(len(mass), dtype=np.int64)
 
-    def observe(self, k, live, drawn):
+    def observe(self, k, drawn):
         pass
 
 
@@ -238,19 +245,11 @@ class _FanoutOp:
     def __init__(self, reciprocals: np.ndarray):
         self.reciprocals = reciprocals
 
-    def draw(self, k, probs, live, u):
-        return _draw_tilted(probs, self.reciprocals, u)
+    def draw(self, k, probs, inv, u):
+        return _draw_tilted(probs, inv, self.reciprocals, u)
 
-    def observe(self, k, live, drawn):
+    def observe(self, k, drawn):
         pass
-
-
-def _content_op(
-    factorizer: Factorizer, region: Region, n: int, trie: Optional[SetTrie] = None
-):
-    if region.kind == "interval":
-        return _IntervalOp(factorizer, region, n)
-    return _SetOp(factorizer, region, n, trie=trie)
 
 
 # ----------------------------------------------------------------------
@@ -262,88 +261,101 @@ def _content_op(
 class _ReferenceSession:
     """Conditional provider over any ``conditional(tokens, col, wildcard)``.
 
-    The batched walk asks a *session* for ``probs(rows, col)`` and reads two
-    declared attributes to pick its shortcuts; models with kernels of their
-    own return a richer session from ``begin_session`` (see
-    :class:`repro.nn.compiled.FoldSession`). This one gathers the rows and
-    runs the model's forward.
+    The batched walk hands the sampled prefix to a *session* through
+    ``fold(col, rows, ids)``, asks it for ``probs(rows, col)`` and reads two
+    declared attributes to pick its shortcuts; ``rows`` is a slice or an
+    index array, ``ids`` one token per row or a scalar shared by all of
+    them. Models with kernels of their own return a richer session from
+    ``begin_session`` (see :class:`repro.nn.compiled.FoldSession`). This one
+    keeps the prefix as a token / wildcard matrix pair and runs the model's
+    forward on the rows asked for.
     """
 
-    #: Needs ``ensure_folded`` / ``fold_slices`` / ``probs_multi``.
+    #: Needs ``probs_multi`` (a run of indicator columns pre-folded, then
+    #: served with the column after it from one pass).
     fuses_indicator_runs = False
     #: Unique-row share above which the walk stops deduplicating prefixes;
     #: None keeps it on — a full forward always costs more than the ids.
     dedup_cutoff = None
 
-    def __init__(self, conditional, tokens, wildcard):
+    def __init__(self, conditional, n_cols: int, n_rows: int):
         self._conditional = conditional
-        self._tokens = tokens
-        self._wildcard = wildcard
+        self._tokens = np.zeros((n_rows, n_cols), dtype=np.int64)
+        self._wildcard = np.ones((n_rows, n_cols), dtype=bool)
 
-    def probs(self, rows: np.ndarray, col: int) -> np.ndarray:
+    def fold(self, col: int, rows, ids) -> None:
+        self._tokens[rows, col] = ids
+        self._wildcard[rows, col] = False
+
+    def probs(self, rows, col: int) -> np.ndarray:
         return self._conditional(self._tokens[rows], col, self._wildcard[rows])
 
 
 @dataclass
 class _BatchWalk:
-    """Mutable state of one batched walk (query ``qi`` owns ``slices[qi]``)."""
+    """Mutable state of one batched walk (query ``qi`` owns rows
+    ``qi*n:(qi+1)*n``)."""
 
-    plans: Sequence[QueryPlan]
     rngs: Sequence[np.random.Generator]
     n: int
-    slices: List[slice]
-    tokens: np.ndarray
-    wildcard: np.ndarray
     weight: np.ndarray
-    alive: np.ndarray
-    #: Prefix group ids: rows sharing (token, wildcard) history share one.
+    #: Prefix group ids: rows sharing a (token, wildcard) history share one.
     group: np.ndarray
     session: object
+    #: Every group id is below this.
+    next_id: int = 1
+    #: ``group`` is a dense rank over all rows (``next_id`` distinct ids), so
+    #: a step covering every row can use it as its dedup inverse as is.
+    dense: bool = True
     dedup: bool = True
-    #: ``(col, rows, inverse, probs)`` left by an indicator run for the
-    #: next processed column.
+    #: A column saw a non-positive mass: some query may have lost all rows.
+    lost: bool = False
+    #: ``(col, row -> prefix, probs)`` left by an indicator run for the next
+    #: processed column.
     tail: Optional[tuple] = None
 
 
-def _compress(key: np.ndarray) -> np.ndarray:
-    """``np.unique(key, return_inverse=True)[1]`` without the sort.
+def _compress(key: np.ndarray, span: int) -> Tuple[np.ndarray, int]:
+    """``np.unique(key, return_inverse=True)[1]`` and the number of distinct
+    keys, without the sort; ``key`` holds integers in ``[0, span)``.
 
-    Ranks each key by value via a presence-count prefix sum, which yields
-    exactly the inverse array ``np.unique`` produces (ids ordered by key
-    value) in O(n + span) — the group-id maintenance of the batched walk
-    is called once per model column, so this is hot. Falls back to the
-    sort when the value span dwarfs the array (counting would scan more
-    memory than sorting touches).
+    Marks the keys present in a ``span``-long table and numbers the marked
+    slots in order, which yields exactly the inverse array ``np.unique``
+    produces (ids ordered by key value) in O(n + span) — the group-id
+    maintenance of the batched walk runs once per model column, so this is
+    hot. Falls back to the sort when the span dwarfs the array (the table
+    would scan more memory than sorting touches).
     """
-    kmin = int(key.min())
-    span = int(key.max()) - kmin + 1
     if span > max(4 * len(key), 1 << 15):
-        return np.unique(key, return_inverse=True)[1]
-    shifted = key - kmin
-    rank = np.cumsum(np.bincount(shifted, minlength=span) > 0) - 1
-    return rank[shifted]
+        uniq, inverse = np.unique(key, return_inverse=True)
+        return inverse, len(uniq)
+    seen = np.zeros(span, dtype=bool)
+    seen[key] = True
+    present = np.flatnonzero(seen)
+    rank = np.empty(span, dtype=np.int64)
+    rank[present] = np.arange(len(present))
+    return rank[key], len(present)
 
 
-def _first_and_inverse(ids: np.ndarray):
-    """First-occurrence indices + inverse for already-compressed group ids.
-
-    Equivalent to ``np.unique(ids, return_index=True, return_inverse=True)``
-    (ids are dense ranks, so value order == sorted order) without sorting.
-    """
-    span = int(ids.max()) + 1
-    rank = np.cumsum(np.bincount(ids, minlength=span) > 0) - 1
-    inverse = rank[ids]
-    first = np.empty(int(rank[-1]) + 1, dtype=np.int64)
-    first[inverse[::-1]] = np.arange(len(ids) - 1, -1, -1)
-    return first, inverse
+def _first_of(inverse: np.ndarray, n_distinct: int) -> np.ndarray:
+    """First-occurrence index of each dense rank in ``inverse`` (what
+    ``np.unique(..., return_index=True)`` gives), without sorting."""
+    first = np.empty(n_distinct, dtype=np.int64)
+    first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
+    return first
 
 
-def _live_segments(alive: np.ndarray, slices: Sequence[slice]) -> List[np.ndarray]:
-    """Global ids of the live rows inside each slice, from one scan of
-    ``alive`` (equivalent to a ``flatnonzero`` per slice)."""
-    live = np.flatnonzero(alive)
-    bounds = np.searchsorted(live, [b for sl in slices for b in (sl.start, sl.stop)])
-    return [live[bounds[2 * i] : bounds[2 * i + 1]] for i in range(len(slices))]
+def _rows_of(parts: Sequence[int], n: int):
+    """All rows of the blocks ``parts`` (ascending, ``n`` rows each): a slice
+    when the blocks are consecutive, one index array otherwise."""
+    if parts[-1] - parts[0] + 1 == len(parts):
+        return slice(parts[0] * n, (parts[-1] + 1) * n)
+    return (np.asarray(parts)[:, None] * n + np.arange(n)).ravel()
+
+
+def _pick(rows, at: np.ndarray) -> np.ndarray:
+    """Global ids of the entries ``at`` of ``rows`` (a slice or index array)."""
+    return at + rows.start if isinstance(rows, slice) else rows[at]
 
 
 class ProgressiveSampler:
@@ -370,7 +382,19 @@ class ProgressiveSampler:
         self._begin_session = getattr(model, "begin_session", None) or partial(
             _ReferenceSession,
             getattr(model, "column_conditional", None) or model.conditional,
+            layout.n_columns,
         )
+        # The layout's share of the batched walk's step program: where each
+        # spec sits in the column order, and which specs form a run of
+        # consecutive indicators (position -> the run's [start, end)).
+        self._spec_pos = {spec.name: i for i, spec in enumerate(layout.specs)}
+        self._indicator_runs: Dict[int, Tuple[int, int]] = {}
+        start = 0
+        for i, spec in enumerate(layout.specs + [None]):
+            if spec is None or spec.kind != "indicator":
+                if i - start > 1:
+                    self._indicator_runs.update(dict.fromkeys(range(start, i), (start, i)))
+                start = i + 1
         self._shape_cache: Dict[FrozenSet[str], Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self._region_cache: Dict[tuple, Region] = {}
         self._trie_cache: Dict[tuple, SetTrie] = {}
@@ -453,9 +477,11 @@ class ProgressiveSampler:
         the per-call state (drawn node ids) lives in the op, not the trie.
         """
         factorizer = self.layout.factorizers[name]
+        if region.kind == "interval":
+            return _IntervalOp(factorizer, region, n)
+        codes = region.to_codes()
         trie = None
-        if region.kind != "interval" and factorizer.is_factorized:
-            codes = region.to_codes()
+        if factorizer.is_factorized:
             key = (name, codes.tobytes())
             trie = self._trie_cache.get(key)
             if trie is None:
@@ -463,7 +489,7 @@ class ProgressiveSampler:
                     self._trie_cache.clear()
                 trie = SetTrie(factorizer, codes)
                 self._trie_cache[key] = trie
-        return _content_op(factorizer, region, n, trie=trie)
+        return _SetOp(codes, trie, n)
 
     def _op_for(self, spec, plan: QueryPlan, n: int):
         """Column program running a constrained ``spec`` over ``n`` rows."""
@@ -526,7 +552,6 @@ class ProgressiveSampler:
         wildcard = np.ones((n_samples, n_cols), dtype=bool)
         weight = np.ones(n_samples, dtype=np.float64)
         alive = np.ones(n_samples, dtype=bool)
-        all_rows = np.arange(n_samples)
 
         for spec in self.layout.specs:
             if not plan.constrains(spec):
@@ -537,9 +562,9 @@ class ProgressiveSampler:
                 k = col - start
                 probs = self.model.conditional(tokens, col, wildcard)
                 u = rng.random(n_samples) if op.needs_rng else None
-                mass, drawn = op.draw(k, probs, all_rows, u)
+                mass, drawn = op.draw(k, probs, None, u)
                 self._apply(tokens, wildcard, weight, alive, col, mass, drawn)
-                op.observe(k, all_rows, drawn)
+                op.observe(k, drawn)
             if not alive.any():
                 return 0.0
         return float(weight.mean())
@@ -558,10 +583,11 @@ class ProgressiveSampler:
     ) -> np.ndarray:
         """Estimated COUNT(*) for many queries in one packed pass.
 
-        All queries share one ``(Q · n_samples, n_cols)`` token matrix and a
-        single model forward pass per constrained column; estimates match a
-        loop over :meth:`estimate` (given the same per-query generators in
-        ``rngs``) because every query keeps its own uniform-variate stream.
+        All queries share one conditional-provider session over their
+        ``Q · n_samples`` rows and a single model forward pass per
+        constrained column; estimates match a loop over :meth:`estimate`
+        (given the same per-query generators in ``rngs``) because every
+        query keeps its own uniform-variate stream.
 
         ``rngs`` pins one generator per query (used by the equivalence
         tests); by default independent streams are spawned from ``rng``.
@@ -678,268 +704,254 @@ class ProgressiveSampler:
         """Per-row selectivity weights, ``(n_queries, n)``; row means are the
         per-plan selectivity estimates. Queries are rows ``qi*n:(qi+1)*n``."""
         n_queries = len(plans)
-        n_cols = self.layout.n_columns
-        tokens = np.zeros((n_queries * n, n_cols), dtype=np.int64)
-        wildcard = np.ones((n_queries * n, n_cols), dtype=bool)
         w = _BatchWalk(
-            plans=plans,
             rngs=rngs,
             n=n,
-            slices=[slice(qi * n, (qi + 1) * n) for qi in range(n_queries)],
-            tokens=tokens,
-            wildcard=wildcard,
             weight=np.ones(n_queries * n, dtype=np.float64),
-            alive=np.ones(n_queries * n, dtype=bool),
             group=np.zeros(n_queries * n, dtype=np.int64),
-            session=self._begin_session(tokens, wildcard),
+            session=self._begin_session(n_queries * n),
         )
-        active: List[int] = []
+        # The step program: which queries take part at each walked spec
+        # position (ascending query order), built once from the plans.
+        takers: Dict[int, List[int]] = {}
+        out = set()
         for qi, plan in enumerate(plans):
             if plan.is_empty:
-                w.weight[w.slices[qi]] = 0.0
-                w.alive[w.slices[qi]] = False
-            else:
-                active.append(qi)
+                w.weight[qi * n : (qi + 1) * n] = 0.0
+                out.add(qi)
+                continue
+            for name in plan.constrained:
+                takers.setdefault(self._spec_pos[name], []).append(qi)
+
+        def parts_at(pos):
+            return [qi for qi in takers[pos] if qi not in out] if out else takers[pos]
 
         specs = self.layout.specs
+        order = sorted(takers)
         i = 0
-        while i < len(specs) and active:
-            spec = specs[i]
-            j = i + 1
-            if w.session.fuses_indicator_runs and spec.kind == "indicator":
-                while j < len(specs) and specs[j].kind == "indicator":
-                    j += 1
-            i, run = j, specs[i:j]
-            if len(run) > 1:
+        while i < len(order) and len(out) < n_queries:
+            pos = order[i]
+            i += 1
+            run = self._indicator_runs.get(pos) if w.session.fuses_indicator_runs else None
+            if run is not None:
+                while i < len(order) and order[i] < run[1]:
+                    i += 1
                 # The first processed column after the run also has a fully
                 # deterministic prefix (indicator tokens follow membership,
                 # skipped columns stay MASK) — its head rides the same pass.
-                tail_col = next(
-                    (
-                        self.layout.spec_ranges[later.name][0]
-                        for later in specs[j:]
-                        if any(plans[qi].constrains(later) for qi in active)
-                    ),
-                    None,
+                parts_per = [parts_at(p) if p in takers else [] for p in range(*run)]
+                if not any(parts_per):
+                    continue
+                tail = next((p for p in order[i:] if parts_at(p)), None)
+                self._indicator_run(
+                    w,
+                    [self.layout.spec_ranges[specs[p].name][0] for p in range(*run)],
+                    parts_per,
+                    None if tail is None else self.layout.spec_ranges[specs[tail].name][0],
+                    None if tail is None else parts_at(tail),
                 )
-                self._indicator_run(w, run, active, tail_col)
             else:
-                parts = [qi for qi in active if plans[qi].constrains(spec)]
+                parts = parts_at(pos)
                 if not parts:
                     continue
+                spec = specs[pos]
                 ops = [self._op_for(spec, plans[qi], n) for qi in parts]
+                by_class: Dict[type, List[int]] = {}
+                for pi, op in enumerate(ops):
+                    by_class.setdefault(type(op), []).append(pi)
+                rows = _rows_of(parts, n)
                 start, end = self.layout.spec_ranges[spec.name]
                 for col in range(start, end):
-                    self._batch_column(w, col, col - start, parts, ops)
-                    self._fold_group(w, col)
-            any_alive = w.alive.reshape(n_queries, n).any(axis=1)
-            active = [qi for qi in active if any_alive[qi]]
+                    self._batch_column(w, col, col - start, parts, ops, by_class, rows)
+            if w.lost:
+                # Weights only ever shrink: a query whose rows all reached 0
+                # is finished (same exit as the sequential walk's).
+                w.lost = False
+                out.update(np.flatnonzero(~w.weight.reshape(n_queries, n).any(axis=1)).tolist())
         return w.weight.reshape(n_queries, n)
 
-    def _fold_group(self, w: _BatchWalk, col: int) -> None:
-        """Refine the prefix-group ids with one more finalized column.
-
-        Rows sharing a (token, wildcard) history share a group id, so the
-        shared forward pass only evaluates unique prefixes. The column's
-        token values are rank-compressed first (usually only a handful of
-        distinct values were drawn; wildcard rows of non-participating
-        queries share one sentinel), which keeps the combined key span small
-        enough for the counting relabel.
-        """
-        if not w.dedup:
-            return
-        dom = self.layout.columns[col].domain
-        tok = _compress(np.where(w.wildcard[:, col], dom, w.tokens[:, col]))
-        w.group = _compress(w.group * (int(tok.max()) + 1) + tok)
-
-    def _column_probs(self, w: _BatchWalk, rows: np.ndarray, col: int):
-        """Conditionals of ``col`` for the live ``rows``, one forward per
-        distinct prefix while deduplication pays (see ``dedup_cutoff``)."""
+    def _column_probs(self, w: _BatchWalk, rows, n_rows: int, col: int):
+        """``(probs, inverse)`` for ``rows`` at ``col``: one conditional per
+        distinct prefix while deduplication pays (see ``dedup_cutoff``) and
+        ``inverse`` mapping rows into them, or one per row and ``None``."""
         tail, w.tail = w.tail, None
         if tail is not None and tail[0] == col:
-            # Produced by the preceding indicator run's shared blocks pass;
-            # map our live rows into it.
-            _, t_rows, t_inverse, t_probs = tail
-            pos = np.searchsorted(t_rows, rows)
-            return t_probs[pos if t_inverse is None else t_inverse[pos]]
+            # Produced by the preceding indicator run's shared blocks pass.
+            return tail[2], tail[1][rows]
         if not w.dedup:
-            return w.session.probs(rows, col)
-        first, inverse = _first_and_inverse(w.group[rows])
+            return w.session.probs(rows, col), None
+        if w.dense and n_rows == len(w.group):
+            inverse, n_distinct = w.group, w.next_id
+        else:
+            inverse, n_distinct = _compress(w.group[rows], w.next_id)
         cutoff = w.session.dedup_cutoff
         # Duplicates across rows can only shrink as the walk conditions on
         # more columns, so once a column sees almost no sharing the group
         # bookkeeping is pure overhead for a session that declares a cutoff.
-        if cutoff is not None and len(first) > cutoff * len(rows):
+        if cutoff is not None and n_distinct > cutoff * n_rows:
             w.dedup = False
-        if len(first) < len(rows):
-            return w.session.probs(rows[first], col)[inverse]
-        return w.session.probs(rows, col)
+        if n_distinct == n_rows:
+            return w.session.probs(rows, col), None
+        return w.session.probs(_pick(rows, _first_of(inverse, n_distinct)), col), inverse
 
-    def _batch_column(self, w: _BatchWalk, col, k, parts, ops) -> None:
-        """One column step: shared forward + per-op-class vectorized draws.
+    def _batch_column(self, w: _BatchWalk, col, k, parts, ops, by_class, rows) -> None:
+        """One column step for the queries ``parts`` (all their rows, ``rows``):
+        shared forward, per-op-class vectorized draws, weigh, fold, regroup.
 
         Row-wise math is identical to the sequential path (same
         conditionals, same uniform streams, same update formulas); all
         queries filtering the column by intervals share one cumulative-sum
-        draw over their concatenated rows (same for fanout tilts and
-        indicators; IN-set walks keep the per-query trie state).
+        draw over their distinct prefixes (same for fanout tilts and
+        indicators; IN-set walks keep the per-query code set or trie state).
+        ``by_class`` groups the positions of ``ops`` by op class.
         """
-        slices = [w.slices[qi] for qi in parts]
-        segments = _live_segments(w.alive, slices)
-        rows = np.concatenate(segments)
-        probs = self._column_probs(w, rows, col) if len(rows) else None
+        n = w.n
+        n_rows = n * len(parts)
+        probs, inv = self._column_probs(w, rows, n_rows, col)
 
         # Per-query uniform draws, full length, in parts order — the exact
-        # stream consumption of the sequential path, regardless of how many
-        # rows are still alive.
-        us = [
-            w.rngs[qi].random(w.n) if op.needs_rng else None
-            for qi, op in zip(parts, ops)
-        ]
-        taking = [pi for pi, seg in enumerate(segments) if len(seg)]
-        if not taking:
-            return
-        live = [seg - sl.start for seg, sl in zip(segments, slices)]
-        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-        np.cumsum([len(seg) for seg in segments], out=offsets[1:])
-        mass = np.zeros(len(rows), dtype=np.float64)
-        drawn = np.zeros(len(rows), dtype=np.int64)
+        # stream consumption of the sequential path.
+        u = None
+        for pi, op in enumerate(ops):
+            if op.needs_rng:
+                if u is None:
+                    u = np.empty(n_rows, dtype=np.float64)
+                w.rngs[parts[pi]].random(out=u[pi * n : (pi + 1) * n])
 
-        def rows_of(members):
+        if len(by_class) == 1:
             # Homogeneous column (every query runs the same op class, the
-            # common case): address all rows with a no-copy slice.
-            if len(members) == len(taking):
-                return slice(None)
-            return np.concatenate(
-                [np.arange(offsets[pi], offsets[pi + 1]) for pi in members]
-            )
+            # common case): no scatter.
+            mass, drawn = self._draw_class(type(ops[0]), ops, k, probs, inv, u, n)
+        else:
+            if inv is None:
+                inv = np.arange(n_rows)
+            mass = np.empty(n_rows, dtype=np.float64)
+            drawn = np.empty(n_rows, dtype=np.int64)
+            for cls, members in by_class.items():
+                at = _rows_of(members, n)
+                member_ops = [ops[pi] for pi in members]
+                mass[at], drawn[at] = self._draw_class(cls, member_ops, k, probs, inv[at], u[at], n)
 
-        def uniforms_of(members):
-            return np.concatenate([us[pi][live[pi]] for pi in members])
+        self._weigh(w, rows, mass)
+        w.session.fold(col, rows, drawn)
+        for pi, op in enumerate(ops):
+            op.observe(k, drawn[pi * n : (pi + 1) * n])
+        if w.dedup:
+            # Rows keep sharing a prefix iff they shared one and drew the
+            # same token: rank (old group, token) pairs among the rows that
+            # took part; everyone else keeps an id below ``next_id``.
+            if inv is None:
+                rank, n_distinct = np.arange(n_rows), n_rows
+            else:
+                dom = self.layout.columns[col].domain
+                rank, n_distinct = _compress(inv * dom + drawn, len(probs) * dom)
+            self._set_groups(w, rows, n_rows, rank, n_distinct)
 
-        by_class: Dict[type, List[int]] = {}
-        for pi in taking:
-            by_class.setdefault(type(ops[pi]), []).append(pi)
-        for cls, members in by_class.items():
-            if cls is _IntervalOp:
-                pos = rows_of(members)
-                lo, hi = zip(*(ops[pi].bounds(k, live[pi]) for pi in members))
-                mass[pos], drawn[pos] = _draw_interval(
-                    probs[pos], np.concatenate(lo), np.concatenate(hi),
-                    uniforms_of(members),
-                )
-            elif cls is _FanoutOp:
-                pos = rows_of(members)
-                mass[pos], drawn[pos] = _draw_tilted(
-                    probs[pos], ops[members[0]].reciprocals, uniforms_of(members)
-                )
-            elif cls is _IndicatorOp:
-                pos = rows_of(members)
-                mass[pos], drawn[pos] = probs[pos, 1], 1
-            else:  # IN-set ops: per-query trie state
-                for pi in members:
-                    seg = slice(offsets[pi], offsets[pi + 1])
-                    mass[seg], drawn[seg] = ops[pi].draw(
-                        k, probs[seg], live[pi], us[pi][live[pi]]
-                    )
-        self._apply_batch(w, col, slices, live, mass, drawn)
-        for pi in taking:
-            ops[pi].observe(k, live[pi], drawn[offsets[pi] : offsets[pi + 1]])
+    @staticmethod
+    def _weigh(w: _BatchWalk, rows, mass) -> None:
+        """Multiply one column's masses into the weights of ``rows``."""
+        mass = np.maximum(mass, 0.0)
+        w.weight[rows] *= mass
+        if mass.min() <= 0.0:
+            w.lost = True
 
-    def _indicator_run(self, w: _BatchWalk, run, active, tail_col) -> None:
+    @staticmethod
+    def _draw_class(cls, ops, k, probs, inv, u, n):
+        """``(mass, drawn)`` of one op class over its queries' rows
+        (``n`` consecutive rows per op, in ``ops`` order)."""
+        if cls is _IntervalOp:
+            lo, hi = zip(*(op.bounds(k) for op in ops))
+            if ops[0].state is None:
+                lo, hi = np.repeat(np.array([lo, hi]), n, axis=1)
+            else:
+                lo, hi = np.concatenate(lo), np.concatenate(hi)
+            return _draw_interval(probs, inv, lo, hi, u)
+        if cls is not _SetOp:
+            # Fanout and indicator ops carry nothing per query: one draws for all.
+            return ops[0].draw(k, probs, inv, u)
+        # IN-set ops: per-query code set or trie state.
+        if inv is None:
+            inv = np.arange(len(u))
+        mass = np.empty(len(u), dtype=np.float64)
+        drawn = np.empty(len(u), dtype=np.int64)
+        for pi, op in enumerate(ops):
+            seg = slice(pi * n, (pi + 1) * n)
+            mass[seg], drawn[seg] = op.draw(k, probs, inv[seg], u[seg])
+        return mass, drawn
+
+    @staticmethod
+    def _set_groups(w: _BatchWalk, rows, n_rows: int, rank, n_distinct: int) -> None:
+        """Give the stepped ``rows`` fresh group ids from their dense
+        ``rank``; compact the id space when it has grown past 2x the rows."""
+        if n_rows == len(w.group):
+            w.group, w.next_id, w.dense = rank, n_distinct, True
+            return
+        w.group[rows] = rank + w.next_id
+        w.next_id += n_distinct
+        w.dense = False
+        if w.next_id > 2 * len(w.group):
+            w.group, w.next_id = _compress(w.group, w.next_id)
+            w.dense = True
+
+    def _indicator_run(self, w: _BatchWalk, cols, parts_per, tail_col, tail_parts) -> None:
         """Consecutive indicator columns: one blocks pass serves them all.
 
         Indicator draws are deterministic — a participating row's token is
-        pinned to 1 (or the row is dead and its token/weight are zeroed
-        regardless of the conditional) and a non-participating row stays
-        MASK — so every column of the run can be folded into the session
-        buffer *before* its conditional is evaluated, and a single blocks
-        pass at the widest prefix yields all run conditionals via
-        per-column output heads. Rows that die mid-run read garbage
-        conditionals afterwards, but every consumer multiplies them by
-        ``where(alive, ·, 0)``, so the results match the column-at-a-time
-        walk. Only sessions declaring ``fuses_indicator_runs`` get here.
+        pinned to 1 and a non-participating row stays MASK — so every column
+        of the run is folded into the session *before* its conditional is
+        evaluated, and a single blocks pass at the widest prefix yields all
+        run conditionals via per-column output heads (``cols`` lists every
+        column of the run, ``parts_per`` who takes part in each). Only
+        sessions declaring ``fuses_indicator_runs`` get here.
         """
         session, n = w.session, w.n
-        cols = [self.layout.spec_ranges[s.name][0] for s in run]
-        parts_per = [
-            [qi for qi in active if w.plans[qi].constrains(s)] for s in run
-        ]
-        session.ensure_folded(cols[0])
-        # Pre-fold the run columns with their (deterministic) post-draw
-        # ids: 1 inside participating slices, MASK elsewhere. With a tail
-        # column riding the pass, the last run column (and the skipped
-        # all-MASK columns up to the tail) pre-fold too.
-        prefold, head_cols = cols[:-1], cols
-        if tail_col is not None:
-            prefold, head_cols = cols, cols + [tail_col]
-        for col, parts in zip(prefold, parts_per):
-            session.fold_slices(col, [w.slices[qi] for qi in parts], 1)
-        if tail_col is not None:
-            session.folded = max(session.folded, tail_col)
+        run_parts = sorted(set().union(*parts_per))
+        union = _rows_of(run_parts, n)
+        n_rows = n * len(run_parts)
+        rows_per = [_rows_of(parts, n) if parts else None for parts in parts_per]
+        for col, rows in zip(cols, rows_per):
+            if rows is not None:
+                session.fold(col, rows, 1)
+        head_cols = cols
+        if tail_col is not None and set(tail_parts) <= set(run_parts):
+            head_cols = cols + [tail_col]
 
-        # ``active`` queries have live rows, so ``union`` is never empty.
-        union = np.flatnonzero(w.alive)
-        reps, inverse = union, None
+        inverse = None
         if w.dedup:
             # Rows may share a token prefix across queries, but their
             # indicator columns depend on which tables the row's query
-            # joins — extend the dedup key with that membership pattern,
-            # ranked by its bit value (Python ints: any number of tables).
-            bits = [0] * len(w.plans)
-            for bit, parts in enumerate(parts_per):
-                for qi in parts:
-                    bits[qi] |= 1 << bit
-            rank = {value: r for r, value in enumerate(sorted(set(bits)))}
-            pattern = np.array([rank[value] for value in bits])
-            key = w.group[union] * (int(pattern.max()) + 1) + pattern[union // n]
-            first, first_inverse = _first_and_inverse(_compress(key))
-            if len(first) < len(union):
-                reps, inverse = union[first], first_inverse
+            # joins — extend the dedup key with that membership pattern.
+            takes = [set(parts) for parts in parts_per]
+            member = [tuple(qi in parts for parts in takes) for qi in run_parts]
+            ranks = {m: r for r, m in enumerate(sorted(set(member)))}
+            if len(ranks) == 1 and w.dense and n_rows == len(w.group):
+                inverse, n_distinct = w.group, w.next_id
+            else:
+                pattern = np.repeat([ranks[m] for m in member], n)
+                inverse, n_distinct = _compress(
+                    w.group[union] * len(ranks) + pattern, w.next_id * len(ranks)
+                )
+            # That key is also the rows' whole history once the run is folded.
+            self._set_groups(w, union, n_rows, inverse, n_distinct)
+            if n_distinct == n_rows:
+                inverse = None
+        if inverse is None:
+            reps, inverse = union, np.arange(n_rows)
+        else:
+            reps = _pick(union, _first_of(inverse, n_distinct))
+        # Row id -> its conditional's position in the pass, for every row.
+        where = inverse
+        if n_rows < len(w.group):
+            where = np.empty(len(w.group), dtype=np.int64)
+            where[union] = inverse
         probs_per = session.probs_multi(reps, head_cols)
-        if tail_col is not None:
-            w.tail = (tail_col, union, inverse, probs_per[-1])
+        if len(head_cols) > len(cols):
+            w.tail = (tail_col, where, probs_per[-1])
 
-        for col, parts, probs_u in zip(cols, parts_per, probs_per):
-            if not parts:
+        for rows, probs in zip(rows_per, probs_per):
+            if rows is None:
                 continue
-            slices = [w.slices[qi] for qi in parts]
-            segments = _live_segments(w.alive, slices)
-            rows = np.concatenate(segments)
-            if len(rows):
-                pos = np.searchsorted(union, rows)
-                p = probs_u[pos if inverse is None else inverse[pos]]
-                live = [seg - sl.start for seg, sl in zip(segments, slices)]
-                self._apply_batch(w, col, slices, live, p[:, 1], 1)
-            self._fold_group(w, col)
-            if not w.alive.any():
-                break
-
-    @staticmethod
-    def _apply_batch(w: _BatchWalk, col, slices, live, mass, drawn) -> None:
-        """Apply one column's update to every query with live rows at once.
-
-        ``live`` holds the live row ids local to each of ``slices`` and
-        ``mass`` / ``drawn`` the values of those rows, concatenated in the
-        same order. A query with live rows updates its whole slice (its dead
-        rows take mass 0); fully dead queries are left untouched. Same
-        formulas as :meth:`_apply`, one gather/scatter pass instead of one
-        Python iteration per query.
-        """
-        taking = [(sl, ids) for sl, ids in zip(slices, live) if len(ids)]
-        rows = np.concatenate([np.arange(sl.start, sl.stop) for sl, _ in taking])
-        at = np.concatenate([j * w.n + ids for j, (_, ids) in enumerate(taking)])
-        mass_full = np.zeros(len(rows), dtype=np.float64)
-        drawn_full = np.zeros(len(rows), dtype=np.int64)
-        mass_full[at] = mass
-        drawn_full[at] = drawn
-        mass_full = np.clip(mass_full, 0.0, None)
-        alive = w.alive[rows]
-        w.weight[rows] *= np.where(alive, mass_full, 0.0)
-        alive &= mass_full > 0
-        w.alive[rows] = alive
-        w.tokens[rows, col] = np.where(alive, drawn_full, 0)
-        w.wildcard[rows, col] = False
+            self._weigh(w, rows, probs[:, 1][where[rows]])
 
     # ------------------------------------------------------------------
     @staticmethod

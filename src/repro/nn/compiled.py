@@ -28,6 +28,11 @@ per query plan:
 * **float32 scratch reuse** — all kernels run in fp32 out-of-place into
   thread-local scratch buffers that are reused across steps and calls
   (no per-call allocation on the hot path).
+* **Incremental fold session** — for a batched walk, :class:`FoldSession`
+  owns the sampled prefix as one running ``(n_rows, d_ff)`` pre-activation
+  buffer. The walk hands each column's drawn tokens over exactly once
+  (``fold(col, rows, ids)``, ascending columns) and asks for
+  ``probs(rows, col)``; no token or wildcard matrix exists on that path.
 
 Precision
 ---------
@@ -505,32 +510,41 @@ class CompiledResMADE:
         constants, and thread-local scratch are bounded but workload- and
         thread-dependent, so they are reported via :meth:`stats` instead —
         keeping serving-layer memory accounting (registry eviction budgets)
-        stable across identical models.
+        stable across identical models. Taken under the compile lock: a
+        scrape beside :meth:`invalidate` (every hot-swap) must see the
+        buffers either all present or all gone.
         """
-        if not self._compiled:
-            return 0
-        total = sum(lut.nbytes for lut in self._luts)
-        total += self._mask_stack.nbytes + self._b_in.nbytes + self._mask_base.nbytes
-        if self.quantization == "off":
-            for w1t, b1, w2t, b2 in self._block_weights:
-                total += w1t.nbytes + b1.nbytes + w2t.nbytes + b2.nbytes
-            total += self._w_out.nbytes
-        else:
-            for parts in self._block_weights_q:
-                total += sum(a.nbytes for a in parts)
-            total += self._w_out_q.nbytes + self._w_out_scale.nbytes
-            total += self._q_scale.nbytes
-        total += self._b_out.nbytes + self._cuts.nbytes
-        return int(total)
+        with self._lock:
+            if not self._compiled:
+                return 0
+            total = sum(lut.nbytes for lut in self._luts)
+            total += self._mask_stack.nbytes + self._b_in.nbytes + self._mask_base.nbytes
+            if self.quantization == "off":
+                for w1t, b1, w2t, b2 in self._block_weights:
+                    total += w1t.nbytes + b1.nbytes + w2t.nbytes + b2.nbytes
+                total += self._w_out.nbytes
+            else:
+                for parts in self._block_weights_q:
+                    total += sum(a.nbytes for a in parts)
+                total += self._w_out_q.nbytes + self._w_out_scale.nbytes
+                total += self._q_scale.nbytes
+            total += self._b_out.nbytes + self._cuts.nbytes
+            return int(total)
 
     def stats(self) -> Dict[str, float]:
-        """Compiled-state telemetry, including the dynamic caches."""
-        dynamic = sum(c.nbytes for c in self._pattern_cache.values())
-        for entry in self._block_cut_cache.values():
+        """Compiled-state telemetry, including the dynamic caches.
+
+        Safe beside a running walk: a serving thread inserts first-use cache
+        entries while ``/metrics`` scrapes this, so every cache is read
+        through a ``list`` snapshot (atomic under the GIL; the hot path
+        takes no lock for it).
+        """
+        dynamic = sum(c.nbytes for c in list(self._pattern_cache.values()))
+        for entry in list(self._block_cut_cache.values()):
             dynamic += sum(a.nbytes for part in entry for a in part)
-        for head in self._out_head_cache.values():
+        for head in list(self._out_head_cache.values()):
             dynamic += head.nbytes
-        for head, _spans in self._multi_head_cache.values():
+        for head, _spans in list(self._multi_head_cache.values()):
             dynamic += head.nbytes
         out: Dict[str, float] = {
             "compiled": int(self._compiled),
@@ -694,19 +708,19 @@ class CompiledResMADE:
             loc.fold_capacity = need
         return loc.fold[:need].reshape(n, self.model.d_ff)
 
-    def begin_session(self, tokens: np.ndarray, wildcard: np.ndarray) -> "FoldSession":
+    def begin_session(self, n_rows: int) -> "FoldSession":
         """Open an incremental-fold session over a batched sampling walk.
 
-        The batched engine fixes model columns monotonically; once every
-        query has passed column ``c``, row ``r``'s contribution from ``c``
-        (drawn token or MASK) never changes again. The session exploits
-        that: it keeps one running ``(n, d_ff)`` pre-activation buffer and
-        folds each column in exactly once — later steps gather their
-        prefix straight from the buffer instead of re-gathering every
-        earlier column per forward pass.
+        The batched engine fixes model columns in ascending order and hands
+        each one's tokens over exactly once (``fold``); row ``r``'s
+        contribution from a column (drawn token or MASK) never changes
+        again. The session exploits that: it keeps one running
+        ``(n_rows, d_ff)`` pre-activation buffer — later steps gather their
+        prefix straight from it instead of re-gathering every earlier
+        column per forward pass.
         """
         self.compile()
-        return FoldSession(self, tokens, wildcard)
+        return FoldSession(self, n_rows)
 
     def _block_slices(self, cut: int):
         """Bias-augmented ``(cut+1)²`` block-weight corners per prefix width.
@@ -855,48 +869,39 @@ class CompiledResMADE:
 class FoldSession:
     """Incremental pre-activation state for one batched sampling walk.
 
-    Holds a running ``(n, d_ff)`` buffer initialized with the *all-wildcard*
-    pre-activation (bias + every column's MASK row, see ``_mask_base``);
-    :meth:`probs` lazily folds every finalized column ``< col`` into it by
-    replacing the column's MASK contribution with its token contribution on
-    the non-wildcard rows only — one small delta gather per column per
-    *walk* instead of a full-width gather per forward pass, and wildcard
-    rows cost nothing at all. A column's LUT rows are exactly zero on
-    hidden units of lower degree, so each fold only touches the buffer's
-    ``cut[col]:`` suffix.
+    Holds a running ``(n_rows, d_ff)`` buffer initialized with the
+    *all-wildcard* pre-activation (bias + every column's MASK row, see
+    ``_mask_base``) — the session's own copy of the sampled prefix; the walk
+    keeps none. :meth:`fold` replaces a column's MASK contribution with its
+    token contribution on the rows that drew one — one small delta gather
+    per column per *walk* instead of a full-width gather per forward pass,
+    and wildcard rows cost nothing at all. A column's LUT rows are exactly
+    zero on hidden units of lower degree, so each fold only touches the
+    buffer's ``cut[col]:`` suffix. ``rows`` is a slice or an index array
+    everywhere.
     """
 
-    __slots__ = ("compiled", "tokens", "wildcard", "buffer", "folded")
+    __slots__ = ("compiled", "buffer")
 
     # What the batched walk may do with this provider (see
     # ``core.progressive._ReferenceSession`` for the contract).
     #: Indicator draws are deterministic, so a run of them pre-folds and
-    #: shares one blocks pass (:meth:`fold_slices` + :meth:`probs_multi`).
+    #: shares one blocks pass (:meth:`probs_multi`).
     fuses_indicator_runs = True
     #: Past 90 % unique rows a kernel call on the raw rows is cheaper than
     #: maintaining prefix-group ids to skip the few duplicates.
     dedup_cutoff = 0.9
 
-    def __init__(self, compiled: CompiledResMADE, tokens, wildcard):
+    def __init__(self, compiled: CompiledResMADE, n_rows: int):
         self.compiled = compiled
-        self.tokens = tokens
-        self.wildcard = wildcard
-        self.buffer = compiled._session_buffer(len(tokens))
+        self.buffer = compiled._session_buffer(n_rows)
         self.buffer[:] = compiled._mask_base
-        self.folded = 0
 
-    def _fold(self, col: int) -> None:
-        rows = np.flatnonzero(~self.wildcard[:, col])
-        if len(rows):
-            self.fold_rows(col, rows, self.tokens[rows, col])
-        self.folded = max(self.folded, col + 1)
-
-    def fold_rows(self, col: int, rows: np.ndarray, ids) -> None:
+    def fold(self, col: int, rows, ids) -> None:
         """Replace ``col``'s MASK contribution with token ids on ``rows``.
 
         ``ids`` may be an array (one token per row) or a scalar shared by
-        every row (deterministic columns). Used directly by the engine for
-        columns whose post-draw tokens are known up front.
+        every row (deterministic columns).
         """
         c = self.compiled
         cut = int(c._cuts[col])
@@ -912,65 +917,42 @@ class FoldSession:
             # buffer value cannot).
             delta = c._luts[col][ids, cut:] - mask_row
         self.buffer[rows, cut:] += delta
-        self.folded = max(self.folded, col + 1)
 
-    def fold_slices(self, col: int, slcs, token: int) -> None:
-        """Fold a shared token into contiguous row slices (indicator runs).
-
-        The delta is one constant row, so each participating query's slice
-        takes a contiguous broadcast add — no index arrays, no gathers. With
-        no slices the column stays MASK on every row and is merely marked
-        folded.
-        """
-        if slcs:
-            c = self.compiled
-            cut = int(c._cuts[col])
-            delta = c._luts[col][int(token), cut:] - c._mask_stack[col][cut:]
-            for sl in slcs:
-                self.buffer[sl, cut:] += delta
-        self.folded = max(self.folded, col + 1)
-
-    def ensure_folded(self, col: int) -> None:
-        """Fold every finalized column ``< col`` from the live matrices."""
-        for prev in range(self.folded, col):
-            self._fold(prev)
-        self.folded = max(self.folded, col)
-
-    def probs(self, rows: np.ndarray, col: int) -> np.ndarray:
-        """``p(X_col | finalized prefix)`` for the given global row ids."""
+    def _prefix(self, rows, cut: int) -> np.ndarray:
+        """The rows' folded pre-activation, ``cut`` wide, in kernel scratch."""
         c = self.compiled
-        self.ensure_folded(col)
-        cut = int(c._cuts[col])
-        lo, hi = c.model.offsets[col], c.model.offsets[col + 1]
-        if cut == 0:
-            logits = np.broadcast_to(c._b_out[lo:hi], (len(rows), hi - lo))
-            return softmax(np.array(logits, dtype=np.float32))
-        h = c._scratch(len(rows), cut)[0]
+        src = self.buffer[rows, :cut]
+        h = c._scratch(len(src), cut)[0]
         if c._q_scale is None:
-            h[:, :cut] = self.buffer[rows, :cut]
+            h[:, :cut] = src
         else:
-            np.multiply(self.buffer[rows, :cut], c._q_scale[:cut], out=h[:, :cut])
-        return c._finish(h, col, cut)
+            np.multiply(src, c._q_scale[:cut], out=h[:, :cut])
+        return h
 
-    def probs_multi(self, rows: np.ndarray, cols) -> list:
+    def probs(self, rows, col: int) -> np.ndarray:
+        """``p(X_col | folded prefix)`` for the given global rows."""
+        c = self.compiled
+        cut = int(c._cuts[col])
+        if cut == 0:
+            lo, hi = c.model.offsets[col], c.model.offsets[col + 1]
+            logits = np.broadcast_to(c._b_out[lo:hi], (len(self.buffer[rows, :0]), hi - lo))
+            return softmax(np.array(logits, dtype=np.float32))
+        return c._finish(self._prefix(rows, cut), col, cut)
+
+    def probs_multi(self, rows, cols) -> list:
         """Conditionals for several columns from one shared blocks pass.
 
-        Valid when every column in ``cols`` already has its predecessors
-        folded (``folded >= cols[-1]``): the blocks run once at the widest
-        column's prefix, and each column reads its own (zero-padded) output
-        head. Hidden units of degree ``>= c`` carry exactly-zero output
-        weights for column ``c``, so the wider pass computes the same
-        logits the per-column kernel would.
+        Valid when every column below ``cols[-1]`` that will ever be folded
+        already is: the blocks run once at the widest column's prefix, and
+        each column reads its own (zero-padded) output head. Hidden units of
+        degree ``>= c`` carry exactly-zero output weights for column ``c``,
+        so the wider pass computes the same logits the per-column kernel
+        would.
         """
         c = self.compiled
         cut = int(c._cuts[cols[-1]])
         if cut == 0:
             return [self.probs(rows, col) for col in cols]
-        h = c._scratch(len(rows), cut)[0]
-        if c._q_scale is None:
-            h[:, :cut] = self.buffer[rows, :cut]
-        else:
-            np.multiply(self.buffer[rows, :cut], c._q_scale[:cut], out=h[:, :cut])
         head, spans = c._multi_head(tuple(cols), cut)
-        logits = c._blocks(h, cut) @ head
+        logits = c._blocks(self._prefix(rows, cut), cut) @ head
         return [_softmax_inplace(logits[:, lo:hi]) for lo, hi in spans]

@@ -9,10 +9,11 @@ the contract that pins the walk itself (prefix dedup, per-op-class draws,
 one-pass apply); ``test_compiled.py`` pins the fp32 kernels against it.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.config import NeuroCardConfig
 from repro.core.estimator import NeuroCard
 from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError
@@ -31,42 +32,44 @@ def oracle_sampler(schema, factorization_bits=None):
 class _OracleSession:
     """Test double for a model-provided session over the tabular oracle.
 
-    Keeps its own copy of the prefix (like the compiled fold buffer), so a
-    walk that pre-folds the wrong tokens or reads a stale column shows up
-    as a wrong conditional rather than being masked by the live matrices.
+    Owns its prefix outright (like the compiled fold buffer): the only
+    tokens it ever sees are the ones the walk hands to ``fold``, so a walk
+    that folds the wrong tokens, folds late or reads early shows up as a
+    wrong conditional or trips one of the protocol assertions:
+
+    - no (row, column) is folded twice;
+    - every folded id lies inside the column's domain — rows whose weight
+      reached 0 ride along, and their garbage draws must still be tokens;
+    - no conditional is served for a row past a column that the row folds
+      afterwards (it would have been computed from a stale prefix).
     """
 
-    def __init__(self, oracle, tokens, wildcard, kind):
-        self.oracle, self.live_tokens, self.live_wildcard = oracle, tokens, wildcard
-        self.tokens, self.wildcard = tokens.copy(), wildcard.copy()
-        self.folded = 0
+    def __init__(self, oracle, n_rows, kind):
+        n_cols = oracle.layout.n_columns
+        self.oracle = oracle
+        self.tokens = np.zeros((n_rows, n_cols), dtype=np.int64)
+        self.wildcard = np.ones((n_rows, n_cols), dtype=bool)
+        #: Highest column whose conditional was served, per row.
+        self.served = np.zeros(n_rows, dtype=np.int64)
         self.fuses_indicator_runs = kind == "fused_runs"
         self.dedup_cutoff = 0.0 if kind == "raw_rows" else None
         self.multi_calls = 0
 
-    def ensure_folded(self, col):
-        for prev in range(self.folded, col):
-            self.tokens[:, prev] = self.live_tokens[:, prev]
-            self.wildcard[:, prev] = self.live_wildcard[:, prev]
-        self.folded = max(self.folded, col)
-
-    def fold_slices(self, col, slices, token):
-        for sl in slices:
-            self.tokens[sl, col] = token
-            self.wildcard[sl, col] = False
-        self.folded = max(self.folded, col + 1)
+    def fold(self, col, rows, ids):
+        ids = np.asarray(ids)
+        assert self.wildcard[rows, col].all(), f"column {col} folded twice"
+        assert ((ids >= 0) & (ids < self.oracle.layout.domains[col])).all(), (col, ids)
+        assert (self.served[rows] <= col).all(), f"column {col} folded after it was read past"
+        self.tokens[rows, col] = ids
+        self.wildcard[rows, col] = False
 
     def probs(self, rows, col):
-        self.ensure_folded(col)
+        self.served[rows] = np.maximum(self.served[rows], col)
         return self.oracle.conditional(self.tokens[rows], col, self.wildcard[rows])
 
     def probs_multi(self, rows, cols):
-        assert self.folded >= cols[-1]
         self.multi_calls += 1
-        return [
-            self.oracle.conditional(self.tokens[rows], col, self.wildcard[rows])
-            for col in cols
-        ]
+        return [self.probs(rows, col) for col in cols]
 
 
 class SessionOracle(OracleModel):
@@ -77,8 +80,8 @@ class SessionOracle(OracleModel):
         self.kind = kind
         self.sessions = []
 
-    def begin_session(self, tokens, wildcard):
-        self.sessions.append(_OracleSession(self, tokens, wildcard, self.kind))
+    def begin_session(self, n_rows):
+        self.sessions.append(_OracleSession(self, n_rows, self.kind))
         return self.sessions[-1]
 
 
@@ -293,6 +296,43 @@ class TestTrainedModelEquivalence:
             rngs=[np.random.default_rng(900 + i) for i in range(len(queries))],
         )
         np.testing.assert_allclose(batched, sequential, rtol=1e-7)
+
+    def test_batch_of_one_call_budget(self, fitted):
+        """A small-batch walk is interpreter-dispatch-bound: what it costs
+        is how many Python and C functions it calls. Pin that count for one
+        batch-of-1 query (three tables, a range, an IN list, a fanout — 8
+        model columns walked) so dispatch overhead cannot creep back
+        unnoticed: the walk makes 546 calls here (budget: that plus 10 %),
+        the row-at-a-time walk it replaced made 1167 (``tools/profile_walk.py``
+        is the recipe on the perf fixture)."""
+        _, estimator = fitted
+        query = Query.make(
+            ["R", "C1", "C2"],
+            [
+                Predicate("R", "year", ">=", 1993),
+                Predicate("C1", "kind", "IN", (0, 2)),
+                Predicate("C2", "score", "<", 10),
+            ],
+        )
+
+        def run():
+            return estimator.inference.estimate_batch(
+                [query], n_samples=128, rngs=[np.random.default_rng(5)]
+            )
+
+        run()  # first-use kernel caches
+        calls = 0
+
+        def tick(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(tick)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        assert calls <= 600, calls
 
     def test_public_api_returns_one_estimate_per_query(self, fitted):
         _, estimator = fitted

@@ -8,6 +8,10 @@ constants, per-step kernels, fold sessions) must never leak state across
 queries, calls, or weight changes.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -212,6 +216,41 @@ class TestLifecycle:
         assert compiled_size_bytes(estimator.inference) == 0
         again = estimator.estimate(workload()[0], rng=np.random.default_rng(4))
         assert before == again  # refolding identical weights is exact
+
+    def test_stats_scrape_beside_warming_kernels(self, fitted):
+        """``/metrics`` and ``/healthz`` call ``stats()`` from another thread
+        while the serving thread fills the first-use caches (after start-up
+        and after every hot-swap's ``invalidate``): the scrape must never
+        see a dictionary change size, or half-dropped buffers, under it."""
+        _, estimator = fitted
+        (engine,) = engines(estimator, "fp32")
+        compiled = compiled_model(engine)
+        errors, scrapes, stop = [], [0], threading.Event()
+
+        def scrape():
+            while not stop.is_set():
+                try:
+                    compiled.stats()
+                    scrapes[0] += 1
+                except Exception as error:  # e.g. dictionary changed size
+                    errors.append(error)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        try:
+            deadline = time.monotonic() + 1.5
+            while time.monotonic() < deadline and not errors:
+                compiled.invalidate()
+                batch(engine, workload())
+        finally:
+            stop.set()
+            scraper.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not scraper.is_alive()
+        assert errors == [] and scrapes[0] > 0
 
     def test_estimate_routes_through_batched_engine(self, fitted):
         _, estimator = fitted
