@@ -6,9 +6,9 @@ and compares the two engines over one batch of >= 64 range queries (both
 run the same batched walk; only the conditional provider differs):
 
 * ``off``   — the reference forward, the correctness oracle;
-* ``fp32``  — the compiled kernels (folded-embedding LUTs,
-  wildcard-constant cache, prefix-sliced blocks, fused indicator runs,
-  fp32 scratch): must keep estimates within 1e-4 relative of the
+* ``fp32``  — the compiled kernels (folded-embedding LUTs, incremental
+  fold session, prefix-sliced blocks, fused indicator runs, fp32
+  scratch): must keep estimates within 1e-4 relative of the
   reference (median; p90 within 1e-3 guards stray Monte Carlo boundary
   flips) and deliver **>= 2x** the reference's median batched latency.
 
@@ -47,7 +47,6 @@ from repro.core.inference import (
     build_engine,
     compiled_model,
     measure_quantization_drift,
-    precompile_plan,
 )
 from repro.joins.counts import JoinCounts
 from repro.workloads import job_light_ranges_queries, job_light_schema
@@ -124,15 +123,6 @@ def main() -> None:
         )
         for mode in ("int16", "int8")
     }
-
-    start = time.perf_counter()
-    seeded = sum(
-        precompile_plan(compiled, compiled.plan(query)) for query in queries
-    )
-    compile_ms = (time.perf_counter() - start) * 1e3
-    for engine in quantized.values():
-        for query in queries:
-            precompile_plan(engine, engine.plan(query))
 
     def run(engine):
         return engine.estimate_batch(
@@ -229,8 +219,6 @@ def main() -> None:
         "fp32_within_tol": fp32_within_tol,
         "fp32_rel_median": rel_median,
         "fp32_rel_p90": rel_p90,
-        "precompiled_patterns": seeded,
-        "precompile_ms": round(compile_ms, 2),
         "compiled_extra_kb": round(
             compiled_model(compiled).size_bytes / 1024, 1
         ),

@@ -176,7 +176,7 @@ def main() -> None:
     args = parser.parse_args()
 
     from repro.core import NeuroCard, NeuroCardConfig
-    from repro.core.inference import build_engine, precompile_plan
+    from repro.core.inference import build_engine
     from repro.joins.counts import JoinCounts
     from repro.workloads import job_light_ranges_queries, job_light_schema
     from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
@@ -196,8 +196,6 @@ def main() -> None:
 
     J = estimator.counts.full_join_size
     compiled = build_engine(estimator.model, estimator.layout, J, "fp32")
-    for query in queries:
-        precompile_plan(compiled, compiled.plan(query))
 
     # Per-query latencies (the paper's CDF view): one warm pass, then one
     # timed pass per round; per-query medians across rounds form the CDF.

@@ -21,7 +21,6 @@ from repro.core.inference import (
     build_engine,
     compiled_model,
     measure_quantization_drift,
-    precompile_plan,
 )
 from repro.eval.harness import true_cardinalities
 from repro.joins.counts import JoinCounts
@@ -66,9 +65,6 @@ def main() -> None:
         )
         for mode in ("off", "int16", "int8")
     }
-    for engine in engines.values():
-        for query in queries:
-            precompile_plan(engine, engine.plan(query))
 
     print(f"batch of {len(queries)} range queries, n_samples={N_SAMPLES}\n")
     header = (

@@ -63,7 +63,7 @@ def main() -> None:
         exclude_columns=("customers.id", "orders.customer_id"),
     )
     # compile=True lowers the trained model into plan-specialized serving
-    # kernels (folded-embedding LUTs, cached wildcard constants, sliced
+    # kernels (folded-embedding LUTs, incremental fold sessions, sliced
     # output heads — fp32 fast path); it is also the default via
     # NeuroCardConfig.compiled_inference="fp32".
     estimator = NeuroCard(initial, config).fit(compile=True)
@@ -83,18 +83,14 @@ def main() -> None:
     # One validated config object for every serving knob (scheduler,
     # worker pool, registry, refresh policy). ``workers=2`` turns on the
     # sharded multi-process executor; drop it (the default is 0) to serve
-    # in-process. Legacy ctor kwargs such as ``max_batch=64`` still work
-    # for one release behind a DeprecationWarning.
+    # in-process.
     serving = ServingConfig(max_batch=64, max_wait_us=2000, workers=2)
     with EstimationService(config=serving) as service:
         service.register("shop", estimator)
-        # Fold the kernels and pre-warm the workload's wildcard patterns
-        # before traffic arrives (the registry also does this on lazy
-        # loads and hot-swaps).
-        patterns = estimator.precompile(workload)
-        print(f"compiled serving kernels "
-              f"({estimator.size_mb:.2f} MB resident, "
-              f"{patterns} plan patterns pre-warmed)")
+        # Fold the kernels before traffic arrives (the registry also does
+        # this on lazy loads and hot-swaps).
+        estimator.precompile()
+        print(f"compiled serving kernels ({estimator.size_mb:.2f} MB resident)")
 
         # 8 closed-loop clients, each query's latency = submit -> result.
         n_clients, per_client = 8, 40

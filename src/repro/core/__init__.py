@@ -9,7 +9,7 @@ tables via progressive sampling with schema-subsetting corrections.
 from repro.core.config import NeuroCardConfig
 from repro.core.estimator import NeuroCard
 from repro.core.factorization import Factorizer
-from repro.core.inference import build_engine, compiled_model, precompile_plan
+from repro.core.inference import build_engine, compiled_model
 from repro.core.progressive import ProgressiveSampler
 from repro.core.refresh import (
     RefreshOutcome,
@@ -33,5 +33,4 @@ __all__ = [
     "fast_refresh",
     "fast_refresh_budget",
     "full_retrain",
-    "precompile_plan",
 ]

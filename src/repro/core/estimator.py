@@ -26,7 +26,6 @@ from repro.core.inference import (
     compiled_model,
     compiled_size_bytes,
     invalidate_compiled,
-    precompile_plan,
 )
 from repro.core.progressive import ProgressiveSampler
 from repro.core.training import TrainResult, train_autoregressive
@@ -323,26 +322,18 @@ class NeuroCard:
         )
 
     # ------------------------------------------------------------------
-    def precompile(self, queries: Optional[Sequence[Query]] = None) -> int:
-        """Fold the serving kernels now (and optionally pre-warm plans).
+    def precompile(self) -> None:
+        """Fold the serving kernels now.
 
         Compilation is otherwise lazy (first estimate pays it); serving
         layers call this on load/hot-swap so the first request after a
-        swap is already on compiled kernels. With ``queries``, each one's
-        resolved plan seeds the wildcard-constant cache; returns the
-        number of newly seeded patterns. No-op on reference engines.
+        swap is already on compiled kernels. No-op on reference engines.
         """
         if not self.is_fitted:
             raise EstimationError("call fit() before precompile()")
         compiled = compiled_model(self.inference)
-        if compiled is None:
-            return 0
-        compiled.compile()
-        seeded = 0
-        for query in queries or ():
-            query.validate(self.layout.schema)
-            seeded += precompile_plan(self.inference, self.inference.plan(query))
-        return seeded
+        if compiled is not None:
+            compiled.compile()
 
     def invalidate_compiled(self) -> None:
         """Drop compiled kernel state (weights changed out from under it)."""
@@ -421,7 +412,8 @@ class NeuroCard:
     def size_bytes(self) -> int:
         """Resident estimator size: model weights + compiled inference buffers.
 
-        The compiled term is 0 until the first estimate folds the kernels
+        The compiled term is the kernel's buffer table — the same arrays a
+        worker pool publishes: 0 until the first estimate folds the kernels
         (compilation is lazy) and deterministic afterwards, so serving
         memory budgets see a stable number per model.
         """

@@ -17,13 +17,9 @@ conditionals come from (``NeuroCardConfig.compiled_inference``):
     walk draws them. Estimates sit within 1e-4 relative of ``"off"`` (CI-gated);
     ``quantization`` ("int16"/"int8") further shrinks the stored kernels.
 
-Plan pre-compilation (:func:`precompile_plan`) seeds the kernel's
-wildcard-constant cache with every pattern a resolved
-:class:`~repro.core.progressive.QueryPlan` will present, so registered
-workloads pay pattern assembly before traffic arrives. Compiled state is
-derived from the weights: never persisted (snapshot artifacts carry only
-the raw parameters plus the configured modes), and dropped via
-:func:`invalidate_compiled` whenever weights change.
+Compiled state is derived from the weights: never persisted (snapshot
+artifacts carry only the raw parameters plus the configured modes), and
+dropped via :func:`invalidate_compiled` whenever weights change.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import mode_error
-from repro.core.progressive import ProgressiveSampler, QueryPlan
+from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError
 from repro.nn.compiled import CompiledResMADE
 
@@ -137,25 +133,3 @@ def attach_engine_state(engine: ProgressiveSampler, arrays: dict) -> None:
         )
     compiled.attach_state(arrays)
 
-
-def precompile_plan(engine: ProgressiveSampler, plan: QueryPlan) -> int:
-    """Seed the compiled wildcard-constant cache for one resolved plan.
-
-    Mirrors the batched walk's column order exactly: for every model
-    column the plan constrains, the wildcard pattern the stateless kernel
-    would be presented at that step is registered with the compiled model.
-    Returns the number of newly seeded patterns (0 on reference engines).
-    """
-    compiled = compiled_model(engine)
-    if compiled is None:
-        return 0
-    layout = engine.layout
-    wc_row = np.ones(layout.n_columns, dtype=bool)
-    seeded = 0
-    for spec in layout.specs:
-        if not plan.constrains(spec):
-            continue
-        for col in range(*layout.spec_ranges[spec.name]):
-            seeded += compiled.warm_pattern(wc_row, col)
-            wc_row[col] = False
-    return seeded

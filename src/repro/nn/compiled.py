@@ -10,12 +10,6 @@ per query plan:
   through the input masked-linear offline, so the input layer becomes one
   per-column LUT gather + add per constrained column. No embedding concat,
   no input matmul at inference.
-* **Wildcard-constant caching** — wildcard columns always feed the fixed
-  MASK embedding, so their total contribution to the hidden activation is a
-  constant vector per wildcard pattern. Patterns are keyed by their packed
-  bit signature over the columns before the target column and cached across
-  calls (and across queries sharing a plan shape), so unconstrained columns
-  cost one cached vector instead of per-sample gathers.
 * **Degree-sorted prefix slicing** — hidden units are permuted so MADE
   degrees are non-decreasing. Column ``c``'s logits depend only on hidden
   units of degree ``< c``, which after the permutation is a contiguous
@@ -34,6 +28,14 @@ per query plan:
   (``fold(col, rows, ids)``, ascending columns) and asks for
   ``probs(rows, col)``; no token or wildcard matrix exists on that path.
 
+Everything :meth:`CompiledResMADE.compile` folds lives in one
+``name -> array`` table: it is what :meth:`~CompiledResMADE.export_state`
+publishes, :meth:`~CompiledResMADE.attach_state` adopts and
+:attr:`~CompiledResMADE.size_bytes` counts. The session is the only kernel:
+the stateless :meth:`~CompiledResMADE.conditional` opens a one-shot session
+over a private buffer, folds the prefix it was handed and asks for one
+column.
+
 Precision
 ---------
 Conditionals match the reference forward to fp32 round-off (the
@@ -51,7 +53,7 @@ weights at reduced precision with per-channel symmetric scales:
   bias / MASK machinery) is quantized per *hidden channel* with one scale
   vector sized so the worst-case accumulated pre-activation fits the
   integer range. Because all columns share each channel's scale, the fold
-  buffer, pattern constants, and per-column gathers run in exact integer
+  buffer and per-column gathers run in exact integer
   arithmetic (int16 accumulation; int8 mode stores LUT entries as int8 and
   promotes on subtract) at half/quarter the memory traffic of fp32 — this
   is where the quantized path's latency win comes from, since the residual
@@ -82,9 +84,6 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.nn import masks as made_masks
 from repro.nn.layers import softmax
-
-#: Wildcard-pattern constants cached per compiled model before reset.
-PATTERN_CACHE_LIMIT = 4096
 
 #: Recognized kernel weight precisions ("off" = full fp32).
 QUANTIZATION_MODES = ("off", "int16", "int8")
@@ -187,27 +186,37 @@ class CompiledResMADE:
     def _reset_state(self) -> None:
         self._compiled = False
         self._attached = False
+        # The buffer table and the hot-path views :meth:`_bind` points at it.
+        self._state: Dict[str, np.ndarray] = {}
+        self._cuts: Optional[np.ndarray] = None
         self._luts: List[np.ndarray] = []
         self._mask_stack: Optional[np.ndarray] = None
-        self._b_in: Optional[np.ndarray] = None
-        self._block_weights: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self._w_out: Optional[np.ndarray] = None
+        self._mask_base: Optional[np.ndarray] = None
         self._b_out: Optional[np.ndarray] = None
-        self._cuts: Optional[np.ndarray] = None
-        self._pattern_cache: Dict[object, np.ndarray] = {}
+        # The shared per-channel LUT scale: None in full-precision mode,
+        # and every quantized branch keys off it.
+        self._q_scale: Optional[np.ndarray] = None
         self._block_cut_cache: Dict[int, list] = {}
         self._out_head_cache: Dict[int, np.ndarray] = {}
         self._multi_head_cache: Dict[tuple, Tuple[np.ndarray, list]] = {}
         self._scratch_bytes = 0
-        # Quantized-mode state: the shared per-channel LUT scale (None in
-        # full-precision mode — every quantized branch keys off it), the
-        # quantized GEMM weights with their per-output-channel scales, and
-        # the latest measured drift vs the reference engine.
-        self._q_scale: Optional[np.ndarray] = None
-        self._block_weights_q: List[tuple] = []
-        self._w_out_q: Optional[np.ndarray] = None
-        self._w_out_scale: Optional[np.ndarray] = None
+        # Latest measured drift vs the reference engine (quantized modes).
         self._drift: Optional[Dict[str, float]] = None
+
+    def _bind(self, state: Dict[str, np.ndarray]) -> None:
+        """Adopt ``state`` as the buffer table and point the hot path at it.
+
+        ``state`` is everything deterministic the kernel holds — what
+        :meth:`_compile_locked` folds, :meth:`export_state` publishes and
+        :attr:`size_bytes` counts; nothing else lists the buffers.
+        """
+        self._state = state
+        self._cuts = state["cuts"]
+        self._luts = [state[f"lut::{i}"] for i in range(self.model.n_columns)]
+        self._mask_stack = state["mask_stack"]
+        self._mask_base = state["mask_base"]
+        self._b_out = state["b_out"]
+        self._q_scale = state.get("q_scale")
 
     # ------------------------------------------------------------------
     # Delegated model surface
@@ -251,11 +260,12 @@ class CompiledResMADE:
         model = self.model
         degrees = made_masks.hidden_degrees(model.n_columns, model.d_ff)
         perm = np.argsort(degrees, kind="stable")
-        self._perm = perm
-        sorted_degrees = degrees[perm]
-        self._cuts = np.searchsorted(
-            sorted_degrees, np.arange(model.n_columns), side="left"
-        ).astype(np.int64)
+        state: Dict[str, np.ndarray] = {
+            "cuts": np.searchsorted(
+                degrees[perm], np.arange(model.n_columns), side="left"
+            ).astype(np.int64),
+            "b_out": model.output_linear.b.value.astype(np.float32),
+        }
 
         # Fold every embedding table through the (permuted) input linear in
         # fp64, then round once: each LUT row is the column's exact
@@ -269,49 +279,36 @@ class CompiledResMADE:
         b_in64 = model.input_linear.b.value[perm].astype(np.float64)
 
         if self.quantization == "off":
-            self._luts = [lut.astype(np.float32) for lut in luts64]
-            # MASK rows stacked for fast wildcard-constant assembly.
-            self._mask_stack = np.stack(
-                [self._luts[i][dom] for i, dom in enumerate(model.domains)]
-            )
-            self._b_in = b_in64.astype(np.float32)
+            luts = [lut.astype(np.float32) for lut in luts64]
+            mask_stack = np.stack([luts[i][dom] for i, dom in enumerate(model.domains)])
             # The all-wildcard pre-activation: bias + every column's MASK
             # row. A column's contribution is exactly zero on hidden units
             # of lower degree, so pre-adding *future* columns' MASK rows is
             # invisible to every conditional until the column is folded
             # (replaced) — which lets fold sessions start here and touch
             # only non-wildcard rows.
-            self._mask_base = self._b_in + self._mask_stack.sum(axis=0)
+            mask_base = b_in64.astype(np.float32) + mask_stack.sum(axis=0)
         else:
-            self._quantize_luts(luts64, b_in64)
+            state["q_scale"], luts, mask_stack, mask_base = self._quantize_luts(luts64, b_in64)
+        state["mask_stack"], state["mask_base"] = mask_stack, mask_base
+        for i, lut in enumerate(luts):
+            state[f"lut::{i}"] = lut
 
+        # GEMM weights, all stored ``(in, out)`` over the permuted units.
         ix = np.ix_(perm, perm)
-        if self.quantization == "off":
-            self._block_weights = []
-            for block in model.blocks:
-                self._block_weights.append((
-                    np.ascontiguousarray(block.lin1.effective_weight()[ix].T, dtype=np.float32),
-                    block.lin1.b.value[perm].astype(np.float32).copy(),
-                    np.ascontiguousarray(block.lin2.effective_weight()[ix].T, dtype=np.float32),
-                    block.lin2.b.value[perm].astype(np.float32).copy(),
-                ))
-            self._w_out = np.ascontiguousarray(
-                model.output_linear.effective_weight()[:, perm], dtype=np.float32
-            )
-        else:
-            self._block_weights_q = []
-            for block in model.blocks:
-                w1q, s1 = self._quantize_gemm(block.lin1.effective_weight()[ix].T)
-                w2q, s2 = self._quantize_gemm(block.lin2.effective_weight()[ix].T)
-                self._block_weights_q.append((
-                    w1q, s1, block.lin1.b.value[perm].astype(np.float32).copy(),
-                    w2q, s2, block.lin2.b.value[perm].astype(np.float32).copy(),
-                ))
-            self._w_out_q, self._w_out_scale = self._quantize_gemm(
-                model.output_linear.effective_weight()[:, perm].T
-            )
-            self._w_out_q = np.ascontiguousarray(self._w_out_q.T)
-        self._b_out = model.output_linear.b.value.astype(np.float32).copy()
+        gemms = [("w_out", model.output_linear.effective_weight()[:, perm].T)]
+        for j, block in enumerate(model.blocks):
+            for k, lin in (("1", block.lin1), ("2", block.lin2)):
+                gemms.append((f"block::{j}::w{k}", lin.effective_weight()[ix].T))
+                state[f"block::{j}::b{k}"] = lin.b.value[perm].astype(np.float32)
+        for name, weight in gemms:
+            if self.quantization == "off":
+                state[name] = np.ascontiguousarray(weight, dtype=np.float32)
+            else:
+                # Stored (and shipped to workers) quantized, next to the
+                # scale that :meth:`_gemm_corner` dequantizes with.
+                state[name], state[f"{name}::scale"] = self._quantize_gemm(weight)
+        self._bind(state)
 
     # ------------------------------------------------------------------
     # Quantization (compile-time folding into integer domains)
@@ -320,15 +317,16 @@ class CompiledResMADE:
     def _q_dtype(self):
         return np.int8 if self.quantization == "int8" else np.int16
 
-    def _quantize_luts(self, luts64, b_in64) -> None:
+    def _quantize_luts(self, luts64, b_in64):
         """Per-channel quantization of the LUT / MASK / bias machinery.
 
         One scale per hidden channel, shared by *every* column's LUT, sized
         so the worst-case accumulated pre-activation (bias + one row from
         each column, rounding included) fits the accumulator: the fold
-        buffer and pattern constants then run exact int16 arithmetic. int8
-        mode stores LUT entries as int8 (they are bounded by the same
-        budget) and promotes to int16 on the fold subtract.
+        buffer then runs exact int16 arithmetic. int8 mode stores LUT
+        entries as int8 (they are bounded by the same budget) and promotes
+        to int16 on the fold subtract. Returns ``(scale, luts, mask_stack,
+        mask_base)``.
         """
         model = self.model
         n_terms = model.n_columns + 1  # every column's row + the bias
@@ -348,24 +346,24 @@ class CompiledResMADE:
         if self.quantization == "int16":
             scale = np.maximum(scale, 2.0 * col_max.max(axis=0) / 32700.0)
         scale[amax == 0.0] = 1.0
-        self._q_scale = scale.astype(np.float32)
         dtype = self._q_dtype
-        self._luts = [np.rint(lut / scale).astype(dtype) for lut in luts64]
-        self._mask_stack = np.stack(
-            [self._luts[i][dom] for i, dom in enumerate(model.domains)]
+        luts = [np.rint(lut / scale).astype(dtype) for lut in luts64]
+        mask_stack = np.stack(
+            [luts[i][dom] for i, dom in enumerate(model.domains)]
         ).astype(np.int16)
-        self._b_in = np.rint(b_in64 / scale).astype(np.int16)
-        self._mask_base = (
-            self._b_in.astype(np.int32) + self._mask_stack.sum(axis=0, dtype=np.int32)
+        mask_base = (
+            np.rint(b_in64 / scale).astype(np.int32)
+            + mask_stack.sum(axis=0, dtype=np.int32)
         ).astype(np.int16)
+        return scale.astype(np.float32), luts, mask_stack, mask_base
 
     def _quantize_gemm(self, weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Symmetric per-output-channel quantization of one ``(in, out)`` matrix.
 
         Returns ``(w_q, scale)`` with ``scale`` per column. The quantized
-        copy is what gets stored and exported; :meth:`_block_slices` /
-        :meth:`_out_head` dequantize into the per-width corner caches, so
-        the GEMMs themselves accumulate in fp32.
+        copy is what gets stored and exported; :meth:`_gemm_corner`
+        dequantizes into the per-width corner caches, so the GEMMs
+        themselves accumulate in fp32.
         """
         weight = np.asarray(weight, dtype=np.float64)
         qmax = 127 if self.quantization == "int8" else 32767
@@ -386,62 +384,19 @@ class CompiledResMADE:
     def export_state(self) -> Dict[str, np.ndarray]:
         """Every deterministic compiled buffer, as a flat ``name -> array`` map.
 
-        Compiles first if needed. The map covers the folded LUTs, the
-        degree-permuted GEMM weights, the wildcard MASK machinery, and the
-        warmed integer-keyed wildcard-pattern constants — exactly the
-        state :meth:`attach_state` needs to reconstruct this kernel without
-        refolding, so a serving worker pool can publish one copy in shared
+        Compiles first if needed. The map is the kernel's buffer table (the
+        folded LUTs, the degree-permuted GEMM weights — quantized, next to
+        their scales, in quantized modes — and the wildcard MASK machinery):
+        exactly the state :meth:`attach_state` needs to reconstruct this
+        kernel without refolding, and exactly what :attr:`size_bytes`
+        counts, so a serving worker pool can publish one copy in shared
         memory and attach it in every process. Dynamic per-width caches
         (block corners, output heads, scratch) are derived from these
         buffers and rebuilt lazily per process.
         """
         self.compile()
         with self._lock:
-            arrays: Dict[str, np.ndarray] = {
-                "perm": self._perm.astype(np.int64),
-                "cuts": self._cuts,
-                "mask_stack": self._mask_stack,
-                "b_in": self._b_in,
-                "mask_base": self._mask_base,
-                "b_out": self._b_out,
-            }
-            for i, lut in enumerate(self._luts):
-                arrays[f"lut::{i}"] = lut
-            if self.quantization == "off":
-                arrays["w_out"] = self._w_out
-                for j, (w1t, b1, w2t, b2) in enumerate(self._block_weights):
-                    arrays[f"block::{j}::w1t"] = w1t
-                    arrays[f"block::{j}::b1"] = b1
-                    arrays[f"block::{j}::w2t"] = w2t
-                    arrays[f"block::{j}::b2"] = b2
-            else:
-                # Quantized buffers ship quantized (plus their scales): the
-                # shared segment shrinks to roughly the storage dtype's
-                # fraction of the fp32 footprint, and attaching workers
-                # dequantize into per-process corner caches lazily.
-                arrays["q_scale"] = self._q_scale
-                arrays["w_out_q"] = self._w_out_q
-                arrays["w_out_scale"] = self._w_out_scale
-                for j, (w1q, s1, b1, w2q, s2, b2) in enumerate(self._block_weights_q):
-                    arrays[f"block::{j}::w1q"] = w1q
-                    arrays[f"block::{j}::s1"] = s1
-                    arrays[f"block::{j}::b1"] = b1
-                    arrays[f"block::{j}::w2q"] = w2q
-                    arrays[f"block::{j}::s2"] = s2
-                    arrays[f"block::{j}::b2"] = b2
-            # Integer pattern keys fit one uint64 each (<= 64 model columns);
-            # wider bytes-keyed patterns refold lazily on the attaching side.
-            int_keys = [
-                k for k in self._pattern_cache if isinstance(k, (int, np.integer))
-            ]
-            arrays["pattern_keys"] = np.array(sorted(int_keys), dtype=np.uint64)
-            const_dtype = np.float32 if self.quantization == "off" else np.int16
-            arrays["pattern_consts"] = (
-                np.stack([self._pattern_cache[int(k)] for k in sorted(int_keys)])
-                if int_keys
-                else np.zeros((0, self.model.d_ff), dtype=const_dtype)
-            )
-        return arrays
+            return dict(self._state)
 
     def attach_state(self, arrays: Dict[str, np.ndarray]) -> None:
         """Adopt buffers produced by :meth:`export_state` without refolding.
@@ -452,48 +407,9 @@ class CompiledResMADE:
         worker processes can attach the same physical pages. Marks the
         kernel compiled; dynamic caches start empty and grow per process.
         """
-        n_cols = self.model.n_columns
-        n_blocks = len(self.model.blocks)
         with self._lock:
             self._reset_state()
-            self._perm = arrays["perm"]
-            self._cuts = arrays["cuts"]
-            self._mask_stack = arrays["mask_stack"]
-            self._b_in = arrays["b_in"]
-            self._mask_base = arrays["mask_base"]
-            self._b_out = arrays["b_out"]
-            self._luts = [arrays[f"lut::{i}"] for i in range(n_cols)]
-            if self.quantization == "off":
-                self._w_out = arrays["w_out"]
-                self._block_weights = [
-                    (
-                        arrays[f"block::{j}::w1t"],
-                        arrays[f"block::{j}::b1"],
-                        arrays[f"block::{j}::w2t"],
-                        arrays[f"block::{j}::b2"],
-                    )
-                    for j in range(n_blocks)
-                ]
-            else:
-                self._q_scale = arrays["q_scale"]
-                self._w_out_q = arrays["w_out_q"]
-                self._w_out_scale = arrays["w_out_scale"]
-                self._block_weights_q = [
-                    (
-                        arrays[f"block::{j}::w1q"],
-                        arrays[f"block::{j}::s1"],
-                        arrays[f"block::{j}::b1"],
-                        arrays[f"block::{j}::w2q"],
-                        arrays[f"block::{j}::s2"],
-                        arrays[f"block::{j}::b2"],
-                    )
-                    for j in range(n_blocks)
-                ]
-            keys = arrays["pattern_keys"]
-            consts = arrays["pattern_consts"]
-            self._pattern_cache = {
-                int(key): consts[i] for i, key in enumerate(keys)
-            }
+            self._bind(dict(arrays))
             self._compiled = True
             self._attached = True
         self._local = threading.local()
@@ -505,31 +421,17 @@ class CompiledResMADE:
     def size_bytes(self) -> int:
         """Deterministic compiled-buffer footprint (0 until compiled).
 
-        Counts the folded LUTs and permuted weight copies materialized by
-        :meth:`compile`. Lazily-grown per-step specializations, pattern
-        constants, and thread-local scratch are bounded but workload- and
-        thread-dependent, so they are reported via :meth:`stats` instead —
-        keeping serving-layer memory accounting (registry eviction budgets)
-        stable across identical models. Taken under the compile lock: a
-        scrape beside :meth:`invalidate` (every hot-swap) must see the
-        buffers either all present or all gone.
+        The bytes of the buffer table :meth:`compile` fills — what
+        :meth:`export_state` publishes, no more and no less. Lazily-grown
+        per-step specializations and thread-local scratch are bounded but
+        workload- and thread-dependent, so they are reported via
+        :meth:`stats` instead — keeping serving-layer memory accounting
+        (registry eviction budgets) stable across identical models. Taken
+        under the compile lock: a scrape beside :meth:`invalidate` (every
+        hot-swap) must see the buffers either all present or all gone.
         """
         with self._lock:
-            if not self._compiled:
-                return 0
-            total = sum(lut.nbytes for lut in self._luts)
-            total += self._mask_stack.nbytes + self._b_in.nbytes + self._mask_base.nbytes
-            if self.quantization == "off":
-                for w1t, b1, w2t, b2 in self._block_weights:
-                    total += w1t.nbytes + b1.nbytes + w2t.nbytes + b2.nbytes
-                total += self._w_out.nbytes
-            else:
-                for parts in self._block_weights_q:
-                    total += sum(a.nbytes for a in parts)
-                total += self._w_out_q.nbytes + self._w_out_scale.nbytes
-                total += self._q_scale.nbytes
-            total += self._b_out.nbytes + self._cuts.nbytes
-            return int(total)
+            return int(sum(a.nbytes for a in self._state.values()))
 
     def stats(self) -> Dict[str, float]:
         """Compiled-state telemetry, including the dynamic caches.
@@ -539,7 +441,7 @@ class CompiledResMADE:
         through a ``list`` snapshot (atomic under the GIL; the hot path
         takes no lock for it).
         """
-        dynamic = sum(c.nbytes for c in list(self._pattern_cache.values()))
+        dynamic = 0
         for entry in list(self._block_cut_cache.values()):
             dynamic += sum(a.nbytes for part in entry for a in part)
         for head in list(self._out_head_cache.values()):
@@ -550,7 +452,9 @@ class CompiledResMADE:
             "compiled": int(self._compiled),
             "attached": int(self._attached),
             "size_bytes": self.size_bytes,
-            "pattern_entries": len(self._pattern_cache),
+            # Constant: the cache it counted is gone, but the frozen
+            # benchmarks/perf/workloads.py::scheduler_and_kernels reads it.
+            "pattern_entries": 0,
             "specialized_cuts": len(self._block_cut_cache),
             "out_heads": len(self._out_head_cache),
             "dynamic_cache_bytes": int(dynamic),
@@ -588,65 +492,34 @@ class CompiledResMADE:
     def conditional(
         self, tokens: np.ndarray, col: int, wildcard: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """``p(X_col | inputs)`` — same contract as the reference model."""
-        return self._probs(tokens, col, wildcard)
+        """``p(X_col | inputs)`` — same contract as the reference model.
+
+        A one-shot :class:`FoldSession`: every column before ``col`` is
+        folded on the rows where it is not a wildcard, then the session
+        answers. The buffer is private, not the thread-local pool's — a
+        stateless call must not clobber a walk's live session on the same
+        thread.
+        """
+        self.compile()
+        buffer = np.empty((len(tokens), self.model.d_ff), dtype=self._mask_base.dtype)
+        session = FoldSession(self, buffer)
+        if wildcard is None:
+            given = np.ones((len(tokens), col), dtype=bool)
+        else:
+            given = ~wildcard[:, :col]
+        # The sequential oracle loop wildcards whole columns: those are
+        # skipped in one test and the rest fold by slice, which is what
+        # makes refolding the prefix on every call affordable there.
+        for i in np.flatnonzero(given.any(axis=0)):
+            rows = slice(None) if given[:, i].all() else np.flatnonzero(given[:, i])
+            session.fold(i, rows, tokens[rows, i])
+        return session.probs(slice(None), col)
 
     column_conditional = conditional
 
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
-    def _probs(self, tokens, col, wildcard) -> np.ndarray:
-        self.compile()
-        model = self.model
-        n = len(tokens)
-        lo, hi = model.offsets[col], model.offsets[col + 1]
-        cut = int(self._cuts[col])
-        if cut == 0:
-            # Column 0 (and any column no hidden unit feeds): bias only.
-            logits = np.broadcast_to(self._b_out[lo:hi], (n, hi - lo))
-            return softmax(np.array(logits, dtype=np.float32))
-
-        h = self._scratch(n, cut)[0]
-        wc = None if wildcard is None else np.ascontiguousarray(wildcard[:, :col])
-        quantized = self._q_scale is not None
-        for rows, wc_row, key in self._pattern_groups(wc, n, col):
-            const = self._pattern_const(key, wc_row, col)
-            if quantized:
-                # Accumulate in the exact integer domain, dequantize once.
-                target = np.empty(
-                    (n if isinstance(rows, slice) else len(rows), cut),
-                    dtype=np.int16,
-                )
-                target[:] = const[:cut]
-            elif isinstance(rows, slice):
-                h[:, :cut] = const[:cut]
-                target = h[:, :cut]
-            else:
-                target = np.empty((len(rows), cut), dtype=np.float32)
-                target[:] = const[:cut]
-            constrained = (
-                np.arange(col) if wc_row is None else np.flatnonzero(~wc_row)
-            )
-            for i in constrained:
-                target += self._luts[i][tokens[rows, i], :cut]
-            if quantized:
-                if isinstance(rows, slice):
-                    np.multiply(target, self._q_scale[:cut], out=h[:, :cut])
-                else:
-                    h[rows, :cut] = target * self._q_scale[:cut]
-            elif not isinstance(rows, slice):
-                h[rows, :cut] = target
-        return self._finish(h, col, cut)
-
-    def _finish(self, h, col: int, cut: int) -> np.ndarray:
-        """Blocks + sliced output head + softmax over a pre-activation ``h``.
-
-        ``h`` is an augmented ``(n, cut + 1)`` buffer whose last column is a
-        constant 1 (see :meth:`_blocks`).
-        """
-        return _softmax_inplace(self._blocks(h, cut) @ self._out_head(col, cut))
-
     def _blocks(self, h, cut: int) -> np.ndarray:
         """Residual stack over ``h`` in place; returns the final ReLU output.
 
@@ -670,7 +543,7 @@ class CompiledResMADE:
         """Four contiguous ``(n, cut + 1)`` fp32 views over thread-local buffers.
 
         The extra column carries the constant-1 bias input (see
-        :meth:`_finish`); buffers are reused across steps and calls.
+        :meth:`_blocks`); buffers are reused across steps and calls.
         """
         loc = self._local
         need = n * (cut + 1)
@@ -699,9 +572,8 @@ class CompiledResMADE:
         """
         loc = self._local
         need = n * self.model.d_ff
-        dtype = np.float32 if self._q_scale is None else np.int16
         if getattr(loc, "fold_capacity", 0) < need:
-            loc.fold = np.empty(need, dtype=dtype)
+            loc.fold = np.empty(need, dtype=self._mask_base.dtype)
             self._scratch_bytes += (
                 need - getattr(loc, "fold_capacity", 0)
             ) * loc.fold.itemsize
@@ -720,7 +592,18 @@ class CompiledResMADE:
         column per forward pass.
         """
         self.compile()
-        return FoldSession(self, n_rows)
+        return FoldSession(self, self._session_buffer(n_rows))
+
+    def _gemm_corner(self, name: str, rows: slice, cols: slice) -> np.ndarray:
+        """``[rows, cols]`` of one stored ``(in, out)`` GEMM weight, in fp32.
+
+        Quantized weights dequantize here, once per cached corner, by their
+        per-output-channel scale; the GEMMs accumulate in fp32 as usual.
+        """
+        corner = self._state[name][rows, cols]
+        if self._q_scale is None:
+            return corner
+        return corner * self._state[f"{name}::scale"][cols]
 
     def _block_slices(self, cut: int):
         """Bias-augmented ``(cut+1)²`` block-weight corners per prefix width.
@@ -733,23 +616,15 @@ class CompiledResMADE:
         entry = self._block_cut_cache.get(cut)
         if entry is None:
             entry = []
-            for parts in self._block_weights_q or self._block_weights:
-                if self._q_scale is None:
-                    w1t, b1, w2t, b2 = parts
-                    w1c, w2c = w1t[:cut, :cut], w2t[:cut, :cut]
-                else:
-                    # Dequantize once per prefix width into the cached fp32
-                    # corner; the GEMMs accumulate in fp32 as usual.
-                    w1q, s1, b1, w2q, s2, b2 = parts
-                    w1c = w1q[:cut, :cut] * s1[:cut]
-                    w2c = w2q[:cut, :cut] * s2[:cut]
+            corner = slice(cut)
+            for j in range(len(self.model.blocks)):
                 w1a = np.zeros((cut + 1, cut + 1), dtype=np.float32)
-                w1a[:cut, :cut] = w1c
-                w1a[cut, :cut] = b1[:cut]
+                w1a[:cut, :cut] = self._gemm_corner(f"block::{j}::w1", corner, corner)
+                w1a[cut, :cut] = self._state[f"block::{j}::b1"][:cut]
                 w1a[cut, cut] = 1.0
                 w2a = np.zeros((cut + 1, cut + 1), dtype=np.float32)
-                w2a[:cut, :cut] = w2c
-                w2a[cut, :cut] = b2[:cut]
+                w2a[:cut, :cut] = self._gemm_corner(f"block::{j}::w2", corner, corner)
+                w2a[cut, :cut] = self._state[f"block::{j}::b2"][:cut]
                 entry.append((w1a, w2a))
             self._block_cut_cache[cut] = entry
         return entry
@@ -760,16 +635,10 @@ class CompiledResMADE:
         if entry is None:
             lo, hi = self.model.offsets[col], self.model.offsets[col + 1]
             entry = np.empty((cut + 1, hi - lo), dtype=np.float32)
-            entry[:cut] = self._head_rows(lo, hi, cut)
+            entry[:cut] = self._gemm_corner("w_out", slice(cut), slice(lo, hi))
             entry[cut] = self._b_out[lo:hi]
             self._out_head_cache[col] = entry
         return entry
-
-    def _head_rows(self, lo: int, hi: int, cut: int) -> np.ndarray:
-        """``(cut, hi-lo)`` output-head slice, dequantized when quantized."""
-        if self._q_scale is None:
-            return self._w_out[lo:hi, :cut].T
-        return (self._w_out_q[lo:hi, :cut] * self._w_out_scale[lo:hi, None]).T
 
     def _multi_head(self, cols: tuple, cut: int):
         """Concatenated bias-augmented heads for a multi-column pass.
@@ -787,83 +656,15 @@ class CompiledResMADE:
             for c in cols:
                 lo, hi = offsets[c], offsets[c + 1]
                 cut_c = int(self._cuts[c])
-                head[:cut_c, off : off + (hi - lo)] = self._head_rows(lo, hi, cut_c)
+                head[:cut_c, off : off + (hi - lo)] = self._gemm_corner(
+                    "w_out", slice(cut_c), slice(lo, hi)
+                )
                 head[cut, off : off + (hi - lo)] = self._b_out[lo:hi]
                 spans.append((off, off + (hi - lo)))
                 off += hi - lo
             entry = (head, spans)
             self._multi_head_cache[cols] = entry
         return entry
-
-    # ------------------------------------------------------------------
-    # Wildcard-pattern bookkeeping
-    # ------------------------------------------------------------------
-    def _pattern_const(self, key, wc_row: Optional[np.ndarray], col: int) -> np.ndarray:
-        """Cached wildcard-constant vector for one pattern (bounded cache)."""
-        const = self._pattern_cache.get(key)
-        if const is None:
-            const = self._b_in.copy()
-            if wc_row is not None and wc_row.any():
-                const = const + self._mask_stack[:col][wc_row].sum(axis=0)
-            if self._q_scale is not None:
-                # Integer domain: the sum promoted to a wide dtype, but the
-                # scale budget guarantees the value fits the accumulator.
-                const = const.astype(np.int16)
-            if len(self._pattern_cache) >= PATTERN_CACHE_LIMIT:
-                self._pattern_cache.clear()
-            self._pattern_cache[key] = const
-        return const
-
-    def _pattern_groups(self, wc: Optional[np.ndarray], n: int, col: int):
-        """Group rows by wildcard signature over columns ``< col``.
-
-        Yields ``(rows, wc_row, key)``: ``rows`` is a slice or index array,
-        ``wc_row`` the group's boolean wildcard prefix (None = fully
-        constrained), ``key`` the hashable cache key. Padding a pattern with
-        trailing non-wildcard columns does not change its key — which is
-        exactly right, because trailing constrained columns contribute via
-        gathers, not via the cached constant.
-        """
-        if wc is None or col == 0 or not wc.any():
-            return [(slice(None), None, 0)]
-        packed = np.packbits(wc, axis=1)
-        if packed.shape[1] <= 8:
-            if packed.shape[1] < 8:
-                pad = np.zeros((n, 8 - packed.shape[1]), dtype=np.uint8)
-                packed = np.ascontiguousarray(np.hstack([packed, pad]))
-            ids = packed.view(np.uint64).ravel()
-            if n == 1 or (ids == ids[0]).all():
-                return [(slice(None), wc[0], int(ids[0]))]
-            uniq, inverse = np.unique(ids, return_inverse=True)
-            groups = []
-            for g, key in enumerate(uniq):
-                rows = np.flatnonzero(inverse == g)
-                groups.append((rows, wc[rows[0]], int(key)))
-            return groups
-        # > 64 model columns: fall back to row-wise unique on the raw bytes.
-        uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
-        groups = []
-        for g in range(len(uniq)):
-            rows = np.flatnonzero(inverse == g)
-            groups.append((rows, wc[rows[0]], uniq[g].tobytes()))
-        return groups
-
-    def warm_pattern(self, wc_row: np.ndarray, col: int) -> int:
-        """Seed the wildcard constant for one ``(pattern, step)``; 1 if new.
-
-        ``wc_row`` is the full wildcard row; only columns ``< col`` matter.
-        Used by plan pre-compilation so a registered query plan pays its
-        pattern-assembly cost before traffic arrives.
-        """
-        if col == 0:
-            return 0
-        self.compile()
-        wc = np.ascontiguousarray(wc_row[None, :col], dtype=bool)
-        ((_, row, key),) = self._pattern_groups(wc, 1, col)
-        if key in self._pattern_cache:
-            return 0
-        self._pattern_const(key, row, col)
-        return 1
 
 
 class FoldSession:
@@ -892,9 +693,9 @@ class FoldSession:
     #: maintaining prefix-group ids to skip the few duplicates.
     dedup_cutoff = 0.9
 
-    def __init__(self, compiled: CompiledResMADE, n_rows: int):
+    def __init__(self, compiled: CompiledResMADE, buffer: np.ndarray):
         self.compiled = compiled
-        self.buffer = compiled._session_buffer(n_rows)
+        self.buffer = buffer
         self.buffer[:] = compiled._mask_base
 
     def fold(self, col: int, rows, ids) -> None:
@@ -937,7 +738,8 @@ class FoldSession:
             lo, hi = c.model.offsets[col], c.model.offsets[col + 1]
             logits = np.broadcast_to(c._b_out[lo:hi], (len(self.buffer[rows, :0]), hi - lo))
             return softmax(np.array(logits, dtype=np.float32))
-        return c._finish(self._prefix(rows, cut), col, cut)
+        hidden = c._blocks(self._prefix(rows, cut), cut)
+        return _softmax_inplace(hidden @ c._out_head(col, cut))
 
     def probs_multi(self, rows, cols) -> list:
         """Conditionals for several columns from one shared blocks pass.

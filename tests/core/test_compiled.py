@@ -1,11 +1,10 @@
-"""Compiled inference engine: kernel equivalence, plan caches, lifecycle.
+"""Compiled inference engine: kernel equivalence, dynamic caches, lifecycle.
 
 The reference engine (``off``) is the correctness oracle throughout — both
 engines run the same batched walk (pinned to the sequential loop in
 ``test_batched.py``), so ``fp32`` mode must match it to fp32 round-off on
-conditionals and estimates, and the dynamic caches (wildcard-pattern
-constants, per-step kernels, fold sessions) must never leak state across
-queries, calls, or weight changes.
+conditionals and estimates, and the dynamic caches (per-step kernels, fold
+sessions) must never leak state across queries, calls, or weight changes.
 """
 
 import sys
@@ -20,7 +19,6 @@ from repro.core.inference import (
     build_engine,
     compiled_model,
     compiled_size_bytes,
-    precompile_plan,
 )
 from repro.errors import EstimationError
 from repro.nn.compiled import CompiledResMADE
@@ -67,7 +65,9 @@ def batch(engine, queries, n=96, base_seed=700):
 
 class TestKernelEquivalence:
     def test_fp32_conditionals_match_reference(self, fitted):
-        """Folded LUT kernels reproduce the reference forward to fp32 noise."""
+        """The fold arithmetic serving runs (a one-shot ``FoldSession`` per
+        call) reproduces the reference forward to fp32 noise, for every
+        column under per-row mixed wildcards and under none."""
         _, estimator = fitted
         model = estimator.model
         compiled = CompiledResMADE(model)
@@ -94,6 +94,39 @@ class TestKernelEquivalence:
         compiled.column_conditional(tokens[:7], 2, wildcard[:7])
         again = compiled.column_conditional(tokens, col, wildcard)
         assert np.array_equal(first, again)
+
+    def test_stateless_conditional_leaves_a_live_session_alone(self, fitted):
+        """``conditional`` folds into a private buffer: a call made while a
+        walk's session is open on the same thread changes none of its bits."""
+        _, estimator = fitted
+        model = estimator.model
+        rng = np.random.default_rng(6)
+        tokens = np.column_stack([rng.integers(0, d, 24) for d in model.domains])
+        col = model.n_columns - 1
+
+        def walk(interrupt):
+            compiled = CompiledResMADE(model)
+            session = compiled.begin_session(len(tokens))
+            for i in range(col):
+                session.fold(i, slice(None), tokens[:, i])
+            if interrupt:
+                compiled.conditional(tokens[::-1], col)
+            return session.probs(slice(None), col).copy()
+
+        assert np.array_equal(walk(interrupt=True), walk(interrupt=False))
+
+    def test_sequential_and_batched_walks_agree_on_compiled_kernels(self, fitted):
+        """The sequential oracle loop (stateless conditionals) and the
+        batched walk (one session) on the same pinned stream stay inside
+        the documented fp32 envelope (docs/accuracy.md)."""
+        _, estimator = fitted
+        (fast,) = engines(estimator, "fp32")
+        for i, query in enumerate(workload()):
+            seq = fast.estimate(query, n_samples=96, rng=np.random.default_rng(40 + i))
+            (one,) = fast.estimate_batch(
+                [query], n_samples=96, rngs=[np.random.default_rng(40 + i)]
+            )
+            assert abs(seq - one) <= 5e-6 * max(abs(one), 1e-12)
 
     def test_fp32_estimates_within_tolerance(self, fitted):
         _, estimator = fitted
@@ -146,10 +179,10 @@ class TestKernelEquivalence:
         np.testing.assert_allclose(results["fp32"], results["off"], rtol=1e-4)
 
 
-class TestPlanCaches:
-    def test_wildcard_patterns_do_not_leak_across_queries(self, fitted):
-        """Warm caches (patterns seeded by other queries' plans) must give
-        the same bits as a cold engine for every wildcard set."""
+class TestDynamicCaches:
+    def test_warm_dynamic_caches_match_a_cold_engine_bitwise(self, fitted):
+        """Warm caches (block corners and output heads specialized by other
+        queries' walks) must give the same bits as a cold engine."""
         _, estimator = fitted
         (fast,) = engines(estimator, "fp32")
         queries = workload()
@@ -160,8 +193,9 @@ class TestPlanCaches:
         np.testing.assert_array_equal(warm_first, warm_again)
         np.testing.assert_array_equal(warm_again, cold_run)
 
-    def test_distinct_wildcard_sets_get_distinct_patterns(self, fitted):
-        """Two wildcard sets at one step never share a cached constant."""
+    def test_mixed_wildcard_batch_matches_reference_row_for_row(self, fitted):
+        """Rows of one call may wildcard different columns: each row folds
+        only its own constrained prefix."""
         _, estimator = fitted
         model = estimator.model
         compiled = CompiledResMADE(model)
@@ -170,11 +204,6 @@ class TestPlanCaches:
         b = np.zeros(model.n_columns, dtype=bool)
         a[0] = True
         b[1] = True
-        assert compiled.warm_pattern(a, col) == 1
-        assert compiled.warm_pattern(b, col) == 1  # distinct key, new entry
-        assert compiled.warm_pattern(a, col) == 0  # cached
-        # A mixed batch splits into per-pattern groups and matches the
-        # reference forward row for row.
         rng = np.random.default_rng(7)
         tokens = np.column_stack([rng.integers(0, d, 8) for d in model.domains])
         wildcard = np.vstack([np.tile(a, (4, 1)), np.tile(b, (4, 1))])
@@ -183,17 +212,6 @@ class TestPlanCaches:
             model.column_conditional(tokens, col, wildcard),
             rtol=1e-4, atol=1e-6,
         )
-
-    def test_precompile_plan_seeds_patterns_without_changing_results(self, fitted):
-        _, estimator = fitted
-        cold, warmed = engines(estimator, "fp32", "fp32")
-        query = workload()[1]
-        seeded = precompile_plan(warmed, warmed.plan(query))
-        assert seeded > 0
-        assert precompile_plan(warmed, warmed.plan(query)) == 0  # idempotent
-        a = cold.estimate(query, n_samples=64, rng=np.random.default_rng(9))
-        b = warmed.estimate(query, n_samples=64, rng=np.random.default_rng(9))
-        assert a == b
 
 
 class TestLifecycle:

@@ -78,17 +78,26 @@ class TestDriftBounds:
 
 
 class TestStateTransport:
-    @pytest.mark.parametrize("quantization", ["int16", "int8"])
+    @pytest.mark.parametrize("quantization", ["off", "int16", "int8"])
     def test_export_attach_roundtrip_is_bitwise(self, fitted, quantization):
-        """Attached quantized buffers serve bitwise-identical estimates."""
+        """The exported table is the whole kernel: it is what ``size_bytes``
+        counts, and read-only views of it serve bitwise-identical estimates."""
         _, estimator = fitted
         source = quantized_engine(estimator, quantization)
-        queries = workload()
+        queries = workload() + workload()[:2]  # one batch of 8
         want = batch(source, queries)
         state = export_engine_state(source)
+        assert compiled_model(source).size_bytes == sum(a.nbytes for a in state.values())
+        stale = [n for n in state if n.startswith("pattern_") or n in ("perm", "b_in")]
+        assert not stale
+        views = {name: array.view() for name, array in state.items()}
+        for view in views.values():
+            view.flags.writeable = False
         clone = quantized_engine(estimator, quantization)
-        attach_engine_state(clone, state)
-        assert compiled_model(clone).stats()["attached"] == 1
+        attach_engine_state(clone, views)
+        attached = compiled_model(clone)
+        assert attached.is_compiled and attached.stats()["attached"] == 1
+        assert attached.size_bytes == compiled_model(source).size_bytes
         np.testing.assert_array_equal(batch(clone, queries), want)
 
     def test_quantized_buffers_shrink_size_bytes(self, fitted):

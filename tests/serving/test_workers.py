@@ -26,7 +26,11 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import NeuroCard
-from repro.core.inference import attach_engine_state, export_engine_state
+from repro.core.inference import (
+    attach_engine_state,
+    compiled_size_bytes,
+    export_engine_state,
+)
 from repro.errors import EstimationError, ServingError
 from repro.nn.compiled import pack_layout, read_blob, write_blob
 from repro.relational.predicate import Predicate
@@ -85,9 +89,14 @@ def test_blob_round_trip_is_bitwise(tiny_trained):
     twin.attach_parameters(
         [views[f"param::{i}"] for i in range(len(est.model.parameters()))]
     )
-    attach_engine_state(
-        twin.inference,
-        {k[len("compiled::"):]: v for k, v in views.items() if k.startswith("compiled::")},
+    compiled_views = {
+        k[len("compiled::"):]: v for k, v in views.items() if k.startswith("compiled::")
+    }
+    attach_engine_state(twin.inference, compiled_views)
+    # What the blob carries for the kernels is what both sides count.
+    assert twin.size_bytes == est.size_bytes
+    assert compiled_size_bytes(twin.inference) == sum(
+        view.nbytes for view in compiled_views.values()
     )
     queries = [_query()] * 4
     rngs_a = [np.random.default_rng(7 + i) for i in range(4)]

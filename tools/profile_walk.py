@@ -44,7 +44,7 @@ PHASES = {
     "probs: fold": [("session", "fold")],
     "probs: gather": [("session", "_prefix")],
     "probs: blocks": [("kernel", "_blocks")],
-    "probs: head": [("kernel", "_finish"), ("session", "probs"), ("session", "probs_multi")],
+    "probs: head": [("session", "probs"), ("session", "probs_multi")],
     "probs: softmax": [("compiled", "_softmax_inplace")],
     "draw": [
         ("sampler", "_draw_class"),
