@@ -12,17 +12,10 @@ run the same batched walk; only the conditional provider differs):
   reference (median; p90 within 1e-3 guards stray Monte Carlo boundary
   flips) and deliver **>= 2x** the reference's median batched latency.
 
-On top of the fp32 gate, the quantized + adaptive serving kernels are
-measured and gated against the same workload:
-
-* ``int16`` / ``int8`` — quantized LUT kernels (per-channel scales, fp32
-  GEMM accumulate): per-query drift vs the reference engine must stay within
-  the documented accuracy-ladder bounds (1e-3 / 5e-2 relative), and int8
-  must not be slower than fp32 on median batched latency (the win comes
-  from the bandwidth-bound fold/buffer path; GEMMs stay fp32 BLAS);
-* ``adaptive`` — variance-adaptive sampling (``max_rel_var``): probe walks
-  escalate only non-converged queries, which must beat the fixed-samples
-  path on median batched latency and raise the delivered QPS floor.
+On top of the fp32 gate, variance-adaptive sampling (``max_rel_var``) is
+measured and gated against the same workload: probe walks escalate only
+non-converged queries, which must beat the fixed-samples path on median
+batched latency and raise the delivered QPS floor.
 
 Reference and compiled rounds are interleaved so machine drift hits both
 paths alike; one automatic re-measure absorbs a transient spike before the
@@ -43,11 +36,7 @@ import time
 import numpy as np
 
 from repro.core import NeuroCard, NeuroCardConfig
-from repro.core.inference import (
-    build_engine,
-    compiled_model,
-    measure_quantization_drift,
-)
+from repro.core.inference import build_engine, compiled_model
 from repro.joins.counts import JoinCounts
 from repro.workloads import job_light_ranges_queries, job_light_schema
 from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
@@ -55,10 +44,6 @@ from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
 SPEEDUP_FLOOR = 2.0
 REL_MEDIAN_TOL = 1e-4
 REL_P90_TOL = 1e-3
-#: Documented per-query drift ceilings vs the reference engine (docs/accuracy.md).
-QUANT_DRIFT_BOUNDS = {"int16": 1e-3, "int8": 5e-2}
-#: int8 kernels must at least match fp32 on median batched latency.
-QUANT_SPEEDUP_FLOOR = 1.0
 #: Adaptive sampling must beat the fixed-samples walk on the same batch.
 #: At 0.15 relative standard error roughly a quarter of the range workload
 #: escalates (measured ~1.7x): the gate exercises both the early-stop and
@@ -117,12 +102,6 @@ def main() -> None:
     J = estimator.counts.full_join_size
     reference = build_engine(estimator.model, estimator.layout, J, "off")
     compiled = build_engine(estimator.model, estimator.layout, J, "fp32")
-    quantized = {
-        mode: build_engine(
-            estimator.model, estimator.layout, J, "fp32", quantization=mode
-        )
-        for mode in ("int16", "int8")
-    }
 
     def run(engine):
         return engine.estimate_batch(
@@ -151,39 +130,6 @@ def main() -> None:
         if speedup >= SPEEDUP_FLOOR:
             break
         ref_s, fast_s, speedup = measure_interleaved(ref_fn, fast_fn, args.rounds)
-
-    # ---- Quantized kernels: drift vs the reference + latency vs fp32.
-    quant = {}
-    for mode, engine in quantized.items():
-        rel_drift = measure_quantization_drift(
-            engine, queries, n_samples=args.n_samples, seed=2000
-        )
-        drift_p90 = float(np.quantile(rel_drift, 0.9))
-
-        def quant_fn(engine=engine):
-            engine.estimate_batch(
-                queries, n_samples=args.n_samples, rng=np.random.default_rng(0)
-            )
-
-        _, quant_s, quant_speedup = measure_interleaved(
-            fast_fn, quant_fn, args.rounds
-        )
-        floor = QUANT_SPEEDUP_FLOOR if mode == "int8" else 0.0
-        for _ in range(2):
-            if quant_speedup >= floor:
-                break
-            _, quant_s, quant_speedup = measure_interleaved(
-                fast_fn, quant_fn, args.rounds
-            )
-        quant[mode] = {
-            "ms": round(quant_s * 1e3, 2),
-            "speedup_vs_fp32": round(quant_speedup, 3),
-            "drift_rel_p50": float(np.median(rel_drift)),
-            "drift_rel_p90": drift_p90,
-            "drift_rel_max": float(rel_drift.max()),
-            "within_bound": int(drift_p90 <= QUANT_DRIFT_BOUNDS[mode]),
-            "size_kb": round(compiled_model(engine).size_bytes / 1024, 1),
-        }
 
     # ---- Variance-adaptive sampling: fixed walk vs probe-and-escalate.
     def adaptive_fn():
@@ -222,16 +168,6 @@ def main() -> None:
         "compiled_extra_kb": round(
             compiled_model(compiled).size_bytes / 1024, 1
         ),
-        "int16_ms": quant["int16"]["ms"],
-        "int16_speedup_vs_fp32": quant["int16"]["speedup_vs_fp32"],
-        "int16_drift_rel_p90": quant["int16"]["drift_rel_p90"],
-        "int16_within_bound": quant["int16"]["within_bound"],
-        "int16_size_kb": quant["int16"]["size_kb"],
-        "int8_ms": quant["int8"]["ms"],
-        "int8_speedup_vs_fp32": quant["int8"]["speedup_vs_fp32"],
-        "int8_drift_rel_p90": quant["int8"]["drift_rel_p90"],
-        "int8_within_bound": quant["int8"]["within_bound"],
-        "int8_size_kb": quant["int8"]["size_kb"],
         "adaptive_ms": round(adaptive_s * 1e3, 2),
         "adaptive_speedup": round(adaptive_speedup, 3),
         "adaptive_qps": round(len(queries) / adaptive_s, 2),
@@ -254,17 +190,6 @@ def main() -> None:
             f"compiled speedup {speedup:.2f}x < {SPEEDUP_FLOOR:.1f}x "
             f"({ref_s * 1e3:.1f}ms -> {fast_s * 1e3:.1f}ms)"
         )
-    for mode in ("int16", "int8"):
-        if not quant[mode]["within_bound"]:
-            failures.append(
-                f"{mode} drift p90={quant[mode]['drift_rel_p90']:.2e} exceeds "
-                f"the documented {QUANT_DRIFT_BOUNDS[mode]:.0e} bound"
-            )
-    if quant["int8"]["speedup_vs_fp32"] < QUANT_SPEEDUP_FLOOR:
-        failures.append(
-            f"int8 kernels {quant['int8']['speedup_vs_fp32']:.2f}x vs fp32 "
-            f"< {QUANT_SPEEDUP_FLOOR:.1f}x (quantization must not cost latency)"
-        )
     if adaptive_speedup < ADAPTIVE_SPEEDUP_FLOOR:
         failures.append(
             f"adaptive sampling {adaptive_speedup:.2f}x vs fixed walk "
@@ -275,9 +200,7 @@ def main() -> None:
         sys.exit("compiled-inference gate FAILED: " + "; ".join(failures))
     print(
         f"compiled-inference gate passed: {speedup:.2f}x at batch "
-        f"{len(queries)}, fp32 within tolerance, "
-        f"int8 {quant['int8']['speedup_vs_fp32']:.2f}x vs fp32 within drift "
-        f"bounds, adaptive {adaptive_speedup:.2f}x "
+        f"{len(queries)}, fp32 within tolerance, adaptive {adaptive_speedup:.2f}x "
         f"({escalated_frac:.0%} escalated)."
     )
 

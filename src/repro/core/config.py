@@ -6,33 +6,22 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.errors import TrainingError
-from repro.nn.compiled import QUANTIZATION_MODES
 
 #: Recognized values for ``NeuroCardConfig.compiled_inference``.
 INFERENCE_MODES = ("off", "fp32")
 
 
-def mode_error(compiled_inference: str, quantization: str) -> Optional[str]:
-    """Why this (engine mode, kernel quantization) pair cannot be served.
+def mode_error(compiled_inference: str) -> Optional[str]:
+    """Why this engine mode cannot be served.
 
-    The one place the pairing rule lives: the config validates with it
-    before training and ``build_engine`` before wrapping a model. Returns
-    None for a servable pair.
+    The one place the rule lives: the config validates with it before
+    training, the estimator when it resolves its mode and ``build_engine``
+    before wrapping a model. Returns None for a servable mode.
     """
     if compiled_inference not in INFERENCE_MODES:
         return (
             f"unknown inference mode {compiled_inference!r}; "
             f"compiled_inference must be one of {INFERENCE_MODES}"
-        )
-    if quantization not in QUANTIZATION_MODES:
-        return (
-            f"unknown quantization {quantization!r}; "
-            f"quantization must be one of {QUANTIZATION_MODES}"
-        )
-    if quantization != "off" and compiled_inference != "fp32":
-        return (
-            "quantized kernels require compiled_inference='fp32' (got "
-            f"{compiled_inference!r}); the reference engine stays full-precision"
         )
     return None
 
@@ -62,13 +51,6 @@ class NeuroCardConfig:
     #: Serving-side kernel compilation: "fp32" (compiled fast path, the
     #: default) or "off" (uncompiled reference engine, the oracle).
     compiled_inference: str = "fp32"
-    #: Compiled-kernel weight quantization: "off" (full fp32 kernels),
-    #: "int16", or "int8". Quantized modes store the folded LUTs and GEMM
-    #: weights at reduced precision with per-channel scales and accumulate
-    #: in fp32; they require ``compiled_inference == "fp32"`` (the
-    #: reference engine stays unquantized so it can serve as the drift
-    #: reference).
-    quantization: str = "off"
 
     def validate(self) -> None:
         if self.d_emb < 1 or self.d_ff < 1 or self.n_blocks < 0:
@@ -81,6 +63,6 @@ class NeuroCardConfig:
             raise TrainingError("progressive_samples must be >= 1")
         if self.sampler_threads < 1:
             raise TrainingError("sampler_threads must be >= 1")
-        problem = mode_error(self.compiled_inference, self.quantization)
+        problem = mode_error(self.compiled_inference)
         if problem is not None:
             raise TrainingError(problem)

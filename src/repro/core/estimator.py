@@ -189,7 +189,7 @@ class NeuroCard:
         else:
             mode = str(compile)
         # Fail before training, not at the post-fit build_engine call.
-        problem = mode_error(mode, "off")
+        problem = mode_error(mode)
         if problem is not None:
             raise EstimationError(problem)
         return mode
@@ -200,10 +200,7 @@ class NeuroCard:
         registry's hot-swap path, so stale compiled state never survives a
         weight change."""
         return build_engine(
-            self.model, self.layout, self.counts.full_join_size, self._compile_mode,
-            quantization=(
-                self.config.quantization if self._compile_mode == "fp32" else "off"
-            ),
+            self.model, self.layout, self.counts.full_join_size, self._compile_mode
         )
 
     @staticmethod

@@ -14,8 +14,7 @@ conditionals come from (``NeuroCardConfig.compiled_inference``):
     reuse), whose incremental :class:`~repro.nn.compiled.FoldSession` owns
     the walk's sampled prefix as a running pre-activation buffer: each
     column's drawn tokens are folded into it exactly once per walk, as the
-    walk draws them. Estimates sit within 1e-4 relative of ``"off"`` (CI-gated);
-    ``quantization`` ("int16"/"int8") further shrinks the stored kernels.
+    walk draws them. Estimates sit within 1e-4 relative of ``"off"`` (CI-gated).
 
 Compiled state is derived from the weights: never persisted (snapshot
 artifacts carry only the raw parameters plus the configured modes), and
@@ -26,8 +25,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.core.config import mode_error
 from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError
@@ -35,53 +32,15 @@ from repro.nn.compiled import CompiledResMADE
 
 
 def build_engine(
-    model, layout, full_join_size: float, mode: str = "fp32",
-    quantization: str = "off",
+    model, layout, full_join_size: float, mode: str = "fp32"
 ) -> ProgressiveSampler:
-    """A progressive-sampling engine over ``model`` in the given mode.
-
-    ``quantization`` ("off"/"int16"/"int8") selects the compiled kernels'
-    weight precision and is only valid with ``mode="fp32"`` — the reference
-    engine stays full-precision by design.
-    """
-    problem = mode_error(mode, quantization)
+    """A progressive-sampling engine over ``model`` in the given mode."""
+    problem = mode_error(mode)
     if problem is not None:
         raise EstimationError(problem)
     if mode == "fp32":
-        model = CompiledResMADE(model, quantization=quantization)
+        model = CompiledResMADE(model)
     return ProgressiveSampler(model, layout, full_join_size)
-
-
-def measure_quantization_drift(
-    engine: ProgressiveSampler,
-    queries,
-    *,
-    n_samples: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """Per-query relative drift of a quantized engine vs the reference engine.
-
-    Runs the same pinned-seed batched walk twice — once through the
-    engine's (quantized) kernels, once through a throwaway reference
-    engine (``"off"``) over the same wrapped weights — and returns
-    ``|est_q - est_ref| / max(est_ref, 1)`` per query. The summary is
-    recorded on the compiled model (:meth:`CompiledResMADE.record_drift`)
-    so it surfaces through ``stats()`` and the serving ``/metrics`` page.
-    """
-    compiled = compiled_model(engine)
-    if compiled is None or compiled.quantization == "off":
-        raise EstimationError("drift measurement needs a quantized engine")
-    reference = ProgressiveSampler(
-        compiled.reference, engine.layout, engine.full_join_size
-    )
-    queries = list(queries)
-    rngs = [np.random.default_rng(seed + i) for i in range(len(queries))]
-    est_q = engine.estimate_batch(queries, n_samples=n_samples, rngs=rngs)
-    rngs = [np.random.default_rng(seed + i) for i in range(len(queries))]
-    est_ref = reference.estimate_batch(queries, n_samples=n_samples, rngs=rngs)
-    rel = np.abs(est_q - est_ref) / np.maximum(np.abs(est_ref), 1.0)
-    compiled.record_drift(rel)
-    return rel
 
 
 def compiled_model(engine: ProgressiveSampler) -> Optional[CompiledResMADE]:

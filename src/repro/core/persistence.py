@@ -168,11 +168,6 @@ def save_model(estimator: NeuroCard, path: str | Path) -> Path:
                 if estimator.train_result is not None
                 else 0
             ),
-            # Serving modes travel with the artifact so a deployment can
-            # inspect them without loading weights. Compiled (and quantized)
-            # buffers themselves are derived state and are never persisted —
-            # kernels refold from the raw parameters on load.
-            "quantization": estimator.config.quantization,
         },
         "checksum": {
             "algorithm": "crc32",
@@ -230,6 +225,10 @@ def load_model(path: str | Path, schema: JoinSchema) -> NeuroCard:
             _check_columns(schema, meta["columns"])
         config_dict = dict(meta["config"])
         config_dict["exclude_columns"] = tuple(config_dict["exclude_columns"])
+        # Artifacts saved while quantized kernel modes existed carry this
+        # key. They only ever held raw fp32 parameters, so whatever mode it
+        # names, they load onto fp32 kernels.
+        config_dict.pop("quantization", None)
         try:
             config = NeuroCardConfig(**config_dict)
             config.validate()
@@ -283,10 +282,10 @@ def read_snapshot_metadata(path: str | Path) -> dict:
     """The artifact's ``snapshot`` metadata without loading any weights.
 
     Returns ``{"data_version": int, "n_rows": {table: int}, "tuples_seen":
-    int, "quantization": str}`` (all-zero/empty, quantization ``"off"``,
-    for artifacts predating each field). The background refresher uses
-    this to decide whether a saved model is already fresh enough for a
-    live snapshot before paying a multi-second load.
+    int}`` (all-zero/empty for artifacts predating each field). The
+    background refresher uses this to decide whether a saved model is
+    already fresh enough for a live snapshot before paying a multi-second
+    load.
     """
     with _open_artifact(_npz_path(path)) as data:
         meta = _parse_meta(data)
@@ -295,5 +294,4 @@ def read_snapshot_metadata(path: str | Path) -> dict:
         "data_version": int(snapshot.get("data_version", 0)),
         "n_rows": {k: int(v) for k, v in snapshot.get("n_rows", {}).items()},
         "tuples_seen": int(snapshot.get("tuples_seen", 0)),
-        "quantization": str(snapshot.get("quantization", "off")),
     }

@@ -14,11 +14,13 @@ per query plan:
   degrees are non-decreasing. Column ``c``'s logits depend only on hidden
   units of degree ``< c``, which after the permutation is a contiguous
   prefix; every residual-block matmul for step ``c`` runs on the
-  ``cut[c] × cut[c]`` top-left corner (specialized contiguous weight copies
-  are materialized lazily per distinct prefix width).
-* **Sliced output heads** — only the next-needed column's logit rows are
-  evaluated, via per-column ``(cut, dom)`` weight views prepared at the
-  first use of each autoregressive step.
+  ``(cut[c] + 1)²`` top-left corner of the stored weight. The corners are
+  views of one bias-first table: index 0 of every GEMM weight holds the
+  constant-1 input and the bias, so a corner is ``W[:cut + 1, :cut + 1]``
+  (unit inner stride, ``lda = d_ff + 1``) and NumPy hands it to BLAS as is.
+* **Sliced output heads** — only the next-needed column's logits are
+  evaluated, via the ``(cut + 1, dom)`` view ``w_out[:cut + 1, lo:hi]`` of
+  the same bias-first output weight.
 * **float32 scratch reuse** — all kernels run in fp32 out-of-place into
   thread-local scratch buffers that are reused across steps and calls
   (no per-call allocation on the hot path).
@@ -31,10 +33,11 @@ per query plan:
 Everything :meth:`CompiledResMADE.compile` folds lives in one
 ``name -> array`` table: it is what :meth:`~CompiledResMADE.export_state`
 publishes, :meth:`~CompiledResMADE.attach_state` adopts and
-:attr:`~CompiledResMADE.size_bytes` counts. The session is the only kernel:
-the stateless :meth:`~CompiledResMADE.conditional` opens a one-shot session
-over a private buffer, folds the prefix it was handed and asks for one
-column.
+:attr:`~CompiledResMADE.size_bytes` counts, and every GEMM operand is a
+view of it, so no process holds a second copy. The session is the only
+kernel: the stateless :meth:`~CompiledResMADE.conditional` opens a one-shot
+session over a private buffer, folds the prefix it was handed and asks for
+one column.
 
 Precision
 ---------
@@ -43,30 +46,6 @@ estimator-level contract is ≤1e-4 relative drift on estimates, gated by
 ``benchmarks/bench_compiled_inference.py``). The wrapped model itself is
 the oracle: an engine built over :attr:`CompiledResMADE.reference` runs the
 identical walk on the reference forward.
-
-Quantization
-------------
-``quantization="int16"`` / ``"int8"`` store the folded
-weights at reduced precision with per-channel symmetric scales:
-
-* **LUTs in a shared integer domain** — every embedding LUT (and the input
-  bias / MASK machinery) is quantized per *hidden channel* with one scale
-  vector sized so the worst-case accumulated pre-activation fits the
-  integer range. Because all columns share each channel's scale, the fold
-  buffer and per-column gathers run in exact integer
-  arithmetic (int16 accumulation; int8 mode stores LUT entries as int8 and
-  promotes on subtract) at half/quarter the memory traffic of fp32 — this
-  is where the quantized path's latency win comes from, since the residual
-  GEMMs are BLAS-bound and NumPy has no integer GEMM worth using.
-* **GEMM weights with fp32 accumulate** — block and output-head weights are
-  stored int16/int8 with per-output-channel scales and dequantized once
-  into the existing per-prefix-width corner caches, so every matmul still
-  accumulates in fp32. Only the *stored* (and shared-memory exported)
-  buffers shrink.
-
-The wrapped model stays unquantized, which makes it the drift reference:
-:meth:`record_drift` keeps the latest per-query relative-error measurement
-against it and :meth:`stats` surfaces it for ``/metrics``.
 
 The wrapper is **lazy**: nothing is folded until the first conditional is
 requested, so loading weights into an already-constructed model (see
@@ -84,9 +63,6 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.nn import masks as made_masks
 from repro.nn.layers import softmax
-
-#: Recognized kernel weight precisions ("off" = full fp32).
-QUANTIZATION_MODES = ("off", "int16", "int8")
 
 _REQUIRED_ATTRS = (
     "embeddings",
@@ -167,18 +143,12 @@ class CompiledResMADE:
     persisted.
     """
 
-    def __init__(self, model, quantization: str = "off"):
-        if quantization not in QUANTIZATION_MODES:
-            raise EstimationError(
-                f"unknown quantization {quantization!r}; "
-                f"expected one of {QUANTIZATION_MODES}"
-            )
+    def __init__(self, model):
         if not supports_compilation(model):
             raise EstimationError(
                 f"cannot compile {type(model).__name__}: not a ResMADE-like model"
             )
         self.model = model
-        self.quantization = quantization
         self._lock = threading.Lock()
         self._local = threading.local()
         self._reset_state()
@@ -192,16 +162,9 @@ class CompiledResMADE:
         self._luts: List[np.ndarray] = []
         self._mask_stack: Optional[np.ndarray] = None
         self._mask_base: Optional[np.ndarray] = None
-        self._b_out: Optional[np.ndarray] = None
-        # The shared per-channel LUT scale: None in full-precision mode,
-        # and every quantized branch keys off it.
-        self._q_scale: Optional[np.ndarray] = None
-        self._block_cut_cache: Dict[int, list] = {}
-        self._out_head_cache: Dict[int, np.ndarray] = {}
-        self._multi_head_cache: Dict[tuple, Tuple[np.ndarray, list]] = {}
+        self._w_out: Optional[np.ndarray] = None
+        self._block_ws: List[Tuple[np.ndarray, np.ndarray]] = []
         self._scratch_bytes = 0
-        # Latest measured drift vs the reference engine (quantized modes).
-        self._drift: Optional[Dict[str, float]] = None
 
     def _bind(self, state: Dict[str, np.ndarray]) -> None:
         """Adopt ``state`` as the buffer table and point the hot path at it.
@@ -215,8 +178,11 @@ class CompiledResMADE:
         self._luts = [state[f"lut::{i}"] for i in range(self.model.n_columns)]
         self._mask_stack = state["mask_stack"]
         self._mask_base = state["mask_base"]
-        self._b_out = state["b_out"]
-        self._q_scale = state.get("q_scale")
+        self._w_out = state["w_out"]
+        self._block_ws = [
+            (state[f"block::{j}::w1"], state[f"block::{j}::w2"])
+            for j in range(len(self.model.blocks))
+        ]
 
     # ------------------------------------------------------------------
     # Delegated model surface
@@ -264,7 +230,6 @@ class CompiledResMADE:
             "cuts": np.searchsorted(
                 degrees[perm], np.arange(model.n_columns), side="left"
             ).astype(np.int64),
-            "b_out": model.output_linear.b.value.astype(np.float32),
         }
 
         # Fold every embedding table through the (permuted) input linear in
@@ -272,105 +237,42 @@ class CompiledResMADE:
         # contribution to the hidden pre-activation for one token id.
         w_in = model.input_linear.effective_weight()[perm].astype(np.float64)
         d_emb = model.d_emb
-        luts64 = []
+        luts = []
         for i, emb in enumerate(model.embeddings):
             block = w_in[:, i * d_emb : (i + 1) * d_emb]
-            luts64.append(emb.W.value.astype(np.float64) @ block.T)
+            luts.append((emb.W.value.astype(np.float64) @ block.T).astype(np.float32))
+            state[f"lut::{i}"] = luts[-1]
         b_in64 = model.input_linear.b.value[perm].astype(np.float64)
+        mask_stack = np.stack([luts[i][dom] for i, dom in enumerate(model.domains)])
+        # The all-wildcard pre-activation: bias + every column's MASK row. A
+        # column's contribution is exactly zero on hidden units of lower
+        # degree, so pre-adding *future* columns' MASK rows is invisible to
+        # every conditional until the column is folded (replaced) — which
+        # lets fold sessions start here and touch only non-wildcard rows.
+        state["mask_stack"] = mask_stack
+        state["mask_base"] = b_in64.astype(np.float32) + mask_stack.sum(axis=0)
 
-        if self.quantization == "off":
-            luts = [lut.astype(np.float32) for lut in luts64]
-            mask_stack = np.stack([luts[i][dom] for i, dom in enumerate(model.domains)])
-            # The all-wildcard pre-activation: bias + every column's MASK
-            # row. A column's contribution is exactly zero on hidden units
-            # of lower degree, so pre-adding *future* columns' MASK rows is
-            # invisible to every conditional until the column is folded
-            # (replaced) — which lets fold sessions start here and touch
-            # only non-wildcard rows.
-            mask_base = b_in64.astype(np.float32) + mask_stack.sum(axis=0)
-        else:
-            state["q_scale"], luts, mask_stack, mask_base = self._quantize_luts(luts64, b_in64)
-        state["mask_stack"], state["mask_base"] = mask_stack, mask_base
-        for i, lut in enumerate(luts):
-            state[f"lut::{i}"] = lut
-
-        # GEMM weights, all stored ``(in, out)`` over the permuted units.
+        # GEMM weights, stored ``(1 + in, out)`` over the permuted units with
+        # the bias as row 0. The kernels keep the constant-1 input at index 0
+        # of every activation, so the affine map of a width-``cut`` prefix is
+        # the view ``W[:cut + 1]`` and no prefix width needs its own copy.
         ix = np.ix_(perm, perm)
-        gemms = [("w_out", model.output_linear.effective_weight()[:, perm].T)]
+        d = model.d_ff + 1
         for j, block in enumerate(model.blocks):
             for k, lin in (("1", block.lin1), ("2", block.lin2)):
-                gemms.append((f"block::{j}::w{k}", lin.effective_weight()[ix].T))
-                state[f"block::{j}::b{k}"] = lin.b.value[perm].astype(np.float32)
-        for name, weight in gemms:
-            if self.quantization == "off":
-                state[name] = np.ascontiguousarray(weight, dtype=np.float32)
-            else:
-                # Stored (and shipped to workers) quantized, next to the
-                # scale that :meth:`_gemm_corner` dequantizes with.
-                state[name], state[f"{name}::scale"] = self._quantize_gemm(weight)
+                w = np.zeros((d, d), dtype=np.float32)
+                w[0, 1:] = lin.b.value[perm]
+                w[1:, 1:] = lin.effective_weight()[ix].T
+                state[f"block::{j}::w{k}"] = w
+            # Output 0 of ``w1`` regenerates the constant-1 input for ``w2``,
+            # whose zero column 0 leaves the residual stream's ones alone.
+            state[f"block::{j}::w1"][0, 0] = 1.0
+        head = model.output_linear
+        w_out = np.empty((d, head.b.value.size), dtype=np.float32)
+        w_out[0] = head.b.value
+        w_out[1:] = head.effective_weight()[:, perm].T
+        state["w_out"] = w_out
         self._bind(state)
-
-    # ------------------------------------------------------------------
-    # Quantization (compile-time folding into integer domains)
-    # ------------------------------------------------------------------
-    @property
-    def _q_dtype(self):
-        return np.int8 if self.quantization == "int8" else np.int16
-
-    def _quantize_luts(self, luts64, b_in64):
-        """Per-channel quantization of the LUT / MASK / bias machinery.
-
-        One scale per hidden channel, shared by *every* column's LUT, sized
-        so the worst-case accumulated pre-activation (bias + one row from
-        each column, rounding included) fits the accumulator: the fold
-        buffer then runs exact int16 arithmetic. int8 mode stores LUT
-        entries as int8 (they are bounded by the same budget) and promotes
-        to int16 on the fold subtract. Returns ``(scale, luts, mask_stack,
-        mask_base)``.
-        """
-        model = self.model
-        n_terms = model.n_columns + 1  # every column's row + the bias
-        margin = (n_terms + 1) // 2 + 1  # each term rounds by <= 0.5
-        qmax = 127 - margin if self.quantization == "int8" else 32767 - margin
-        if qmax < 16:
-            raise EstimationError(
-                f"{self.quantization} quantization cannot hold "
-                f"{model.n_columns} columns without overflow"
-            )
-        col_max = np.stack([np.abs(lut).max(axis=0) for lut in luts64])
-        amax = np.abs(b_in64) + col_max.sum(axis=0)
-        scale = amax / qmax
-        # int16 LUTs also bound each fold *delta* (token row - MASK row,
-        # <= 2x one column's budget) so the pre-add temporary cannot wrap;
-        # int8 deltas are promoted to int16 and need no extra headroom.
-        if self.quantization == "int16":
-            scale = np.maximum(scale, 2.0 * col_max.max(axis=0) / 32700.0)
-        scale[amax == 0.0] = 1.0
-        dtype = self._q_dtype
-        luts = [np.rint(lut / scale).astype(dtype) for lut in luts64]
-        mask_stack = np.stack(
-            [luts[i][dom] for i, dom in enumerate(model.domains)]
-        ).astype(np.int16)
-        mask_base = (
-            np.rint(b_in64 / scale).astype(np.int32)
-            + mask_stack.sum(axis=0, dtype=np.int32)
-        ).astype(np.int16)
-        return scale.astype(np.float32), luts, mask_stack, mask_base
-
-    def _quantize_gemm(self, weight: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Symmetric per-output-channel quantization of one ``(in, out)`` matrix.
-
-        Returns ``(w_q, scale)`` with ``scale`` per column. The quantized
-        copy is what gets stored and exported; :meth:`_gemm_corner`
-        dequantizes into the per-width corner caches, so the GEMMs
-        themselves accumulate in fp32.
-        """
-        weight = np.asarray(weight, dtype=np.float64)
-        qmax = 127 if self.quantization == "int8" else 32767
-        scale = np.abs(weight).max(axis=0) / qmax
-        scale[scale == 0.0] = 1.0
-        w_q = np.ascontiguousarray(np.rint(weight / scale), dtype=self._q_dtype)
-        return w_q, scale.astype(np.float32)
 
     def invalidate(self) -> None:
         """Drop all compiled state; the next call refolds current weights."""
@@ -385,14 +287,13 @@ class CompiledResMADE:
         """Every deterministic compiled buffer, as a flat ``name -> array`` map.
 
         Compiles first if needed. The map is the kernel's buffer table (the
-        folded LUTs, the degree-permuted GEMM weights — quantized, next to
-        their scales, in quantized modes — and the wildcard MASK machinery):
-        exactly the state :meth:`attach_state` needs to reconstruct this
-        kernel without refolding, and exactly what :attr:`size_bytes`
-        counts, so a serving worker pool can publish one copy in shared
-        memory and attach it in every process. Dynamic per-width caches
-        (block corners, output heads, scratch) are derived from these
-        buffers and rebuilt lazily per process.
+        folded LUTs, the degree-permuted bias-first GEMM weights and the
+        wildcard MASK machinery): exactly the state :meth:`attach_state`
+        needs to reconstruct this kernel without refolding, and exactly what
+        :attr:`size_bytes` counts, so a serving worker pool can publish one
+        copy in shared memory and attach it in every process. The kernels
+        read views of these buffers; only thread-local scratch is per
+        process.
         """
         self.compile()
         with self._lock:
@@ -405,7 +306,7 @@ class CompiledResMADE:
         memory segment: the kernels never write into the deterministic
         buffers (all hot-path writes land in thread-local scratch), so N
         worker processes can attach the same physical pages. Marks the
-        kernel compiled; dynamic caches start empty and grow per process.
+        kernel compiled.
         """
         with self._lock:
             self._reset_state()
@@ -422,11 +323,11 @@ class CompiledResMADE:
         """Deterministic compiled-buffer footprint (0 until compiled).
 
         The bytes of the buffer table :meth:`compile` fills — what
-        :meth:`export_state` publishes, no more and no less. Lazily-grown
-        per-step specializations and thread-local scratch are bounded but
-        workload- and thread-dependent, so they are reported via
-        :meth:`stats` instead — keeping serving-layer memory accounting
-        (registry eviction budgets) stable across identical models. Taken
+        :meth:`export_state` publishes, no more and no less. Thread-local
+        scratch is bounded but workload- and thread-dependent, so it is
+        reported via :meth:`stats` instead — keeping serving-layer memory
+        accounting (registry eviction budgets) stable across identical
+        models. Taken
         under the compile lock: a scrape beside :meth:`invalidate` (every
         hot-swap) must see the buffers either all present or all gone.
         """
@@ -434,57 +335,18 @@ class CompiledResMADE:
             return int(sum(a.nbytes for a in self._state.values()))
 
     def stats(self) -> Dict[str, float]:
-        """Compiled-state telemetry, including the dynamic caches.
-
-        Safe beside a running walk: a serving thread inserts first-use cache
-        entries while ``/metrics`` scrapes this, so every cache is read
-        through a ``list`` snapshot (atomic under the GIL; the hot path
-        takes no lock for it).
-        """
-        dynamic = 0
-        for entry in list(self._block_cut_cache.values()):
-            dynamic += sum(a.nbytes for part in entry for a in part)
-        for head in list(self._out_head_cache.values()):
-            dynamic += head.nbytes
-        for head, _spans in list(self._multi_head_cache.values()):
-            dynamic += head.nbytes
-        out: Dict[str, float] = {
+        """Compiled-state telemetry."""
+        return {
             "compiled": int(self._compiled),
             "attached": int(self._attached),
             "size_bytes": self.size_bytes,
-            # Constant: the cache it counted is gone, but the frozen
-            # benchmarks/perf/workloads.py::scheduler_and_kernels reads it.
+            # Constants: the caches they counted are gone, but their one
+            # reader, the frozen benchmarks/perf/workloads.py::
+            # scheduler_and_kernels, still reports both.
             "pattern_entries": 0,
-            "specialized_cuts": len(self._block_cut_cache),
-            "out_heads": len(self._out_head_cache),
-            "dynamic_cache_bytes": int(dynamic),
+            "dynamic_cache_bytes": 0,
             "scratch_bytes": int(self._scratch_bytes),
-            "quantization_bits": {"off": 0, "int16": 16, "int8": 8}[self.quantization],
         }
-        if self._drift is not None:
-            out.update(self._drift)
-        return out
-
-    def record_drift(self, rel_errors) -> Dict[str, float]:
-        """Record per-query relative drift vs the reference engine (quantized modes).
-
-        ``rel_errors`` holds one ``|est_q - est_ref| / est_ref`` per
-        query (see ``inference.measure_quantization_drift``). The summary
-        rides :meth:`stats` — and from there the scheduler's stats and the
-        HTTP ``/metrics`` gauges — until the next measurement or
-        :meth:`invalidate`.
-        """
-        rel = np.asarray(rel_errors, dtype=np.float64)
-        if rel.size == 0:
-            raise EstimationError("record_drift needs at least one per-query error")
-        self._drift = {
-            "quantization_drift_queries": int(rel.size),
-            "quantization_drift_rel_mean": float(rel.mean()),
-            "quantization_drift_rel_p50": float(np.median(rel)),
-            "quantization_drift_rel_p90": float(np.quantile(rel, 0.9)),
-            "quantization_drift_rel_max": float(rel.max()),
-        }
-        return dict(self._drift)
 
     # ------------------------------------------------------------------
     # Conditionals (the ProgressiveSampler surface)
@@ -501,7 +363,7 @@ class CompiledResMADE:
         thread.
         """
         self.compile()
-        buffer = np.empty((len(tokens), self.model.d_ff), dtype=self._mask_base.dtype)
+        buffer = np.empty((len(tokens), self.model.d_ff), dtype=np.float32)
         session = FoldSession(self, buffer)
         if wildcard is None:
             given = np.ones((len(tokens), col), dtype=bool)
@@ -523,18 +385,20 @@ class CompiledResMADE:
     def _blocks(self, h, cut: int) -> np.ndarray:
         """Residual stack over ``h`` in place; returns the final ReLU output.
 
-        Every weight matrix carries its bias as an extra input row (and
-        propagates the ones column through itself), so the whole stack runs
-        as bare ``relu``/``matmul``/``add`` passes with no separate bias
-        traversals over the batch.
+        Column 0 of ``h`` is the constant-1 input and row 0 of every stored
+        weight its bias, so each layer is one GEMM on the ``(cut + 1)²``
+        corner view of the table (see :meth:`_compile_locked`) and the whole
+        stack runs as bare ``relu``/``matmul``/``add`` passes with no
+        separate bias traversals over the batch.
         """
-        h[:, cut] = 1.0
+        h[:, 0] = 1.0
         _, r, a, t = self._scratch(len(h), cut)
-        for w1a, w2a in self._block_slices(cut):
+        k = cut + 1
+        for w1, w2 in self._block_ws:
             np.maximum(h, 0.0, out=r)
-            np.matmul(r, w1a, out=a)
+            np.matmul(r, w1[:k, :k], out=a)
             np.maximum(a, 0.0, out=a)
-            np.matmul(a, w2a, out=t)
+            np.matmul(a, w2[:k, :k], out=t)
             h += t
         np.maximum(h, 0.0, out=r)
         return r
@@ -542,8 +406,8 @@ class CompiledResMADE:
     def _scratch(self, n: int, cut: int):
         """Four contiguous ``(n, cut + 1)`` fp32 views over thread-local buffers.
 
-        The extra column carries the constant-1 bias input (see
-        :meth:`_blocks`); buffers are reused across steps and calls.
+        Column 0 carries the constant-1 bias input (see :meth:`_blocks`);
+        buffers are reused across steps and calls.
         """
         loc = self._local
         need = n * (cut + 1)
@@ -564,16 +428,11 @@ class CompiledResMADE:
         )
 
     def _session_buffer(self, n: int) -> np.ndarray:
-        """A reusable ``(n, d_ff)`` fold buffer (thread-local pool).
-
-        fp32 in full-precision mode; int16 in quantized modes, where the
-        fold arithmetic is exact in the shared integer domain and the
-        buffer's memory traffic halves (the main quantized latency win).
-        """
+        """A reusable fp32 ``(n, d_ff)`` fold buffer (thread-local pool)."""
         loc = self._local
         need = n * self.model.d_ff
         if getattr(loc, "fold_capacity", 0) < need:
-            loc.fold = np.empty(need, dtype=self._mask_base.dtype)
+            loc.fold = np.empty(need, dtype=np.float32)
             self._scratch_bytes += (
                 need - getattr(loc, "fold_capacity", 0)
             ) * loc.fold.itemsize
@@ -593,78 +452,6 @@ class CompiledResMADE:
         """
         self.compile()
         return FoldSession(self, self._session_buffer(n_rows))
-
-    def _gemm_corner(self, name: str, rows: slice, cols: slice) -> np.ndarray:
-        """``[rows, cols]`` of one stored ``(in, out)`` GEMM weight, in fp32.
-
-        Quantized weights dequantize here, once per cached corner, by their
-        per-output-channel scale; the GEMMs accumulate in fp32 as usual.
-        """
-        corner = self._state[name][rows, cols]
-        if self._q_scale is None:
-            return corner
-        return corner * self._state[f"{name}::scale"][cols]
-
-    def _block_slices(self, cut: int):
-        """Bias-augmented ``(cut+1)²`` block-weight corners per prefix width.
-
-        Row ``cut`` holds the bias, so ``x_aug @ W`` fuses the affine map
-        into one GEMM; the first matrix's last column regenerates the
-        constant-1 input for the second, whose last column is zero so the
-        residual add leaves the caller's ones column untouched.
-        """
-        entry = self._block_cut_cache.get(cut)
-        if entry is None:
-            entry = []
-            corner = slice(cut)
-            for j in range(len(self.model.blocks)):
-                w1a = np.zeros((cut + 1, cut + 1), dtype=np.float32)
-                w1a[:cut, :cut] = self._gemm_corner(f"block::{j}::w1", corner, corner)
-                w1a[cut, :cut] = self._state[f"block::{j}::b1"][:cut]
-                w1a[cut, cut] = 1.0
-                w2a = np.zeros((cut + 1, cut + 1), dtype=np.float32)
-                w2a[:cut, :cut] = self._gemm_corner(f"block::{j}::w2", corner, corner)
-                w2a[cut, :cut] = self._state[f"block::{j}::b2"][:cut]
-                entry.append((w1a, w2a))
-            self._block_cut_cache[cut] = entry
-        return entry
-
-    def _out_head(self, col: int, cut: int) -> np.ndarray:
-        """Bias-augmented ``(cut+1, dom)`` output head for one sampling step."""
-        entry = self._out_head_cache.get(col)
-        if entry is None:
-            lo, hi = self.model.offsets[col], self.model.offsets[col + 1]
-            entry = np.empty((cut + 1, hi - lo), dtype=np.float32)
-            entry[:cut] = self._gemm_corner("w_out", slice(cut), slice(lo, hi))
-            entry[cut] = self._b_out[lo:hi]
-            self._out_head_cache[col] = entry
-        return entry
-
-    def _multi_head(self, cols: tuple, cut: int):
-        """Concatenated bias-augmented heads for a multi-column pass.
-
-        Rows ``cut_c..cut`` of column ``c``'s span are exactly zero (the
-        MADE output mask forbids those units), so evaluating every head at
-        the shared width ``cut`` reproduces each per-column head.
-        """
-        entry = self._multi_head_cache.get(cols)
-        if entry is None:
-            offsets = self.model.offsets
-            spans, off = [], 0
-            total = int(sum(offsets[c + 1] - offsets[c] for c in cols))
-            head = np.zeros((cut + 1, total), dtype=np.float32)
-            for c in cols:
-                lo, hi = offsets[c], offsets[c + 1]
-                cut_c = int(self._cuts[c])
-                head[:cut_c, off : off + (hi - lo)] = self._gemm_corner(
-                    "w_out", slice(cut_c), slice(lo, hi)
-                )
-                head[cut, off : off + (hi - lo)] = self._b_out[lo:hi]
-                spans.append((off, off + (hi - lo)))
-                off += hi - lo
-            entry = (head, spans)
-            self._multi_head_cache[cols] = entry
-        return entry
 
 
 class FoldSession:
@@ -709,52 +496,55 @@ class FoldSession:
         mask_row = c._mask_stack[col][cut:]
         if np.ndim(ids) == 0:
             delta = c._luts[col][int(ids), cut:] - mask_row
-        elif c._luts[col].dtype == self.buffer.dtype:
+        else:
             delta = c._luts[col][ids, cut:]
             delta -= mask_row
-        else:
-            # int8 LUT rows promote to the int16 buffer domain on subtract
-            # (the delta can exceed the int8 range even though the folded
-            # buffer value cannot).
-            delta = c._luts[col][ids, cut:] - mask_row
         self.buffer[rows, cut:] += delta
 
     def _prefix(self, rows, cut: int) -> np.ndarray:
-        """The rows' folded pre-activation, ``cut`` wide, in kernel scratch."""
-        c = self.compiled
+        """The rows' folded pre-activation, ``cut`` wide, in kernel scratch
+        behind the constant-1 column 0."""
         src = self.buffer[rows, :cut]
-        h = c._scratch(len(src), cut)[0]
-        if c._q_scale is None:
-            h[:, :cut] = src
-        else:
-            np.multiply(src, c._q_scale[:cut], out=h[:, :cut])
+        h = self.compiled._scratch(len(src), cut)[0]
+        h[:, 1:] = src
         return h
 
     def probs(self, rows, col: int) -> np.ndarray:
         """``p(X_col | folded prefix)`` for the given global rows."""
         c = self.compiled
         cut = int(c._cuts[col])
+        lo, hi = c.model.offsets[col], c.model.offsets[col + 1]
         if cut == 0:
-            lo, hi = c.model.offsets[col], c.model.offsets[col + 1]
-            logits = np.broadcast_to(c._b_out[lo:hi], (len(self.buffer[rows, :0]), hi - lo))
+            logits = np.broadcast_to(c._w_out[0, lo:hi], (len(self.buffer[rows, :0]), hi - lo))
             return softmax(np.array(logits, dtype=np.float32))
         hidden = c._blocks(self._prefix(rows, cut), cut)
-        return _softmax_inplace(hidden @ c._out_head(col, cut))
+        return _softmax_inplace(np.matmul(hidden, c._w_out[: cut + 1, lo:hi]))
 
     def probs_multi(self, rows, cols) -> list:
         """Conditionals for several columns from one shared blocks pass.
 
         Valid when every column below ``cols[-1]`` that will ever be folded
-        already is: the blocks run once at the widest column's prefix, and
-        each column reads its own (zero-padded) output head. Hidden units of
-        degree ``>= c`` carry exactly-zero output weights for column ``c``,
-        so the wider pass computes the same logits the per-column kernel
-        would.
+        already is: the blocks run once at the widest (last) column's prefix.
+        Hidden units of degree ``>= c`` carry exactly-zero output weights for
+        column ``c`` (the MADE mask), so each column's slice of the wider
+        head computes the logits the per-column kernel would. ``cols[:-1]``
+        must be consecutive (an indicator run), which makes their heads one
+        column slice of ``w_out``; the last column (the run's end, or the
+        column after it) gets a second GEMM on the same hidden pass.
         """
         c = self.compiled
         cut = int(c._cuts[cols[-1]])
         if cut == 0:
             return [self.probs(rows, col) for col in cols]
-        head, spans = c._multi_head(tuple(cols), cut)
-        logits = c._blocks(self._prefix(rows, cut), cut) @ head
-        return [_softmax_inplace(logits[:, lo:hi]) for lo, hi in spans]
+        offsets = c.model.offsets
+        hidden = c._blocks(self._prefix(rows, cut), cut)
+        out = []
+        if len(cols) > 1:
+            base = offsets[cols[0]]
+            run = np.matmul(hidden, c._w_out[: cut + 1, base : offsets[cols[-2] + 1]])
+            out = [
+                _softmax_inplace(run[:, offsets[col] - base : offsets[col + 1] - base])
+                for col in cols[:-1]
+            ]
+        lo, hi = offsets[cols[-1]], offsets[cols[-1] + 1]
+        return out + [_softmax_inplace(np.matmul(hidden, c._w_out[: cut + 1, lo:hi]))]

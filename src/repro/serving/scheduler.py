@@ -291,11 +291,10 @@ class MicroBatchScheduler:
     def _engine_stats(self) -> Dict[str, float]:
         """Inference-engine telemetry riding the scheduler's stats.
 
-        Surfaces the engine's variance-adaptive counters (``adaptive_*``)
-        and, for quantized compiled kernels, the recorded drift-vs-oracle
-        summary (``quantization_*``) — from here they reach ``/healthz``
-        and the ``repro_scheduler_stat`` gauges on ``/metrics``. Duck-typed
-        models without these surfaces contribute nothing.
+        Surfaces the engine's variance-adaptive counters (``adaptive_*``) —
+        from here they reach ``/healthz`` and the ``repro_scheduler_stat``
+        gauges on ``/metrics``. Duck-typed models without that surface
+        contribute nothing.
         """
         try:
             model, _version = self._source()
@@ -306,22 +305,10 @@ class MicroBatchScheduler:
             inference = model
         if inference is None:
             return {}
-        out: Dict[str, float] = {}
         adaptive = getattr(inference, "adaptive_stats", None)
-        if callable(adaptive):
-            out.update({k: float(v) for k, v in adaptive().items()})
-        compiled = getattr(inference, "model", None)
-        if hasattr(compiled, "quantization") and callable(
-            getattr(compiled, "stats", None)
-        ):
-            out.update(
-                {
-                    key: float(value)
-                    for key, value in compiled.stats().items()
-                    if key.startswith("quantization")
-                }
-            )
-        return out
+        if not callable(adaptive):
+            return {}
+        return {k: float(v) for k, v in adaptive().items()}
 
     def close(self) -> None:
         """Drain pending requests, stop the flusher. Idempotent."""

@@ -1,10 +1,11 @@
-"""Compiled inference engine: kernel equivalence, dynamic caches, lifecycle.
+"""Compiled inference engine: kernel equivalence, one table, lifecycle.
 
 The reference engine (``off``) is the correctness oracle throughout — both
 engines run the same batched walk (pinned to the sequential loop in
 ``test_batched.py``), so ``fp32`` mode must match it to fp32 round-off on
-conditionals and estimates, and the dynamic caches (per-step kernels, fold
-sessions) must never leak state across queries, calls, or weight changes.
+conditionals and estimates; every GEMM operand is a view of the one
+exported table, and per-process state (fold sessions, scratch) must never
+leak across queries, calls, or weight changes.
 """
 
 import sys
@@ -16,9 +17,11 @@ import pytest
 
 from repro.core.estimator import NeuroCard
 from repro.core.inference import (
+    attach_engine_state,
     build_engine,
     compiled_model,
     compiled_size_bytes,
+    export_engine_state,
 )
 from repro.errors import EstimationError
 from repro.nn.compiled import CompiledResMADE
@@ -181,13 +184,13 @@ class TestKernelEquivalence:
 
 class TestDynamicCaches:
     def test_warm_dynamic_caches_match_a_cold_engine_bitwise(self, fitted):
-        """Warm caches (block corners and output heads specialized by other
+        """A warm engine (scratch and fold buffers grown and reused by other
         queries' walks) must give the same bits as a cold engine."""
         _, estimator = fitted
         (fast,) = engines(estimator, "fp32")
         queries = workload()
         warm_first = batch(fast, queries)
-        warm_again = batch(fast, queries)  # every cache hot now
+        warm_again = batch(fast, queries)  # every buffer reused now
         (cold,) = engines(estimator, "fp32")
         cold_run = batch(cold, queries)
         np.testing.assert_array_equal(warm_first, warm_again)
@@ -214,6 +217,100 @@ class TestDynamicCaches:
         )
 
 
+def matmul_operands(run, monkeypatch):
+    """The weight operand of every ``np.matmul`` the kernel makes in ``run()``."""
+    seen, real = [], np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        seen.append(b)
+        return real(a, b, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", recording)
+        run()
+    return seen
+
+
+class TestOneTable:
+    def test_export_attach_roundtrip_is_bitwise(self, fitted, monkeypatch):
+        """The exported table is the whole kernel: it is what ``size_bytes``
+        counts, warm walks add nothing beside it, every GEMM operand is a view
+        of it, and read-only views of it serve bitwise-identical estimates."""
+        _, estimator = fitted
+        (source,) = engines(estimator, "fp32")
+        compiled = compiled_model(source).compile()
+        size = compiled.size_bytes
+        queries = workload() + workload()[:2]  # one batch of 8
+        for query in queries:
+            batch(source, [query])
+        want = batch(source, queries)
+        batch(source, queries * 4)
+        assert compiled.size_bytes == size
+        assert compiled.stats()["dynamic_cache_bytes"] == 0
+
+        state = export_engine_state(source)
+        assert size == sum(a.nbytes for a in state.values())
+        stale = [n for n in state if n.startswith("pattern_") or n in ("perm", "b_in")]
+        assert not stale
+        views = {name: array.view() for name, array in state.items()}
+        for view in views.values():
+            view.flags.writeable = False
+        (clone,) = engines(estimator, "fp32")
+        attach_engine_state(clone, views)
+        attached = compiled_model(clone)
+        assert attached.is_compiled and attached.stats()["attached"] == 1
+        assert attached.size_bytes == size
+        np.testing.assert_array_equal(batch(clone, queries), want)
+
+        model = estimator.model
+        rng = np.random.default_rng(2)
+        tokens = np.column_stack([rng.integers(0, d, 16) for d in model.domains])
+        session = attached.begin_session(len(tokens))
+        blocks = [
+            views[f"block::{j}::w{k}"] for j in range(len(model.blocks)) for k in "12"
+        ]
+        for col in range(model.n_columns):
+            operands = matmul_operands(
+                lambda: session.probs(slice(None), col), monkeypatch
+            )
+            want_tables = [] if attached._cuts[col] == 0 else blocks + [views["w_out"]]
+            assert len(operands) == len(want_tables), col
+            for operand, table in zip(operands, want_tables):
+                assert np.shares_memory(operand, table), col
+            session.fold(col, slice(None), tokens[:, col])
+        assert attached.stats()["dynamic_cache_bytes"] == 0
+
+    def test_sliced_multi_head_matches_per_column_probs(self, fitted):
+        """``probs_multi`` reads a run's heads as one ``w_out`` slice and its
+        last column through a second view: every column's answer matches its
+        own ``probs``, whether that last column continues the run or not."""
+        _, estimator = fitted
+        model = estimator.model
+        compiled = CompiledResMADE(model)
+        n = model.n_columns
+        rng = np.random.default_rng(8)
+        tokens = np.column_stack([rng.integers(0, d, 40) for d in model.domains])
+        given = rng.random((40, n)) < 0.7
+        shapes = {
+            "no tail": [n - 4, n - 3],
+            "adjacent tail": [n - 4, n - 3, n - 2],
+            "non-adjacent tail": [n - 4, n - 3, n - 1],
+        }
+        for shape, cols in shapes.items():
+            assert compiled.compile()._cuts[cols[0]] > 0
+            session = compiled.begin_session(len(tokens))
+            for i in range(cols[-1]):
+                rows = np.flatnonzero(given[:, i])
+                session.fold(i, rows, tokens[rows, i])
+            multi = [p.copy() for p in session.probs_multi(slice(None), cols)]
+            assert len(multi) == len(cols)
+            for col, got in zip(cols, multi):
+                np.testing.assert_allclose(
+                    got, session.probs(slice(None), col), rtol=0, atol=1e-6,
+                    err_msg=f"{shape}: column {col}",
+                )
+
+
 class TestLifecycle:
     def test_lazy_compile_and_size_accounting(self, fitted):
         schema, _ = fitted
@@ -237,9 +334,9 @@ class TestLifecycle:
 
     def test_stats_scrape_beside_warming_kernels(self, fitted):
         """``/metrics`` and ``/healthz`` call ``stats()`` from another thread
-        while the serving thread fills the first-use caches (after start-up
-        and after every hot-swap's ``invalidate``): the scrape must never
-        see a dictionary change size, or half-dropped buffers, under it."""
+        while the serving thread refolds the table and grows its scratch
+        (after start-up and after every hot-swap's ``invalidate``): the
+        scrape must never see half-dropped buffers under it."""
         _, estimator = fitted
         (engine,) = engines(estimator, "fp32")
         compiled = compiled_model(engine)

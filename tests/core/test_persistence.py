@@ -165,6 +165,30 @@ class TestCompatibilityValidation:
         with pytest.raises(PersistenceError, match="'fp64'; compiled_inference must be"):
             load_model(path, schema)
 
+    def test_artifact_naming_a_retired_kernel_mode_loads_as_fp32(self, trained, tmp_path):
+        """Artifacts from before the quantized kernel modes were deleted carry
+        the mode in their config. They only ever held fp32 parameters, so
+        whatever mode they name, they load and answer like a current one."""
+        schema, estimator = trained
+        path = save_model(estimator, tmp_path / "current.npz")
+        queries = [
+            Query.make(["R", "C1"], [Predicate("C1", "kind", "=", 1)]),
+            Query.make(["R"], [Predicate("R", "year", ">=", 1995)]),
+            Query.make(["R", "C2"], [Predicate("C2", "score", "<=", 10)]),
+            Query.make(["R", "C1", "C2"], [Predicate("R", "year", "<", 1994)]),
+        ] * 2
+
+        def answers(artifact):
+            loaded = load_model(artifact, schema)
+            rngs = [np.random.default_rng(40 + i) for i in range(len(queries))]
+            return loaded.estimate_batch(queries, rngs=rngs)
+
+        want = answers(path)
+        for mode in ("off", "int8"):
+            doctored = save_model(estimator, tmp_path / f"{mode}.npz")
+            _corrupt_meta(doctored, lambda m: m["config"].update(quantization=mode))
+            assert np.array_equal(answers(doctored), want), mode
+
     def test_v1_artifact_without_columns_still_loads(self, trained, tmp_path):
         """Back-compat: pre-metadata artifacts load via the domains check."""
         schema, estimator = trained

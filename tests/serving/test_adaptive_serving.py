@@ -101,27 +101,6 @@ class TestSchedulerPassthrough:
         assert stats["adaptive_batches"] >= 1
         assert stats["adaptive_queries"] >= 1
 
-    def test_quantization_telemetry_rides_scheduler_stats(self, tiny_trained):
-        from repro.core.inference import build_engine, measure_quantization_drift
-        from tests.serving.conftest import (  # reuse the shared workload shape
-            Query,
-        )
-
-        _, estimator = tiny_trained
-        engine = build_engine(
-            estimator.model,
-            estimator.layout,
-            estimator.counts.full_join_size,
-            "fp32",
-            quantization="int8",
-        )
-        queries = [Query.make(["R"], [])]
-        measure_quantization_drift(engine, queries, n_samples=32, seed=5)
-        with MicroBatchScheduler(fixed_source(engine)) as sched:
-            stats = sched.stats()
-        assert stats["quantization_bits"] == 8
-        assert "quantization_drift_rel_max" in stats
-
 
 class TestWirePassthrough:
     @pytest.fixture(scope="class")
