@@ -34,7 +34,9 @@ Concurrency model: the event loop parses requests and compiles the DSL;
 flusher/pool threads do the heavy lifting, and the resulting
 ``concurrent.futures.Future`` is awaited via :func:`asyncio.wrap_future`.
 The loop therefore stays responsive while NumPy crunches — wire requests
-coalesce into micro-batches exactly like in-process submits do.
+coalesce into micro-batches exactly like in-process submits do. Futures
+already answered when ``submit`` returns (result-cache hits, cheap cascade
+tiers) are read inline, with no loop round trip.
 
 Graceful drain (SIGTERM in :func:`serve`, or :meth:`drain`): stop
 accepting connections, answer in-flight requests to completion, reject
@@ -92,6 +94,11 @@ _ESTIMATE_KEYS = frozenset(
 
 class _BadRequest(Exception):
     """Internal: maps straight to a 400 with its message."""
+
+
+def _reject_constant(name: str):
+    """``json.loads`` hook: NaN / Infinity / -Infinity are not JSON numbers."""
+    raise _BadRequest(f"non-finite number {name} is not allowed")
 
 
 class _Conn:
@@ -422,15 +429,18 @@ class EstimationHttpServer:
                 return finish(400, {"error": str(exc)})
             except ServingError as exc:
                 return finish(503, {"error": str(exc)})
-            gathered = asyncio.gather(
-                *[asyncio.wrap_future(f) for f in futures]
-            )
             try:
-                if deadline_s is not None:
-                    remaining = deadline_s - (time.perf_counter() - started)
-                    estimates = await asyncio.wait_for(gathered, max(remaining, 0.001))
+                if all(f.done() for f in futures):
+                    # Answered inline (cache hit, cheap cascade tier): skip
+                    # the loop round trip a wrapped future costs.
+                    estimates = [f.result() for f in futures]
                 else:
-                    estimates = await gathered
+                    gathered = asyncio.gather(*[asyncio.wrap_future(f) for f in futures])
+                    if deadline_s is not None:
+                        remaining = deadline_s - (time.perf_counter() - started)
+                        estimates = await asyncio.wait_for(gathered, max(remaining, 0.001))
+                    else:
+                        estimates = await gathered
             except asyncio.TimeoutError:
                 return finish(504, {"error": "deadline exceeded in flight"})
             except DeadlineError as exc:
@@ -471,7 +481,7 @@ class EstimationHttpServer:
     def _parse_estimate(self, body: bytes):
         """Decode and validate an estimate body; raises :class:`_BadRequest`."""
         try:
-            doc = json.loads(body.decode("utf-8"))
+            doc = json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _BadRequest(f"body is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):

@@ -8,15 +8,20 @@
 harness written against in-process clients — point the harness at a URL
 instead of a model and nothing else changes.
 
-Built on :mod:`http.client` (stdlib): one keep-alive connection per
-thread (thread-local, so the harness's ``concurrency=N`` closed loop gets
-N independent connections), ``TCP_NODELAY`` against Nagle/delayed-ACK
-stalls, and bounded retries with exponential backoff + jitter: dropped
-connections and 429/503 estimate responses are retried up to
+Built on a plain socket per thread (thread-local, so the harness's
+``concurrency=N`` closed loop gets N independent keep-alive connections),
+with ``TCP_NODELAY`` against Nagle/delayed-ACK stalls. A request is one
+``sendall`` of head plus body; a response is read into a buffer up to the
+blank line, framed by ``Content-Length``, and any surplus bytes stay
+buffered for the next response on that connection (no ``Content-Length``
+means the body runs to EOF; chunked bodies are refused, the server never
+sends them). Retries are bounded, with exponential backoff + jitter:
+dropped connections (EOF before a full response, reset, broken pipe, an
+unparsable status line) and 429/503 estimate responses are retried up to
 ``max_retries`` times (honoring the server's ``Retry-After``), then the
-last typed error is raised. Estimates are read-only, so retries are safe;
-``max_retries=0`` restores fail-fast behavior for callers that reconcile
-request counts exactly.
+last typed error is raised; socket timeouts are not retried. Estimates
+are read-only, so retries are safe; ``max_retries=0`` restores fail-fast
+behavior for callers that reconcile request counts exactly.
 
 Error mapping: 4xx responses raise :class:`~repro.errors.QueryError`
 (caller bug — malformed DSL, unknown model/tenant, quota), 5xx raise
@@ -26,19 +31,91 @@ deadline); both carry the server's JSON ``error`` message.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import QueryError, ServingError
 from repro.relational.dsl import query_to_dict
 from repro.relational.query import Query
+
+
+class _Headers(dict):
+    """Response headers keyed by lower-cased name; lookups ignore case."""
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+class _Connection:
+    """One keep-alive socket and the bytes read past the last response."""
+
+    __slots__ = ("sock", "buf")
+
+    def __init__(self, host: str, port: int, timeout: float):
+        self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.buf = b""
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def _recv(self) -> bytes:
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("server closed the connection mid-response")
+        return chunk
+
+    def roundtrip(self, request: bytes) -> "tuple[int, _Headers, bytes, bool]":
+        """Send one request; return (status, headers, body, server_closes)."""
+        self.sock.sendall(request)
+        end = self.buf.find(b"\r\n\r\n")
+        while end < 0:
+            self.buf += self._recv()
+            end = self.buf.find(b"\r\n\r\n")
+        lines = self.buf[:end].decode("latin-1").split("\r\n")
+        self.buf = self.buf[end + 4 :]
+        version, _, rest = lines[0].partition(" ")
+        code = rest[:3]
+        if not version.startswith("HTTP/") or not (len(code) == 3 and code.isdigit()):
+            raise ConnectionError(f"unparsable status line {lines[0]!r}")
+        headers = _Headers()
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        if headers.get("transfer-encoding", "identity").lower() != "identity":
+            raise ServingError(
+                f"unsupported Transfer-Encoding {headers['transfer-encoding']!r}"
+            )
+        closes = headers.get("connection", "").lower() == "close"
+        length = headers.get("content-length")
+        if length is None:
+            # No framing: the body is whatever arrives before EOF.
+            closes = True
+            chunks = [self.buf]
+            while True:
+                chunk = self.sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            body, self.buf = b"".join(chunks), b""
+        else:
+            try:
+                n = int(length)
+            except ValueError:
+                raise ServingError(f"bad Content-Length {length!r}") from None
+            while len(self.buf) < n:
+                self.buf += self._recv()
+            body, self.buf = self.buf[:n], self.buf[n:]
+        return int(code), headers, body, closes
 
 
 class HttpEstimationClient:
@@ -102,15 +179,10 @@ class HttpEstimationClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            conn.connect()
-            if conn.sock is not None:
-                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(self.host, self.port, self.timeout)
             self._local.conn = conn
         return conn
 
@@ -133,14 +205,11 @@ class HttpEstimationClient:
         return delay
 
     @staticmethod
-    def _retry_after(headers: Dict[str, str]) -> Optional[float]:
-        for name, value in headers.items():
-            if name.lower() == "retry-after":
-                try:
-                    return float(value)
-                except ValueError:
-                    return None
-        return None
+    def _retry_after(headers: _Headers) -> Optional[float]:
+        try:
+            return float(headers["retry-after"])
+        except (KeyError, ValueError):
+            return None
 
     def _request(
         self,
@@ -149,12 +218,20 @@ class HttpEstimationClient:
         body: Optional[bytes] = None,
         *,
         retry_statuses: "tuple[int, ...]" = (),
-    ) -> "tuple[int, Dict[str, str], bytes]":
-        headers = {"Connection": "keep-alive"}
+    ) -> "tuple[int, _Headers, bytes]":
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {self.host}:{self.port}\r\n"
+            "Connection: keep-alive\r\n"
+        )
         if body is not None:
-            headers["Content-Type"] = "application/json"
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
         if self.tenant is not None:
-            headers["X-Tenant"] = self.tenant
+            head += f"X-Tenant: {self.tenant}\r\n"
+        request = (head + "\r\n").encode("latin-1") + (body or b"")
         # Estimates are read-only, so retrying is always safe. Two failure
         # shapes are retried with exponential backoff + jitter: dropped
         # connections (drain, idle timeout, mid-flight crash) and — for the
@@ -170,27 +247,23 @@ class HttpEstimationClient:
                     time.sleep(delay)
             conn = self._connection()
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                payload = response.read()
-            except (
-                http.client.RemoteDisconnected,
-                http.client.BadStatusLine,
-                ConnectionError,
-                BrokenPipeError,
-            ):
+                status, headers, payload, closes = conn.roundtrip(request)
+            except ConnectionError:
                 self._drop_connection()
                 if attempt == self.max_retries:
                     raise
                 delay = self._backoff_delay(attempt, None)
                 continue
-            if response.getheader("Connection", "").lower() == "close":
+            except BaseException:
+                # Timeouts and protocol errors leave the stream mid-response.
                 self._drop_connection()
-            result = response.status, dict(response.getheaders()), payload
-            if response.status in retry_statuses and attempt < self.max_retries:
-                delay = self._backoff_delay(attempt, self._retry_after(result[1]))
+                raise
+            if closes:
+                self._drop_connection()
+            if status in retry_statuses and attempt < self.max_retries:
+                delay = self._backoff_delay(attempt, self._retry_after(headers))
                 continue
-            return result
+            return status, headers, payload
         raise ServingError("unreachable")  # pragma: no cover
 
     @staticmethod

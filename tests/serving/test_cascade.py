@@ -9,6 +9,7 @@ reach the scheduler and stay bitwise with the cascade-free path.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import time
 
@@ -594,3 +595,43 @@ class TestHttpCascade:
         doc = client.healthz()
         assert "oracle" in doc["cascade"]
         assert "escalation_rate" in doc["cascade"]["oracle"]
+
+
+class TestInlineAnswers:
+    """Answers ready at submit skip the event-loop hop; pending ones await."""
+
+    @pytest.fixture()
+    def wraps(self, monkeypatch):
+        calls = []
+        wrap = asyncio.wrap_future
+
+        def counting(future, **kwargs):
+            calls.append(future)
+            return wrap(future, **kwargs)
+
+        monkeypatch.setattr(asyncio, "wrap_future", counting)
+        return calls
+
+    def test_per_table_answer_is_never_wrapped(self, http_cascade, wraps):
+        _, cascade, client = http_cascade
+        value = client.estimate(EASY, seed=31)
+        assert client.last_tier == "per_table"
+        assert value == cascade.tier("per_table").estimator.estimate(EASY)
+        assert wraps == []
+
+    def test_neural_answer_is_awaited(
+        self, http_cascade, wraps, oracle_engine, monkeypatch
+    ):
+        service, _, client = http_cascade
+        walk = oracle_engine.estimate_batch
+
+        def slow_walk(*args, **kwargs):
+            time.sleep(0.02)  # still pending when the server checks
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_engine, "estimate_batch", slow_walk)
+        wire = client.estimate(HARD, seed=32)
+        assert client.last_tier == "neural"
+        assert len(wraps) == 1
+        monkeypatch.undo()
+        assert wire == service.submit(HARD, model="oracle", seed=32).result()

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import socket
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from repro.errors import QueryError, ServingError
+from repro.errors import DeadlineError, QueryError, ServingError
 from repro.eval.harness import evaluate_estimator, true_cardinalities
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
@@ -20,6 +24,7 @@ from repro.serving import (
     ServingConfig,
     TenantQuota,
 )
+from repro.serving import http_client
 from repro.serving.metrics import parse_samples
 from tests.core.test_estimator import correlated_schema
 from tests.serving.conftest import FakeModel
@@ -376,3 +381,253 @@ class TestGracefulDrain:
         server.stop()
         server.stop()
         service.close()
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "field", ["deadline_ms", "max_rel_var", "max_q_error", "budget_ms"]
+    )
+    def test_non_finite_field_is_400_before_admission(
+        self, http_stack, client, field, literal
+    ):
+        _, server = http_stack
+        admission = server.server.admission
+        shed_before = dict(admission.stats()["shed"])
+        admitted_before = sum(admission.admitted.values())
+        body = f'{{"query": {{"tables": ["R"]}}, "{field}": {literal}}}'
+        status, _, payload = client._request(
+            "POST", "/v1/models/oracle/estimate", body.encode()
+        )
+        assert status == 400
+        assert literal in json.loads(payload.decode())["error"]
+        assert admission.stats()["shed"] == shed_before
+        assert sum(admission.admitted.values()) == admitted_before
+
+
+def _read_request(conn: socket.socket, buf: bytes):
+    """Read one HTTP request off ``conn``; (request, leftover) or None on EOF."""
+    while b"\r\n\r\n" not in buf:
+        chunk = conn.recv(4096)
+        if not chunk:
+            return None
+        buf += chunk
+    head, _, buf = buf.partition(b"\r\n\r\n")
+    length = 0
+    for line in head.split(b"\r\n")[1:]:
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    while len(buf) < length:
+        buf += conn.recv(4096)
+    return head + b"\r\n\r\n" + buf[:length], buf[length:]
+
+
+def _response(status: int, doc, *headers: str) -> bytes:
+    body = json.dumps(doc).encode()
+    head = [f"HTTP/1.1 {status} X", f"Content-Length: {len(body)}", *headers]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+class _FakeServer:
+    """Plain-socket HTTP peer: ``reply(n_conn, n_req)`` scripts every answer.
+
+    ``reply`` gets the 1-based connection and per-connection request
+    numbers and returns the bytes to send (a list sends them as separate
+    writes with a pause between), or None to close the connection without
+    answering. A reply carrying ``Connection: close`` closes after sending.
+    """
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.connections = 0
+        self.requests = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            self.connections += 1
+            with conn:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._serve(conn, self.connections)
+
+    def _serve(self, conn: socket.socket, n_conn: int) -> None:
+        buf = b""
+        for n_req in itertools.count(1):
+            request = _read_request(conn, buf)
+            if request is None:
+                return
+            buf = request[1]
+            self.requests += 1
+            out = self.reply(n_conn, n_req)
+            if out is None:
+                return
+            pieces = out if isinstance(out, list) else [out]
+            for i, piece in enumerate(pieces):
+                if i:
+                    time.sleep(0.01)
+                conn.sendall(piece)
+            if b"\r\nConnection: close\r\n" in b"".join(pieces):
+                return
+
+    def client(self, **kwargs) -> HttpEstimationClient:
+        return HttpEstimationClient("127.0.0.1", self.port, "m", **kwargs)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+@pytest.fixture()
+def fake_server():
+    servers = []
+
+    def make(reply):
+        servers.append(_FakeServer(reply))
+        return servers[-1]
+
+    yield make
+    for server in servers:
+        server.close()
+
+
+class TestClientFraming:
+    OK = _response(200, {"estimate": 5.0}, "Connection: keep-alive")
+    QUERY = Query.make(["R"], [])
+
+    def test_response_one_byte_at_a_time(self, fake_server):
+        server = fake_server(lambda c, r: [bytes([b]) for b in self.OK])
+        client = server.client()
+        assert client.estimate(self.QUERY) == 5.0
+        assert client.estimate(self.QUERY) == 5.0
+        assert server.connections == 1
+        client.close()
+
+    def test_head_and_body_split_across_reads(self, fake_server):
+        cut = self.OK.index(b"\r\n\r\n") + 6
+        server = fake_server(lambda c, r: [self.OK[:20], self.OK[20:cut], self.OK[cut:]])
+        client = server.client()
+        assert client.estimate(self.QUERY) == 5.0
+        assert client.estimate(self.QUERY) == 5.0
+        assert server.connections == 1
+        client.close()
+
+    def test_surplus_bytes_frame_the_next_response(self, fake_server):
+        second = _response(200, {"estimate": 7.0})
+        server = fake_server(lambda c, r: self.OK + second if r == 1 else b"")
+        client = server.client()
+        assert client.estimate(self.QUERY) == 5.0
+        assert client.estimate(self.QUERY) == 7.0
+        assert server.connections == 1
+        client.close()
+
+    def test_connection_close_reply_reconnects_next_call(self, fake_server):
+        closing = _response(200, {"estimate": 5.0}, "Connection: close")
+        server = fake_server(lambda c, r: closing if r == 1 else None)
+        client = server.client(max_retries=0)
+        assert client.estimate(self.QUERY) == 5.0
+        assert client.estimate(self.QUERY) == 5.0
+        assert server.connections == 2
+        assert client.n_retries == 0
+        client.close()
+
+    def test_body_to_eof_without_content_length(self, fake_server):
+        body = json.dumps({"estimate": 3.0}).encode()
+        reply = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n" + body
+        server = fake_server(lambda c, r: reply if r == 1 else None)
+        client = server.client(max_retries=0)
+        assert client.estimate(self.QUERY) == 3.0
+        client.close()
+
+    def test_close_before_status_line_is_retried(self, fake_server):
+        server = fake_server(lambda c, r: None if c == 1 else self.OK)
+        client = server.client(max_retries=1, backoff_base_s=0.001)
+        assert client.estimate(self.QUERY) == 5.0
+        assert client.n_retries == 1
+        assert server.connections == 2
+        client.close()
+
+    def test_close_before_status_line_fails_fast(self, fake_server):
+        server = fake_server(lambda c, r: None)
+        client = server.client(max_retries=0)
+        with pytest.raises(ConnectionError):
+            client.estimate(self.QUERY)
+        assert server.requests == 1
+        client.close()
+
+    def test_garbage_status_line_is_a_connection_error(self, fake_server):
+        server = fake_server(lambda c, r: b"garbage\r\n\r\n")
+        client = server.client(max_retries=0)
+        with pytest.raises(ConnectionError, match="status line"):
+            client.estimate(self.QUERY)
+        client.close()
+
+    def test_chunked_reply_is_refused(self, fake_server):
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"
+        server = fake_server(lambda c, r: reply)
+        client = server.client(max_retries=0)
+        with pytest.raises(ServingError, match="chunked"):
+            client.estimate(self.QUERY)
+        client.close()
+
+    def test_lower_case_retry_after_is_honoured(self, fake_server, monkeypatch):
+        shed = _response(503, {"error": "shed"}, "retry-after: 2")
+        server = fake_server(lambda c, r: self.OK if r == 2 else shed)
+        sleeps = []
+        monkeypatch.setattr(http_client.time, "sleep", sleeps.append)
+        client = server.client(max_retries=1, backoff_base_s=0.001)
+        assert client.estimate(self.QUERY) == 5.0
+        assert sleeps == [2.0]
+        status, headers, _ = client._request("GET", "/healthz")
+        assert status == 503
+        assert headers["Retry-After"] == headers.get("RETRY-AFTER") == "2"
+        client.close()
+
+
+class TestAnsweredFutures:
+    """An already-answered future maps errors exactly like an awaited one."""
+
+    @pytest.mark.parametrize("answered", [True, False], ids=["done", "awaited"])
+    @pytest.mark.parametrize(
+        "exc, status",
+        [
+            (QueryError("bad column"), 400),
+            (ServingError("breaker open"), 503),
+            (DeadlineError("expired in queue"), 504),
+        ],
+        ids=["query", "serving", "deadline"],
+    )
+    def test_error_status_and_body(self, monkeypatch, exc, status, answered):
+        service = EstimationService()
+        service.register("m", FakeModel(tag=1.0))
+
+        def submit(query, **kwargs):
+            future = Future()
+            if answered:
+                future.set_exception(exc)
+            else:
+                threading.Timer(0.02, future.set_exception, (exc,)).start()
+            return future
+
+        monkeypatch.setattr(service, "submit", submit)
+        with HttpServerThread(service, HttpConfig(port=0)) as server:
+            client = HttpEstimationClient(server.host, server.port, "m")
+            got, _, payload = client._request(
+                "POST",
+                "/v1/models/m/estimate",
+                json.dumps({"query": {"tables": ["R"]}}).encode(),
+            )
+            client.close()
+        service.close()
+        assert got == status
+        assert json.loads(payload.decode()) == {"error": str(exc)}
