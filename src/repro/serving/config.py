@@ -223,13 +223,9 @@ class ServingConfig:
     max_wait_us: int = 2000
     #: Plan-keyed LRU result-cache entries per model (0 disables).
     cache_size: int = 1024
-    #: Default progressive-sample count (None = each model's config).
+    #: Progressive-sample count every request is answered with (None =
+    #: each model's config). Requests cannot override it.
     n_samples: Optional[int] = None
-    #: Default variance-adaptive sampling bound: queries probe with a small
-    #: walk and escalate to the full ``n_samples`` only when their relative
-    #: standard error exceeds this (None = fixed-samples serving). Requests
-    #: may override it per call.
-    max_rel_var: Optional[float] = None
 
     # -- registry -----------------------------------------------------
     #: Byte budget for resident models (None = unbounded).
@@ -292,8 +288,6 @@ class ServingConfig:
             raise ServingError("cache_size must be >= 0 (0 disables caching)")
         if self.n_samples is not None and self.n_samples < 1:
             raise ServingError("n_samples must be >= 1 (or None for per-model default)")
-        if self.max_rel_var is not None and self.max_rel_var < 0:
-            raise ServingError("max_rel_var must be >= 0 (or None for fixed samples)")
         if self.budget_bytes is not None and self.budget_bytes <= 0:
             raise ServingError("budget_bytes must be positive (or None for unbounded)")
         if self.workers < 0:
@@ -382,7 +376,6 @@ class ServingConfig:
             max_wait_us=self.max_wait_us,
             cache_size=self.cache_size,
             n_samples=self.n_samples,
-            max_rel_var=self.max_rel_var,
         )
 
     def pool_opts(self) -> dict:

@@ -9,12 +9,11 @@ only — no framework dependency) exposing an
     bodies, queries in the JSON filter DSL of
     :mod:`repro.relational.dsl`. Optional ``seed``/``seeds`` pin
     per-query generators (the wire answer is then bitwise-equal to the
-    in-process scheduler's), ``n_samples`` overrides the progressive
-    sample count, ``max_rel_var`` opts the request into
-    variance-adaptive sampling (probe walk, escalate only past the
-    bound), and ``deadline_ms`` bounds the whole request —
-    requests predicted to miss it are shed with 503 *before* consuming
-    scheduler batch slots (see :mod:`repro.serving.admission`).
+    in-process scheduler's), and ``deadline_ms`` bounds the whole
+    request — requests predicted to miss it are shed with 503 *before*
+    consuming scheduler batch slots (see :mod:`repro.serving.admission`).
+    The sample count is the served model's one configured setting;
+    bodies cannot override it.
     With an estimator cascade attached (:mod:`repro.serving.cascade`),
     ``budget_ms``/``max_q_error`` set the per-query routing contract and
     responses carry ``"tier"`` (or per-query ``"tiers"``) naming the
@@ -83,8 +82,6 @@ _ESTIMATE_KEYS = frozenset(
         "queries",
         "seed",
         "seeds",
-        "n_samples",
-        "max_rel_var",
         "deadline_ms",
         "budget_ms",
         "max_q_error",
@@ -389,10 +386,7 @@ class EstimationHttpServer:
             self._shed.inc(tenant=tenant, reason="draining")
             return finish(503, {"error": "server is draining"}, [("Retry-After", "1")])
         try:
-            (
-                queries, seeds, single, n_samples, max_rel_var, deadline_s,
-                budget_ms, max_q_error,
-            ) = self._parse_estimate(body)
+            queries, seeds, single, deadline_s, budget_ms, max_q_error = self._parse_estimate(body)
         except _BadRequest as exc:
             return finish(400, {"error": str(exc)})
         if model not in self.service.registry:
@@ -419,8 +413,7 @@ class EstimationHttpServer:
             try:
                 futures = [
                     self.service.submit(
-                        query, model=model, seed=seed, n_samples=n_samples,
-                        max_rel_var=max_rel_var, deadline=abs_deadline,
+                        query, model=model, seed=seed, deadline=abs_deadline,
                         budget_ms=budget_ms, max_q_error=max_q_error,
                     )
                     for query, seed in zip(queries, seeds)
@@ -507,21 +500,17 @@ class EstimationHttpServer:
         if not isinstance(seeds, list) or len(seeds) != len(raw_queries):
             raise _BadRequest("'seeds' must be a list matching 'queries' in length")
         for seed in seeds:
-            if seed is not None and not isinstance(seed, int):
-                raise _BadRequest("seeds must be integers (or null)")
-        n_samples = doc.get("n_samples")
-        if n_samples is not None and (not isinstance(n_samples, int) or n_samples < 1):
-            raise _BadRequest("'n_samples' must be a positive integer")
-        max_rel_var = doc.get("max_rel_var")
-        if max_rel_var is not None:
-            if not isinstance(max_rel_var, (int, float)) or isinstance(
-                max_rel_var, bool
-            ) or max_rel_var < 0:
-                raise _BadRequest("'max_rel_var' must be a non-negative number")
-            max_rel_var = float(max_rel_var)
+            if seed is not None and (
+                not isinstance(seed, int) or isinstance(seed, bool) or seed < 0
+            ):
+                raise _BadRequest("seeds must be non-negative integers (or null)")
         deadline_ms = doc.get("deadline_ms", self.config.default_deadline_ms)
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            if (
+                not isinstance(deadline_ms, (int, float))
+                or isinstance(deadline_ms, bool)
+                or deadline_ms <= 0
+            ):
                 raise _BadRequest("'deadline_ms' must be a positive number")
         budget_ms = doc.get("budget_ms")
         if budget_ms is not None:
@@ -546,10 +535,7 @@ class EstimationHttpServer:
         except QueryError as exc:
             raise _BadRequest(str(exc)) from exc
         deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None
-        return (
-            queries, seeds, single, n_samples, max_rel_var, deadline_s,
-            budget_ms, max_q_error,
-        )
+        return queries, seeds, single, deadline_s, budget_ms, max_q_error
 
     # ------------------------------------------------------------------
     # GET /healthz

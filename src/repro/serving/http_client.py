@@ -289,8 +289,6 @@ class HttpEstimationClient:
         query: Query,
         *,
         seed: Optional[int] = None,
-        n_samples: Optional[int] = None,
-        max_rel_var: Optional[float] = None,
         deadline_ms: Optional[float] = None,
         budget_ms: Optional[float] = None,
         max_q_error: Optional[float] = None,
@@ -304,10 +302,6 @@ class HttpEstimationClient:
         body: Dict[str, object] = {"query": query_to_dict(query)}
         if seed is not None:
             body["seed"] = seed
-        if n_samples is not None:
-            body["n_samples"] = n_samples
-        if max_rel_var is not None:
-            body["max_rel_var"] = max_rel_var
         if deadline_ms is not None:
             body["deadline_ms"] = deadline_ms
         if budget_ms is not None:
@@ -323,8 +317,6 @@ class HttpEstimationClient:
         queries: Sequence[Query],
         *,
         seeds: Optional[Sequence[Optional[int]]] = None,
-        n_samples: Optional[int] = None,
-        max_rel_var: Optional[float] = None,
         deadline_ms: Optional[float] = None,
         budget_ms: Optional[float] = None,
         max_q_error: Optional[float] = None,
@@ -339,10 +331,6 @@ class HttpEstimationClient:
         }
         if seeds is not None:
             body["seeds"] = list(seeds)
-        if n_samples is not None:
-            body["n_samples"] = n_samples
-        if max_rel_var is not None:
-            body["max_rel_var"] = max_rel_var
         if deadline_ms is not None:
             body["deadline_ms"] = deadline_ms
         if budget_ms is not None:

@@ -31,11 +31,14 @@ round-off depends on how many rows share the batch, so coalescing
 reproduces its answers to ~1e-9 (reference engine) or <= 5e-6 (fp32
 kernels) relative rather than bit for bit (``docs/architecture.md``).
 
+Every request is answered with the one ``n_samples`` the scheduler was
+built with (None: the model's own default), so a flush is one
+``estimate_batch`` / ``submit_batch`` call.
+
 Results are cached in an LRU keyed on the *canonicalized plan* —
-``(model version, table set + predicate regions, seed, n_samples,
-max_rel_var)`` — so textually different but semantically identical
-predicates coalesce, and a registry hot-swap (version bump) invalidates
-every stale entry at once.
+``(model version, table set + predicate regions, seed)`` — so textually
+different but semantically identical predicates coalesce, and a registry
+hot-swap (version bump) invalidates every stale entry at once.
 
 Failure semantics mirror :class:`~repro.errors.SamplerError`'s fail-fast
 contract: if a batched inference call raises, every future in that batch
@@ -54,7 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DeadlineError, ServingError
+from repro.errors import DeadlineError, QueryError, ServingError
 from repro.relational.query import Query
 from repro.serving import faults
 from repro.serving.metrics import Histogram
@@ -86,8 +89,6 @@ def queue_wait_histogram() -> Histogram:
 class _Request:
     query: Query
     seed: Optional[int]
-    n_samples: Optional[int]
-    max_rel_var: Optional[float]
     future: Future
     cache_key: Optional[tuple]
     submitted_at: float
@@ -108,8 +109,8 @@ class MicroBatchScheduler:
 
     ``executor`` (optional) offloads flushed micro-batches instead of
     executing them inline on the flusher thread: anything with
-    ``submit_batch(model, version, queries, rngs=..., n_samples=...,
-    max_rel_var=...) -> Future`` works, in practice a
+    ``submit_batch(model, version, queries, rngs=..., n_samples=...)
+    -> Future`` works, in practice a
     :class:`~repro.serving.workers.WorkerPool` that shards the batch
     across processes. Request coalescing, per-request seeds, the
     version-keyed result cache, and fail-fast error chaining behave
@@ -125,7 +126,6 @@ class MicroBatchScheduler:
         max_wait_us: int = 2000,
         cache_size: int = 1024,
         n_samples: Optional[int] = None,
-        max_rel_var: Optional[float] = None,
         name: str = "model",
         executor=None,
     ):
@@ -135,15 +135,12 @@ class MicroBatchScheduler:
             raise ServingError("max_wait_us must be >= 0")
         if cache_size < 0:
             raise ServingError("cache_size must be >= 0 (0 disables caching)")
-        if max_rel_var is not None and max_rel_var < 0:
-            raise ServingError("max_rel_var must be >= 0 (or None to disable)")
         self._source = source
         self._executor = executor
         self.max_batch = max_batch
         self.max_wait_s = max_wait_us / 1e6
         self.cache_size = cache_size
         self.n_samples = n_samples
-        self.max_rel_var = max_rel_var
         self.name = name
         self._queue: List[_Request] = []
         self._cache: "OrderedDict[tuple, float]" = OrderedDict()
@@ -187,20 +184,14 @@ class MicroBatchScheduler:
         query: Query,
         *,
         seed: Optional[int] = None,
-        n_samples: Optional[int] = None,
-        max_rel_var: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> Future:
         """Enqueue one query; returns a Future resolving to its COUNT(*) estimate.
 
         Invalid queries (unknown tables/columns, disconnected join graphs)
-        fail *here*, synchronously, so one bad request never poisons the
-        batch it would have joined.
-
-        ``max_rel_var`` opts the request into variance-adaptive sampling
-        (probe walk first, escalate to the full ``n_samples`` only when the
-        relative standard error exceeds the bound); it is part of the result
-        cache key, so adaptive and fixed-samples results never alias.
+        and a ``seed`` that is neither None nor a non-negative integer fail
+        *here*, synchronously, with :class:`~repro.errors.QueryError`, so one
+        bad request never poisons the batch it would have joined.
 
         ``deadline`` is an absolute ``time.monotonic()`` instant: a request
         still queued when it passes is failed with
@@ -208,12 +199,12 @@ class MicroBatchScheduler:
         occupying a slot in a batch whose answer nobody is waiting for.
         """
         submitted_at = time.perf_counter()
+        if seed is not None and (
+            isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
+        ):
+            raise QueryError(f"seed must be a non-negative integer, got {seed!r}")
         model, version = self._source()
-        n_samples = n_samples if n_samples is not None else self.n_samples
-        max_rel_var = max_rel_var if max_rel_var is not None else self.max_rel_var
-        if max_rel_var is not None and max_rel_var < 0:
-            raise ServingError("max_rel_var must be >= 0 (or None to disable)")
-        key = self._cache_key(model, version, query, seed, n_samples, max_rel_var)
+        key = self._cache_key(model, version, query, seed)
         future: Future = Future()
         with self._work:
             if self._closed:
@@ -232,12 +223,7 @@ class MicroBatchScheduler:
             future.add_done_callback(self._cancelled)
             self._outstanding += 1
             self._expected = max(self._expected, self._outstanding)
-            self._queue.append(
-                _Request(
-                    query, seed, n_samples, max_rel_var, future, key,
-                    submitted_at, deadline,
-                )
-            )
+            self._queue.append(_Request(query, seed, future, key, submitted_at, deadline))
             self._work.notify()
         return future
 
@@ -267,7 +253,7 @@ class MicroBatchScheduler:
 
     def stats(self) -> Dict[str, float]:
         with self._lock:
-            out = {
+            return {
                 "requests": self.n_requests,
                 "batches": self.n_batches,
                 "cache_hits": self.n_cache_hits,
@@ -285,30 +271,6 @@ class MicroBatchScheduler:
                     else 0.0
                 ),
             }
-        out.update(self._engine_stats())
-        return out
-
-    def _engine_stats(self) -> Dict[str, float]:
-        """Inference-engine telemetry riding the scheduler's stats.
-
-        Surfaces the engine's variance-adaptive counters (``adaptive_*``) —
-        from here they reach ``/healthz`` and the ``repro_scheduler_stat``
-        gauges on ``/metrics``. Duck-typed models without that surface
-        contribute nothing.
-        """
-        try:
-            model, _version = self._source()
-        except BaseException:
-            return {}  # registry failure: submit() reports it, stats stay up
-        inference = getattr(model, "inference", None)
-        if inference is None and hasattr(model, "plan"):
-            inference = model
-        if inference is None:
-            return {}
-        adaptive = getattr(inference, "adaptive_stats", None)
-        if not callable(adaptive):
-            return {}
-        return {k: float(v) for k, v in adaptive().items()}
 
     def close(self) -> None:
         """Drain pending requests, stop the flusher. Idempotent."""
@@ -454,33 +416,13 @@ class MicroBatchScheduler:
         except BaseException as exc:  # registry failure: fail the whole batch
             self._fail(batch, exc)
             return
-        # One estimate_batch per distinct (n_samples, max_rel_var) pair (the
-        # packed token matrix is rectangular, and the adaptive probe/escalate
-        # split applies per call); in steady state every request uses the
-        # defaults and the whole batch is one group.
-        groups: Dict[Tuple[Optional[int], Optional[float]], List[_Request]] = {}
-        for request in batch:
-            groups.setdefault((request.n_samples, request.max_rel_var), []).append(
-                request
-            )
-        for (n_samples, max_rel_var), requests in groups.items():
-            self._flush_group(model, version, n_samples, max_rel_var, requests)
-
-    def _flush_group(
-        self,
-        model,
-        version: int,
-        n_samples: Optional[int],
-        max_rel_var: Optional[float],
-        requests: List[_Request],
-    ) -> None:
         rngs = [
             np.random.default_rng(r.seed) if r.seed is not None
             else self._rng.spawn(1)[0]
-            for r in requests
+            for r in batch
         ]
         dispatched_at = time.perf_counter()
-        for request in requests:
+        for request in batch:
             self.queue_wait.observe(
                 dispatched_at - request.submitted_at, model=self.name
             )
@@ -496,25 +438,18 @@ class MicroBatchScheduler:
                 pooled = self._executor.submit_batch(
                     model,
                     version,
-                    [r.query for r in requests],
+                    [r.query for r in batch],
                     rngs=rngs,
-                    n_samples=n_samples,
-                    max_rel_var=max_rel_var,
+                    n_samples=self.n_samples,
                 )
             except BaseException as exc:
-                self._fail(requests, exc)
+                self._fail(batch, exc)
                 return
-            pooled.add_done_callback(
-                lambda f, requests=requests, version=version: (
-                    self._complete_pooled(requests, version, f)
-                )
-            )
+            pooled.add_done_callback(lambda f: self._complete_pooled(batch, version, f))
             return
         kwargs = {"rngs": rngs}
-        if n_samples is not None:
-            kwargs["n_samples"] = n_samples
-        if max_rel_var is not None:
-            kwargs["max_rel_var"] = max_rel_var
+        if self.n_samples is not None:
+            kwargs["n_samples"] = self.n_samples
         try:
             # Chaos seam: fires inside the try so an injected fault fails
             # this batch's futures (the contract under test), never the
@@ -522,11 +457,11 @@ class MicroBatchScheduler:
             injector = faults.get_active()
             if injector is not None:
                 injector.check("scheduler.flush")
-            estimates = model.estimate_batch([r.query for r in requests], **kwargs)
+            estimates = model.estimate_batch([r.query for r in batch], **kwargs)
         except BaseException as exc:
-            self._fail(requests, exc)
+            self._fail(batch, exc)
             return
-        self._resolve_batch(requests, version, estimates)
+        self._resolve_batch(batch, version, estimates)
 
     def _complete_pooled(
         self, requests: List[_Request], version: int, pooled: Future
@@ -591,8 +526,6 @@ class MicroBatchScheduler:
         version: int,
         query: Query,
         seed: Optional[int],
-        n_samples: Optional[int],
-        max_rel_var: Optional[float],
     ) -> Optional[tuple]:
         """Canonical result-cache key, or None when the query can't be keyed.
 
@@ -618,4 +551,4 @@ class MicroBatchScheduler:
                 hash(plan_key)
             except TypeError:
                 return None
-        return (version, plan_key, seed, n_samples, max_rel_var)
+        return (version, plan_key, seed)

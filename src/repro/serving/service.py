@@ -404,8 +404,6 @@ class EstimationService:
         *,
         model: Optional[str] = None,
         seed: Optional[int] = None,
-        n_samples: Optional[int] = None,
-        max_rel_var: Optional[float] = None,
         deadline: Optional[float] = None,
         budget_ms: Optional[float] = None,
         max_q_error: Optional[float] = None,
@@ -442,26 +440,12 @@ class EstimationService:
                     return inline
                 # Tier raised a serving (non-Query) error: escalate this
                 # query to the neural tier instead of failing the caller.
-            future = self._submit_neural(
-                name,
-                query,
-                seed=seed,
-                n_samples=n_samples,
-                max_rel_var=max_rel_var,
-                deadline=deadline,
-            )
+            future = self._submit_neural(name, query, seed=seed, deadline=deadline)
             final_name = cascade.final_tier.name
             cascade.record_answer(final_name)
             future.tier = final_name
             return future
-        return self._submit_neural(
-            name,
-            query,
-            seed=seed,
-            n_samples=n_samples,
-            max_rel_var=max_rel_var,
-            deadline=deadline,
-        )
+        return self._submit_neural(name, query, seed=seed, deadline=deadline)
 
     def _answer_inline(
         self,
@@ -503,8 +487,6 @@ class EstimationService:
         query: Query,
         *,
         seed: Optional[int],
-        n_samples: Optional[int],
-        max_rel_var: Optional[float],
         deadline: Optional[float],
     ) -> Future:
         """The pre-cascade submit path: scheduler + breaker/fallback cascade."""
@@ -512,13 +494,7 @@ class EstimationService:
         if fallback is None:
             # No fallback registered: original semantics, untouched — the
             # breaker isn't even consulted, so errors surface verbatim.
-            return self.scheduler(name).submit(
-                query,
-                seed=seed,
-                n_samples=n_samples,
-                max_rel_var=max_rel_var,
-                deadline=deadline,
-            )
+            return self.scheduler(name).submit(query, seed=seed, deadline=deadline)
 
         breaker = self.breaker(name)
         route = breaker.allow()
@@ -531,13 +507,7 @@ class EstimationService:
 
         probe = route == PROBE
         try:
-            inner = self.scheduler(name).submit(
-                query,
-                seed=seed,
-                n_samples=n_samples,
-                max_rel_var=max_rel_var,
-                deadline=deadline,
-            )
+            inner = self.scheduler(name).submit(query, seed=seed, deadline=deadline)
         except QueryError:
             if probe:
                 breaker.record_success(probe=True)  # release the probe slot

@@ -231,7 +231,7 @@ def _worker_main(slot: int, conn) -> None:
                     continue
                 conn.send(("ready", slot, state.version))
             elif kind == "batch":
-                _, chunk_id, version, queries, rngs, n_samples, max_rel_var = msg
+                _, chunk_id, version, queries, rngs, n_samples = msg
                 try:
                     injector = faults.get_active()
                     if injector is not None:
@@ -247,8 +247,6 @@ def _worker_main(slot: int, conn) -> None:
                     kwargs = {"rngs": rngs}
                     if n_samples is not None:
                         kwargs["n_samples"] = n_samples
-                    if max_rel_var is not None:
-                        kwargs["max_rel_var"] = max_rel_var
                     values = state.est.estimate_batch(queries, **kwargs)
                     conn.send(("result", slot, chunk_id, [float(v) for v in values]))
                 except BaseException as exc:
@@ -603,13 +601,8 @@ class WorkerPool:
         *,
         rngs: Sequence[np.random.Generator],
         n_samples: Optional[int] = None,
-        max_rel_var: Optional[float] = None,
     ) -> Future:
         """Shard one micro-batch across the pool; future -> ordered array.
-
-        ``max_rel_var`` rides each shard's pipe message: sharding cannot
-        change any query's result because the adaptive probe draws from a
-        child stream spawned off that query's own generator.
 
         Publishes ``version`` first when it is ahead of the pool (the
         in-band model message precedes the shards on every worker pipe, so
@@ -650,7 +643,7 @@ class WorkerPool:
                     try:
                         handle.send(
                             ("batch", chunk_id, version,
-                             queries[lo:hi], rngs[lo:hi], n_samples, max_rel_var)
+                             queries[lo:hi], rngs[lo:hi], n_samples)
                         )
                     except Exception as exc:
                         with self._lock:
@@ -665,8 +658,6 @@ class WorkerPool:
             kwargs = {"rngs": rngs}
             if n_samples is not None:
                 kwargs["n_samples"] = n_samples
-            if max_rel_var is not None:
-                kwargs["max_rel_var"] = max_rel_var
             try:
                 pending.future.set_result(
                     np.asarray(model.estimate_batch(queries, **kwargs), dtype=np.float64)
@@ -735,14 +726,9 @@ class WorkerPool:
             return self._published_model, self._published_version
 
     def estimate(self, query: Query, *, seed: Optional[int] = None,
-                 n_samples: Optional[int] = None,
-                 max_rel_var: Optional[float] = None) -> float:
+                 n_samples: Optional[int] = None) -> float:
         """Blocking single-query estimate on the pool (client protocol)."""
-        return float(
-            self.submit(
-                query, seed=seed, n_samples=n_samples, max_rel_var=max_rel_var
-            ).result()
-        )
+        return float(self.submit(query, seed=seed, n_samples=n_samples).result())
 
     def estimate_batch(
         self,
@@ -750,7 +736,6 @@ class WorkerPool:
         *,
         n_samples: Optional[int] = None,
         rngs: Optional[Sequence[np.random.Generator]] = None,
-        max_rel_var: Optional[float] = None,
     ) -> np.ndarray:
         """Sharded batch estimate; same contract as the inline engines."""
         queries = list(queries)
@@ -758,16 +743,11 @@ class WorkerPool:
         if rngs is None:
             with self._lock:
                 rngs = list(self._rng.spawn(len(queries)))
-        return np.asarray(
-            self.submit_batch(
-                model, version, queries, rngs=list(rngs), n_samples=n_samples,
-                max_rel_var=max_rel_var,
-            ).result()
-        )
+        pooled = self.submit_batch(model, version, queries, rngs=list(rngs), n_samples=n_samples)
+        return np.asarray(pooled.result())
 
     def submit(self, query: Query, *, seed: Optional[int] = None,
-               n_samples: Optional[int] = None,
-               max_rel_var: Optional[float] = None) -> Future:
+               n_samples: Optional[int] = None) -> Future:
         """One query as a Future (scheduler-compatible client surface)."""
         model, version = self._client_source()
         if seed is not None:
@@ -775,10 +755,7 @@ class WorkerPool:
         else:
             with self._lock:
                 rng = self._rng.spawn(1)[0]
-        inner = self.submit_batch(
-            model, version, [query], rngs=[rng], n_samples=n_samples,
-            max_rel_var=max_rel_var,
-        )
+        inner = self.submit_batch(model, version, [query], rngs=[rng], n_samples=n_samples)
         out: Future = Future()
 
         def relay(done: Future) -> None:

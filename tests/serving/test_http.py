@@ -65,13 +65,6 @@ class TestWireEquivalence:
         )
         assert np.array_equal(wire, ref)
 
-    def test_n_samples_override_travels(self, http_stack, client, workload):
-        service, _ = http_stack
-        query = workload[0]
-        assert client.estimate(query, seed=9, n_samples=32) == (
-            service.submit(query, seed=9, n_samples=32).result()
-        )
-
     def test_harness_drives_the_wire_client(self, client, workload):
         """evaluate_estimator accepts the HTTP adapter unchanged."""
         schema = correlated_schema(n_root=12, seed=4)
@@ -129,6 +122,62 @@ class TestBadRequests:
         status, doc = self._post_raw(client, json.dumps(body).encode())
         assert status == 400
         assert "unsupported filter op" in doc["error"]
+
+    def _post_before_admission(self, http_stack, client, body: dict):
+        """POST ``body``; asserts admission neither admitted nor shed it."""
+        admission = http_stack[1].server.admission
+        shed_before = dict(admission.stats()["shed"])
+        admitted_before = sum(admission.admitted.values())
+        status, doc = self._post_raw(client, json.dumps(body).encode())
+        assert admission.stats()["shed"] == shed_before
+        assert sum(admission.admitted.values()) == admitted_before
+        return status, doc
+
+    @pytest.mark.parametrize(
+        "field, value", [("n_samples", 32), ("max_rel_var", 0.05)]
+    )
+    def test_per_request_sampling_override_is_unknown_key(
+        self, http_stack, client, field, value
+    ):
+        body = {"query": {"tables": ["R"]}, field: value}
+        status, doc = self._post_before_admission(http_stack, client, body)
+        assert status == 400
+        assert "unknown body key" in doc["error"] and field in doc["error"]
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["deadline_ms", "max_q_error", "budget_ms"])
+    def test_boolean_number_field_is_400(self, http_stack, client, field, value):
+        body = {"query": {"tables": ["R"]}, field: value}
+        status, doc = self._post_before_admission(http_stack, client, body)
+        assert status == 400
+        assert field in doc["error"]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"query": {"tables": ["R"]}, "seed": -1},
+            {"queries": [{"tables": ["R"]}, {"tables": ["R"]}], "seeds": [0, -1]},
+            {"query": {"tables": ["R"]}, "seed": True},
+        ],
+        ids=["negative", "negative-in-seeds", "bool"],
+    )
+    def test_bad_seed_is_400_and_the_model_keeps_serving(
+        self, oracle_engine, workload, body
+    ):
+        service = EstimationService()
+        service.register("oracle", oracle_engine)
+        with HttpServerThread(service, HttpConfig(port=0)) as server:
+            client = HttpEstimationClient(server.host, server.port, "oracle")
+            status, doc = self._post_before_admission(
+                (service, server), client, body
+            )
+            assert status == 400
+            assert "non-negative integers" in doc["error"]
+            assert client.estimate(workload[0], seed=7) == service.estimate(
+                workload[0], seed=7
+            )
+            client.close()
+        service.close()
 
     def test_unknown_column_is_400(self, client):
         """Submit-time validation (plan/layout) surfaces as a 400, not a 500."""

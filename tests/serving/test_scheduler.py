@@ -64,7 +64,7 @@ class ThreadExecutor:
     def __init__(self):
         self._threads = ThreadPoolExecutor(max_workers=4)
 
-    def submit_batch(self, model, version, queries, *, rngs, n_samples, max_rel_var):
+    def submit_batch(self, model, version, queries, *, rngs, n_samples):
         return self._threads.submit(model.estimate_batch, queries, n_samples=n_samples, rngs=rngs)
 
     def close(self) -> None:
@@ -472,6 +472,26 @@ class TestFailureSemantics:
             with pytest.raises(QueryError):
                 scheduler.submit(bad)
 
+    @pytest.mark.parametrize(
+        "seeds", [[-1], [0, -1], [True], [1.5]],
+        ids=["negative", "negative-after-valid", "bool", "float"],
+    )
+    def test_bad_seed_fails_synchronously_and_scheduler_keeps_serving(
+        self, oracle_engine, workload, seeds
+    ):
+        q = workload[0]
+        pinned = oracle_engine.estimate(q, n_samples=64, rng=np.random.default_rng(7))
+        with MicroBatchScheduler(
+            fixed_source(oracle_engine), max_batch=4, max_wait_us=1_000,
+            cache_size=0, n_samples=64,
+        ) as scheduler:
+            valid = [scheduler.submit(q, seed=s) for s in seeds[:-1]]
+            with pytest.raises(QueryError, match="seed"):
+                scheduler.submit(q, seed=seeds[-1])
+            assert all(f.result(timeout=30) > 0 for f in valid)
+            assert scheduler.submit(q, seed=7).result(timeout=30) == pinned
+            assert scheduler.submit(q, seed=np.int64(7)).result(timeout=30) == pinned
+
 
 class TestOracleEquivalence:
     def test_bitwise_equal_to_sequential_path(self, oracle_engine, workload):
@@ -490,19 +510,6 @@ class TestOracleEquivalence:
             ]
             coalesced = [f.result(timeout=30) for f in futures]
         assert coalesced == sequential  # bitwise, not approx
-
-    def test_mixed_n_samples_grouped_correctly(self, oracle_engine, workload):
-        q = workload[0]
-        a = oracle_engine.estimate(q, n_samples=64, rng=np.random.default_rng(9))
-        b = oracle_engine.estimate(q, n_samples=128, rng=np.random.default_rng(9))
-        with MicroBatchScheduler(
-            fixed_source(oracle_engine), max_batch=8, max_wait_us=50_000,
-            cache_size=0,
-        ) as scheduler:
-            fa = scheduler.submit(q, seed=9, n_samples=64)
-            fb = scheduler.submit(q, seed=9, n_samples=128)
-            assert fa.result(timeout=30) == a
-            assert fb.result(timeout=30) == b
 
 
 class TestResultCache:

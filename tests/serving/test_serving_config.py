@@ -89,6 +89,11 @@ def test_unknown_keys_are_hard_errors():
         ServingConfig.from_dict({"max_batchh": 32})
 
 
+def test_per_request_sampling_bound_is_not_a_config_field():
+    with pytest.raises(ServingError, match="max_rel_var"):
+        ServingConfig.from_dict({"max_rel_var": 0.1})
+
+
 # ----------------------------------------------------------------------
 # ServingConfig is the only way in: the pre-config keywords are gone
 # ----------------------------------------------------------------------
