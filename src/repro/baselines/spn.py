@@ -5,6 +5,8 @@ structure learning recursively splits *columns* into independent groups
 (product nodes; pairwise Spearman dependence below a threshold) and *rows*
 into clusters (sum nodes; k-means via scipy), bottoming out in histogram
 leaves. Probability queries evaluate conjunctive per-column regions.
+scipy (the ``test`` extra) is imported only when an SPN is fitted, so the
+rest of the library needs NumPy alone.
 
 :class:`DeepDBEstimator` mirrors DeepDB's recommended JOB-light setup: one
 single-table model on the fact table plus one 2-table model per (fact,
@@ -19,8 +21,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
-from scipy.stats import spearmanr
 
 from repro.core.regions import Region
 from repro.errors import EstimationError, QueryError
@@ -86,6 +86,8 @@ class _Sum:
 
 def _dependent_components(data: np.ndarray, threshold: float) -> List[List[int]]:
     """Column groups connected by |Spearman rho| >= threshold."""
+    from scipy.stats import spearmanr
+
     k = data.shape[1]
     adjacency = np.zeros((k, k), dtype=bool)
     for i in range(k):
@@ -142,6 +144,8 @@ class SPN:
         return _Product(children)
 
     def _build(self, data: np.ndarray, cols: List[int], depth: int) -> object:
+        from scipy.cluster.vq import kmeans2
+
         if len(cols) == 1:
             return _Product([(_Leaf(data[:, 0], self.domains[cols[0]]), cols)])
         if len(data) < self._min_rows or depth <= 0:

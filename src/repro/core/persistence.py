@@ -16,6 +16,7 @@ of a deep shape error inside weight copying.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -116,21 +117,31 @@ def _ordered_param_keys(files) -> list:
     )
 
 
+@contextlib.contextmanager
 def _open_artifact(path: Path):
-    """``np.load`` with corrupt containers mapped to :class:`PersistenceError`.
+    """The ``.npz`` archive at ``path``, with corrupt containers mapped to
+    :class:`PersistenceError`.
 
     Missing files keep raising ``FileNotFoundError`` (absent and corrupt
     are different operator problems); truncated or otherwise unreadable
-    archives raise a typed error naming the artifact.
+    archives raise a typed error naming the artifact. The file handle is
+    opened here rather than by ``np.load``, which leaks it when the archive
+    fails to open, and is closed on every exit path.
     """
-    try:
-        return np.load(path)
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, ValueError, EOFError, KeyError, OSError) as exc:
-        raise PersistenceError(
-            f"artifact {path} is corrupt or unreadable: {type(exc).__name__}: {exc}"
-        ) from exc
+    with contextlib.ExitStack() as stack:
+        try:
+            handle = stack.enter_context(open(path, "rb"))
+            archive = np.load(handle)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            stack.enter_context(archive)
+        except FileNotFoundError:
+            raise
+        except (zipfile.BadZipFile, ValueError, EOFError, KeyError, OSError) as exc:
+            raise PersistenceError(
+                f"artifact {path} is corrupt or unreadable: {type(exc).__name__}: {exc}"
+            ) from exc
+        yield archive
 
 
 def save_model(estimator: NeuroCard, path: str | Path) -> Path:

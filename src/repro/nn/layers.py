@@ -1,9 +1,10 @@
 """Neural layers with explicit forward/backward passes.
 
-Each layer caches what its backward pass needs during ``forward`` and
+Each layer caches what its backward pass needs during ``forward``,
 accumulates parameter gradients into :class:`Parameter.grad` during
-``backward`` (returning the gradient w.r.t. its input). Layers are stateful
-per call — a layer instance participates in one forward/backward pair at a
+``backward`` (returning the gradient w.r.t. its input) and then drops that
+cache, so a trained model holds no activations. Layers are stateful per
+call — a layer instance participates in one forward/backward pair at a
 time, which is all the training loops here require.
 """
 
@@ -60,13 +61,17 @@ class Linear:
             )
         self.mask = None if mask is None else mask.astype(dtype)
         self._x: Optional[np.ndarray] = None
+        self._w: Optional[np.ndarray] = None
 
     def effective_weight(self) -> np.ndarray:
         return self.W.value if self.mask is None else self.W.value * self.mask
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x @ self.effective_weight().T + self.b.value
+        # The masked weight is formed once here and reused by backward.
+        self._x, self._w = x, self.effective_weight()
+        out = x @ self._w.T
+        out += self.b.value
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -76,7 +81,9 @@ class Linear:
             dW *= self.mask
         self.W.grad += dW
         self.b.grad += grad_out.sum(axis=0)
-        return grad_out @ self.effective_weight()
+        grad_in = grad_out @ self._w
+        self._x = self._w = None
+        return grad_in
 
     def parameters(self) -> List[Parameter]:
         return [self.W, self.b]
@@ -109,17 +116,10 @@ class Embedding:
     def backward(self, grad_out: np.ndarray) -> None:
         if self._ids is None:
             raise TrainingError("backward called before forward")
-        # Sort + reduceat scatter-add: much faster than np.add.at.
-        order = np.argsort(self._ids, kind="stable")
-        sorted_ids = self._ids[order]
-        boundaries = np.empty(len(order), dtype=bool)
-        if len(order) == 0:
-            return
-        boundaries[0] = True
-        boundaries[1:] = sorted_ids[1:] != sorted_ids[:-1]
-        starts = np.flatnonzero(boundaries)
-        sums = np.add.reduceat(grad_out[order], starts, axis=0)
-        self.W.grad[sorted_ids[starts]] += sums
+        ids, self._ids = self._ids, None
+        if len(ids):
+            rows, sums = grouped_row_sums(ids, grad_out)
+            self.W.grad[rows] += sums
 
     def parameters(self) -> List[Parameter]:
         return [self.W]
@@ -136,7 +136,10 @@ class ReLU:
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._mask
+        """In place: ``grad_out`` is the fresh gradient the layer above returned."""
+        grad_out *= self._mask
+        self._mask = None
+        return grad_out
 
 
 class Sigmoid:
@@ -160,19 +163,58 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Mean NLL over the batch and its gradient w.r.t. the logits.
+def grouped_row_sums(ids: np.ndarray, rows: np.ndarray):
+    """The distinct ``ids`` ascending, and the sum of ``rows`` per id.
 
-    Computed in the logits' own dtype with in-place buffers; float32 is
-    numerically sufficient here (probabilities are clamped before the log).
+    ``ids`` must be non-empty. Sort + reduceat scatter-add (much faster
+    than ``np.add.at``): the sort is stable, so each group's rows are added
+    in their original order.
     """
-    batch = logits.shape[0]
-    rows = np.arange(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    picked = shifted[rows, targets]
-    loss = float(-np.log(np.maximum(picked, 1e-30)).mean())
-    shifted[rows, targets] -= 1.0
-    shifted /= batch
-    return loss, shifted
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    boundaries = np.empty(len(order), dtype=bool)
+    boundaries[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=boundaries[1:])
+    starts = np.flatnonzero(boundaries)
+    return sorted_ids[starts], np.add.reduceat(rows[order], starts, axis=0)
+
+
+def cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """Mean NLL over the batch and its gradient w.r.t. the logits."""
+    grad = np.array(logits)
+    targets = np.asarray(targets)[:, None]
+    loss = column_cross_entropy(grad, targets, np.array([0, grad.shape[1]]))
+    return float(loss[0]), grad
+
+
+def column_cross_entropy(
+    logits: np.ndarray, targets: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Per-column mean NLL of a row of softmax heads, written in place.
+
+    Column ``i``'s logits are ``logits[:, offsets[i]:offsets[i + 1]]`` and
+    its targets ``targets[:, i]``; on return ``logits`` holds the gradient.
+    Elementwise passes run once over the whole block, while each column's
+    row max and row sum reduce over that column's own slice, so every
+    column's loss and gradient are those of a softmax over it alone.
+    Computed in the logits' own dtype; float32 is numerically sufficient
+    here (probabilities are clamped before the log).
+    """
+    batch, width = logits.shape
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    if batch and (targets.min() < 0 or (targets.max(axis=0) >= sizes).any()):
+        raise TrainingError("target token outside its column's domain")
+    logits -= np.repeat(np.maximum.reduceat(logits, starts, axis=1), sizes, axis=1)
+    np.exp(logits, out=logits)
+    sums = np.empty((len(starts), batch), dtype=logits.dtype)
+    for i in range(len(starts)):
+        logits[:, offsets[i] : offsets[i + 1]].sum(axis=1, out=sums[i])
+    logits /= np.repeat(sums.T, sizes, axis=1)
+    # Flat positions of the targets, (columns, batch) in C order: each
+    # column's mean then reduces one contiguous row.
+    picked = np.ascontiguousarray(targets.T + starts[:, None] + np.arange(batch) * width)
+    flat = logits.reshape(-1)
+    loss = (-np.log(np.maximum(flat[picked], 1e-30))).mean(axis=1)
+    flat[picked] -= 1.0
+    logits /= batch
+    return loss

@@ -96,17 +96,38 @@ class Adam:
         return self.lr
 
     def step(self) -> None:
-        """Apply one update from the accumulated gradients."""
+        """Apply one update from the accumulated gradients.
+
+        The moment arithmetic is the plain Adam formula, written through
+        ``out=`` into scratch rows sized to the largest parameter (one
+        float64 pair, one row per gradient dtype) instead of a dozen fresh
+        temporaries per parameter.
+        """
         self._clip()
         self.t += 1
         lr = self.lr_at(self.t)
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
+        size = max((p.value.size for p in self.params), default=0)
+        num, den = np.empty(size), np.empty(size)
+        low = {dtype: np.empty(size, dtype) for dtype in {p.grad.dtype for p in self.params}}
         for p, m, v in zip(self.params, self._m, self._v):
             grad = p.grad
+            n = grad.size
+            g = low[grad.dtype][:n].reshape(grad.shape)
+            upd = num[:n].reshape(grad.shape)
+            root = den[:n].reshape(grad.shape)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            np.multiply(grad, 1.0 - self.beta1, out=g)
+            m += g
             v *= self.beta2
-            v += (1.0 - self.beta2) * (grad * grad)
-            update = (m / correction1) / (np.sqrt(v / correction2) + self.eps)
-            p.value -= (lr * update).astype(p.value.dtype, copy=False)
+            np.multiply(grad, grad, out=g)
+            g *= 1.0 - self.beta2
+            v += g
+            np.divide(v, correction2, out=root)
+            np.sqrt(root, out=root)
+            root += self.eps
+            np.divide(m, correction1, out=upd)
+            upd /= root
+            np.multiply(upd, lr, out=g, casting="same_kind")
+            p.value -= g

@@ -19,7 +19,15 @@ import numpy as np
 
 from repro.errors import TrainingError
 from repro.nn import masks as made_masks
-from repro.nn.layers import Embedding, Linear, Parameter, ReLU, cross_entropy, softmax
+from repro.nn.layers import (
+    Embedding,
+    Linear,
+    Parameter,
+    ReLU,
+    column_cross_entropy,
+    grouped_row_sums,
+    softmax,
+)
 
 
 class _ResidualBlock:
@@ -36,14 +44,16 @@ class _ResidualBlock:
         h = self.lin1.forward(h)
         h = self.relu2.forward(h)
         h = self.lin2.forward(h)
-        return x + h
+        h += x
+        return h
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         g = self.lin2.backward(grad)
         g = self.relu2.backward(g)
         g = self.lin1.backward(g)
         g = self.relu1.backward(g)
-        return grad + g
+        g += grad
+        return g
 
     def parameters(self) -> List[Parameter]:
         return self.lin1.parameters() + self.lin2.parameters()
@@ -113,6 +123,14 @@ class ResMADE:
             dtype=dtype,
         )
         self.offsets = np.concatenate([[0], np.cumsum(self.domains)])
+        # Embedding rows of all columns on one id axis (column i's rows start
+        # at vocab_offsets[i]): forward gathers them from the stacked tables
+        # in one pass and backward groups them with one sort, a radix sort
+        # while the ids fit in 16 bits.
+        self._mask_ids = np.array(self.domains)
+        self._vocab_offsets = np.concatenate([[0], np.cumsum(self._mask_ids + 1)])
+        self._id_dtype = np.min_scalar_type(int(self._vocab_offsets[-1]))
+        self._ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Forward / backward
@@ -122,13 +140,27 @@ class ResMADE:
             raise TrainingError(
                 f"tokens must be (batch, {self.n_columns}), got {tokens.shape}"
             )
-        pieces = []
+        ids = tokens if wildcard is None else np.where(wildcard, self._mask_ids, tokens)
+        bad = np.flatnonzero(
+            (ids.min(axis=0, initial=0) < 0) | (ids.max(axis=0, initial=0) > self._mask_ids)
+        )
+        if len(bad):
+            emb = self.embeddings[bad[0]]
+            raise TrainingError(f"{emb.W.name}: token id outside vocabulary of size {emb.vocab}")
+        self._ids = (ids + self._vocab_offsets[:-1]).astype(self._id_dtype).ravel()
+        table = np.concatenate([emb.W.value for emb in self.embeddings])
+        return table[self._ids].reshape(len(ids), self.n_columns * self.d_emb)
+
+    def _embed_backward(self, grad: np.ndarray) -> None:
+        """Scatter-add ``grad`` (batch, n_columns * d_emb) into the tables."""
+        ids, self._ids = self._ids, None
+        if not len(ids):
+            return
+        rows, sums = grouped_row_sums(ids, grad.reshape(len(ids), self.d_emb))
+        bounds = np.searchsorted(rows, self._vocab_offsets)
         for i, emb in enumerate(self.embeddings):
-            ids = tokens[:, i]
-            if wildcard is not None:
-                ids = np.where(wildcard[:, i], self.domains[i], ids)
-            pieces.append(emb.forward(ids))
-        return np.concatenate(pieces, axis=1)
+            lo, hi = bounds[i], bounds[i + 1]
+            emb.W.grad[rows[lo:hi] - self._vocab_offsets[i]] += sums[lo:hi]
 
     def forward_logits(
         self, tokens: np.ndarray, wildcard: Optional[np.ndarray] = None
@@ -199,20 +231,15 @@ class ResMADE:
     ) -> float:
         """Mean per-tuple NLL (nats) with gradients accumulated into params."""
         flat = self.forward_logits(tokens, wildcard)
+        # The softmax gradient is written over the logits.
         total_loss = 0.0
-        grad_flat = np.zeros_like(flat)
-        for i in range(self.n_columns):
-            logits = self.column_logits(flat, i)
-            loss, grad = cross_entropy(logits, tokens[:, i])
-            total_loss += loss
-            grad_flat[:, self.offsets[i] : self.offsets[i + 1]] = grad
-        g = self.output_linear.backward(grad_flat)
+        for loss in column_cross_entropy(flat, tokens, self.offsets):
+            total_loss += float(loss)
+        g = self.output_linear.backward(flat)
         g = self.final_relu.backward(g)
         for block in reversed(self.blocks):
             g = block.backward(g)
-        g = self.input_linear.backward(g)
-        for i, emb in enumerate(self.embeddings):
-            emb.backward(g[:, i * self.d_emb : (i + 1) * self.d_emb])
+        self._embed_backward(self.input_linear.backward(g))
         return total_loss
 
     # ------------------------------------------------------------------

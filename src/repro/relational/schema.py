@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.errors import ReproError, SchemaError
 from repro.relational.table import Table
 
@@ -83,8 +81,9 @@ class JoinSchema:
     def _validate(self) -> None:
         if self.root not in self.tables:
             raise SchemaError(f"root table {self.root!r} not in schema")
-        graph = nx.Graph()
-        graph.add_nodes_from(self.tables)
+        pairs = set()
+        neighbors: Dict[str, List[str]] = {name: [] for name in self.tables}
+        children: Dict[str, List[str]] = {name: [] for name in self.tables}
         for edge in self.edges:
             for endpoint in (edge.parent, edge.child):
                 if endpoint not in self.tables:
@@ -95,22 +94,29 @@ class JoinSchema:
                     self.tables[edge.child].column(ck)
                 except ReproError as exc:
                     raise SchemaError(f"edge {edge.name}: {exc}") from None
-            if graph.has_edge(edge.parent, edge.child):
+            pair = frozenset((edge.parent, edge.child))
+            if pair in pairs:
                 raise SchemaError(f"duplicate edge between {edge.parent} and {edge.child}")
-            graph.add_edge(edge.parent, edge.child)
+            pairs.add(pair)
+            neighbors[edge.parent].append(edge.child)
+            neighbors[edge.child].append(edge.parent)
+            children[edge.parent].append(edge.child)
+
+        def reached_from_root(adjacency: Dict[str, List[str]]) -> set:
+            seen, frontier = {self.root}, [self.root]
+            while frontier:
+                for nxt in adjacency[frontier.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            return seen
+
         if len(self.tables) > 1:
-            if not nx.is_connected(graph):
+            if len(reached_from_root(neighbors)) != len(self.tables):
                 raise SchemaError("join schema must be connected")
             if len(self.edges) != len(self.tables) - 1:
                 raise SchemaError("join schema must be acyclic (a tree)")
-        seen = {self.root}
-        frontier = [self.root]
-        while frontier:
-            table = frontier.pop()
-            for edge in self.edges:
-                if edge.parent == table and edge.child not in seen:
-                    seen.add(edge.child)
-                    frontier.append(edge.child)
+        seen = reached_from_root(children)
         if seen != set(self.tables):
             raise SchemaError(
                 "edge orientation does not form a tree rooted at "
@@ -195,12 +201,21 @@ class JoinSchema:
         return depths
 
     def path(self, source: str, target: str) -> List[str]:
-        """Unique path of tables from ``source`` to ``target``."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.tables)
-        for edge in self.edges:
-            graph.add_edge(edge.parent, edge.child)
-        return nx.shortest_path(graph, source, target)
+        """Unique path of tables from ``source`` to ``target``.
+
+        Climbs from both ends toward the root and joins the two climbs at
+        their lowest common ancestor.
+        """
+        for name in (source, target):
+            self.table(name)
+        up = [source]
+        while self._parent_edge[up[-1]] is not None:
+            up.append(self._parent_edge[up[-1]].parent)
+        steps_up = {name: i for i, name in enumerate(up)}
+        down = [target]
+        while down[-1] not in steps_up:
+            down.append(self._parent_edge[down[-1]].parent)
+        return up[: steps_up[down[-1]] + 1] + down[-2::-1]
 
     def edge_between(self, a: str, b: str) -> JoinEdge:
         """The edge connecting adjacent tables ``a`` and ``b``."""

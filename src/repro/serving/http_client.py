@@ -36,7 +36,7 @@ import random
 import socket
 import threading
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -67,6 +67,10 @@ class _Connection:
 
     def close(self) -> None:
         self.sock.close()
+
+    @property
+    def closed(self) -> bool:
+        return self.sock.fileno() < 0
 
     def _recv(self) -> bytes:
         chunk = self.sock.recv(65536)
@@ -175,26 +179,40 @@ class HttpEstimationClient:
         #: the server has no cascade attached). Per-call, not thread-safe.
         self.last_tier = None
         self._local = threading.local()
+        #: Every connection opened and not yet dropped, whichever thread
+        #: owns it, so :meth:`close` can end them all.
+        self._connections: Set[_Connection] = set()
+        self._connections_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
     def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
-        if conn is None:
+        if conn is None or conn.closed:
             conn = _Connection(self.host, self.port, self.timeout)
+            with self._connections_lock:
+                self._connections.add(conn)
             self._local.conn = conn
         return conn
 
     def _drop_connection(self) -> None:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
-            conn.close()
             self._local.conn = None
+            with self._connections_lock:
+                self._connections.discard(conn)
+            conn.close()
 
     def close(self) -> None:
-        """Close this thread's connection (others close on their threads)."""
-        self._drop_connection()
+        """Close every connection this client opened, on any thread.
+
+        A later call on any thread opens a fresh connection.
+        """
+        with self._connections_lock:
+            connections, self._connections = self._connections, set()
+        for conn in connections:
+            conn.close()
 
     def _backoff_delay(self, retry: int, retry_after: Optional[float]) -> float:
         """Sleep before retry number ``retry`` (0-based), honoring Retry-After."""

@@ -138,6 +138,15 @@ class TestValidation:
         with pytest.raises(TrainingError):
             model.forward_logits(np.zeros((4, 5), dtype=np.int64))
 
+    @pytest.mark.parametrize("column, token", [(0, 3), (1, 3), (0, -1), (1, 7)])
+    def test_token_outside_column_domain_rejected(self, column, token):
+        """A target may not spill into the next column's logits."""
+        model = ResMADE([3, 3], d_emb=4, d_ff=8, n_blocks=1)
+        tokens = np.zeros((4, 2), dtype=np.int64)
+        tokens[2, column] = token
+        with pytest.raises(TrainingError):
+            model.loss_and_backward(tokens)
+
     def test_size_accounting(self):
         model = ResMADE([10, 20], d_emb=4, d_ff=8, n_blocks=1)
         assert model.size_bytes == sum(p.value.nbytes for p in model.parameters())

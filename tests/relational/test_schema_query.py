@@ -14,6 +14,14 @@ def chain_schema():
     return paper_figure4_schema()
 
 
+def tree_schema():
+    """R -> {A -> {A1 -> A11, A2}, B}: siblings and a three-level branch."""
+    parent_of = {"A": "R", "B": "R", "A1": "A", "A2": "A", "A11": "A1"}
+    tables = {n: Table.from_dict(n, {"k": [1]}) for n in ["R", *parent_of]}
+    edges = [JoinEdge(p, c, (("k", "k"),)) for c, p in parent_of.items()]
+    return JoinSchema(tables=tables, edges=edges, root="R")
+
+
 class TestSchemaValidation:
     def test_valid_chain(self):
         schema = chain_schema()
@@ -29,8 +37,22 @@ class TestSchemaValidation:
     def test_disconnected_rejected(self):
         a = Table.from_dict("A", {"x": [1]})
         b = Table.from_dict("B", {"x": [1]})
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^join schema must be connected$"):
             JoinSchema(tables={"A": a, "B": b}, edges=[], root="A")
+        c = Table.from_dict("C", {"x": [1]})
+        with pytest.raises(SchemaError, match="^join schema must be connected$"):
+            JoinSchema(
+                tables={"A": a, "B": b, "C": c},
+                edges=[JoinEdge("A", "B", (("x", "x"),))],
+                root="A",
+            )
+
+    def test_duplicate_edge_rejected(self):
+        a = Table.from_dict("A", {"x": [1], "y": [1]})
+        b = Table.from_dict("B", {"x": [1], "y": [1]})
+        edges = [JoinEdge("A", "B", (("x", "x"),)), JoinEdge("A", "B", (("y", "y"),))]
+        with pytest.raises(SchemaError, match="^duplicate edge between A and B$"):
+            JoinSchema(tables={"A": a, "B": b}, edges=edges, root="A")
 
     def test_cycle_rejected(self):
         a = Table.from_dict("A", {"x": [1], "y": [1]})
@@ -83,9 +105,23 @@ class TestTopology:
         assert schema.query_root(["B", "C"]) == "B"
         assert schema.query_root(["C"]) == "C"
 
-    def test_path(self):
-        schema = chain_schema()
-        assert schema.path("A", "C") == ["A", "B", "C"]
+    @pytest.mark.parametrize(
+        "make_schema, source, target, expected",
+        [
+            (chain_schema, "A", "C", ["A", "B", "C"]),
+            (chain_schema, "C", "A", ["C", "B", "A"]),
+            (tree_schema, "A1", "A2", ["A1", "A", "A2"]),
+            (tree_schema, "A", "B", ["A", "R", "B"]),
+            (tree_schema, "A11", "B", ["A11", "A1", "A", "R", "B"]),
+            (tree_schema, "B", "A11", ["B", "R", "A", "A1", "A11"]),
+            (tree_schema, "R", "A11", ["R", "A", "A1", "A11"]),
+            (tree_schema, "A11", "A2", ["A11", "A1", "A", "A2"]),
+            (tree_schema, "A1", "A1", ["A1"]),
+        ],
+    )
+    def test_path(self, make_schema, source, target, expected):
+        schema = make_schema()
+        assert schema.path(source, target) == expected
 
     def test_fanout_edges_for_omitted(self):
         schema = chain_schema()

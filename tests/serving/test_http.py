@@ -76,6 +76,34 @@ class TestWireEquivalence:
         assert all(np.isfinite(e) and e >= 1.0 for e in result.errors)
 
 
+class TestClientConnections:
+    def test_close_ends_every_threads_connection(self, http_stack, workload):
+        service, server = http_stack
+        client = HttpEstimationClient(server.host, server.port, "oracle")
+        expected = service.estimate(workload[0], seed=1)
+        opened = []
+
+        def call():
+            assert client.estimate(workload[0], seed=1) == expected
+            opened.append(client._local.conn)
+
+        threads = [threading.Thread(target=call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        call()
+        assert len({id(conn) for conn in opened}) == 3
+        closer = threading.Thread(target=client.close)
+        closer.start()
+        closer.join()
+        assert all(conn.closed for conn in opened)
+        call()  # this thread's closed connection is replaced, not reused
+        assert not opened[-1].closed and opened[-1] is not opened[-2]
+        client.close()
+        assert opened[-1].closed
+
+
 class TestBadRequests:
     def _post_raw(self, client, body: bytes, path=None):
         status, _, payload = client._request(
