@@ -63,6 +63,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.core.oracle import OracleModel  # noqa: E402
 
 
+#: Columns the served oracle model leaves out; calibration never filters them.
+EXCLUDED_COLUMNS = ("R.id", "C.rid")
+
+
 def build_oracle_engine():
     """Two-table R |><| C oracle engine + schema (same shape as bench_http_api)."""
     rng = np.random.default_rng(7)
@@ -81,7 +85,7 @@ def build_oracle_engine():
         edges=[JoinEdge("R", "C", (("id", "rid"),))],
         root="R",
     )
-    oracle = OracleModel(schema, factorization_bits=2, exclude=("R.id", "C.rid"))
+    oracle = OracleModel(schema, factorization_bits=2, exclude=EXCLUDED_COLUMNS)
     from repro.core.progressive import ProgressiveSampler
 
     engine = ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size)
@@ -173,14 +177,16 @@ def main() -> None:
 
     print(f"calibration: {args.calibration_queries} held-out queries...")
     calib_queries = calibration_workload(
-        schema, n_queries=args.calibration_queries, easy_fraction=0.5, seed=21
+        schema, n_queries=args.calibration_queries, easy_fraction=0.5, seed=21,
+        exclude_columns=EXCLUDED_COLUMNS,
     )
     calib_truths = true_cardinalities(schema, calib_queries)
 
     # Serving traffic is disjoint from calibration (different seed) and
     # easy-heavy: 80% single-table, the shape cheap tiers should win.
     serve_queries = calibration_workload(
-        schema, n_queries=args.requests, easy_fraction=0.8, seed=22
+        schema, n_queries=args.requests, easy_fraction=0.8, seed=22,
+        exclude_columns=EXCLUDED_COLUMNS,
     )
     serve_truths = true_cardinalities(schema, serve_queries)
     requests = [(q, 1000 + i) for i, q in enumerate(serve_queries)]

@@ -8,8 +8,9 @@ narrow vs wide — see :class:`~repro.serving.cascade.QueryFeatures`), and
 something. :func:`calibration_workload` generates one for *any*
 :class:`~repro.relational.schema.JoinSchema` — unlike the JOB-specific
 generators in :mod:`repro.workloads.generators`, it discovers filterable
-columns from the schema itself (every non-join-key column), drawing
-literals from sampled tuples so results are non-empty by construction.
+columns from the schema itself (every non-join-key column the served model
+does not exclude), drawing literals from sampled tuples so results are
+non-empty by construction.
 
 Pair with :func:`repro.eval.harness.true_cardinalities` for the truth
 labels, then persist the calibration with
@@ -18,7 +19,7 @@ labels, then persist the calibration with
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -46,10 +47,13 @@ def join_key_columns(schema: JoinSchema) -> Set[Tuple[str, str]]:
     return keys
 
 
-def _filterable(schema: JoinSchema) -> Dict[str, List[str]]:
-    keys = join_key_columns(schema)
+def _filterable(
+    schema: JoinSchema, exclude_columns: Sequence[str]
+) -> Dict[str, List[str]]:
+    skip = join_key_columns(schema)
+    skip.update(tuple(name.split(".", 1)) for name in exclude_columns)
     return {
-        tname: [c for c in table.column_names if (tname, c) not in keys]
+        tname: [c for c in table.column_names if (tname, c) not in skip]
         for tname, table in schema.tables.items()
     }
 
@@ -60,6 +64,7 @@ def calibration_workload(
     easy_fraction: float = 0.5,
     seed: int = 0,
     counts: Optional[JoinCounts] = None,
+    exclude_columns: Sequence[str] = (),
 ) -> List[Query]:
     """Schema-agnostic held-out workload covering the router's query classes.
 
@@ -68,6 +73,10 @@ def calibration_workload(
     from a random anchor. Both halves mix equality and range operators
     so the ``1t|eq``, ``1t|rng``, ``nt|eq`` and ``nt|rng`` classes all
     accumulate calibration mass. Deterministic in ``seed``.
+
+    ``exclude_columns`` (``"table.column"`` names, as in
+    ``NeuroCardConfig.exclude_columns``) are never filtered on: pass the
+    served model's, whose neural tier rejects predicates on them.
     """
     if not 0.0 <= easy_fraction <= 1.0:
         raise DataError("easy_fraction must be within [0, 1]")
@@ -76,7 +85,7 @@ def calibration_workload(
     rng = np.random.default_rng(seed)
     counts = counts if counts is not None else JoinCounts(schema)
     inner = InnerJoinSampler(schema, counts)
-    filterable = _filterable(schema)
+    filterable = _filterable(schema, exclude_columns)
     table_names = sorted(schema.tables)
     n_easy = int(round(n_queries * easy_fraction))
 

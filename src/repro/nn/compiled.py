@@ -18,9 +18,11 @@ per query plan:
   views of one bias-first table: index 0 of every GEMM weight holds the
   constant-1 input and the bias, so a corner is ``W[:cut + 1, :cut + 1]``
   (unit inner stride, ``lda = d_ff + 1``) and NumPy hands it to BLAS as is.
-* **Sliced output heads** — only the next-needed column's logits are
-  evaluated, via the ``(cut + 1, dom)`` view ``w_out[:cut + 1, lo:hi]`` of
-  the same bias-first output weight.
+* **Live-only storage** — the MADE masks make a column's LUT exactly zero
+  on hidden units below its cut and its output weights zero past it, so the
+  table keeps only what they leave live: LUT ``i`` is its ``cut[i]:``
+  suffix, and column ``i``'s head is one contiguous bias-first
+  ``(cut[i] + 1, dom[i])`` block, the only output weight its logits read.
 * **float32 scratch reuse** — all kernels run in fp32 out-of-place into
   thread-local scratch buffers that are reused across steps and calls
   (no per-call allocation on the hot path).
@@ -160,9 +162,8 @@ class CompiledResMADE:
         self._state: Dict[str, np.ndarray] = {}
         self._cuts: Optional[np.ndarray] = None
         self._luts: List[np.ndarray] = []
-        self._mask_stack: Optional[np.ndarray] = None
+        self._heads: List[np.ndarray] = []
         self._mask_base: Optional[np.ndarray] = None
-        self._w_out: Optional[np.ndarray] = None
         self._block_ws: List[Tuple[np.ndarray, np.ndarray]] = []
         self._scratch_bytes = 0
 
@@ -176,9 +177,8 @@ class CompiledResMADE:
         self._state = state
         self._cuts = state["cuts"]
         self._luts = [state[f"lut::{i}"] for i in range(self.model.n_columns)]
-        self._mask_stack = state["mask_stack"]
+        self._heads = [state[f"head::{i}"] for i in range(self.model.n_columns)]
         self._mask_base = state["mask_base"]
-        self._w_out = state["w_out"]
         self._block_ws = [
             (state[f"block::{j}::w1"], state[f"block::{j}::w2"])
             for j in range(len(self.model.blocks))
@@ -234,23 +234,27 @@ class CompiledResMADE:
 
         # Fold every embedding table through the (permuted) input linear in
         # fp64, then round once: each LUT row is the column's exact
-        # contribution to the hidden pre-activation for one token id.
+        # contribution to the hidden pre-activation for one token id, and
+        # the last row (id = domain size) is its MASK row.
         w_in = model.input_linear.effective_weight()[perm].astype(np.float64)
         d_emb = model.d_emb
-        luts = []
-        for i, emb in enumerate(model.embeddings):
-            block = w_in[:, i * d_emb : (i + 1) * d_emb]
-            luts.append((emb.W.value.astype(np.float64) @ block.T).astype(np.float32))
-            state[f"lut::{i}"] = luts[-1]
+        luts = [
+            (emb.W.value.astype(np.float64) @ w_in[:, i * d_emb : (i + 1) * d_emb].T)
+            .astype(np.float32)
+            for i, emb in enumerate(model.embeddings)
+        ]
         b_in64 = model.input_linear.b.value[perm].astype(np.float64)
-        mask_stack = np.stack([luts[i][dom] for i, dom in enumerate(model.domains)])
         # The all-wildcard pre-activation: bias + every column's MASK row. A
         # column's contribution is exactly zero on hidden units of lower
         # degree, so pre-adding *future* columns' MASK rows is invisible to
         # every conditional until the column is folded (replaced) — which
         # lets fold sessions start here and touch only non-wildcard rows.
-        state["mask_stack"] = mask_stack
-        state["mask_base"] = b_in64.astype(np.float32) + mask_stack.sum(axis=0)
+        # For the same reason a LUT keeps only its ``cut:`` suffix.
+        mask_rows = np.stack([lut[-1] for lut in luts])
+        state["mask_base"] = b_in64.astype(np.float32) + mask_rows.sum(axis=0)
+        cuts = state["cuts"]
+        for i, lut in enumerate(luts):
+            state[f"lut::{i}"] = np.ascontiguousarray(lut[:, cuts[i] :])
 
         # GEMM weights, stored ``(1 + in, out)`` over the permuted units with
         # the bias as row 0. The kernels keep the constant-1 input at index 0
@@ -267,11 +271,14 @@ class CompiledResMADE:
             # Output 0 of ``w1`` regenerates the constant-1 input for ``w2``,
             # whose zero column 0 leaves the residual stream's ones alone.
             state[f"block::{j}::w1"][0, 0] = 1.0
+        # Column ``i``'s logits read only the hidden units of degree < i, the
+        # first ``cut[i]``: its head is the bias-first ``(cut[i] + 1, dom)``
+        # block of the output weight, stored contiguously on its own.
         head = model.output_linear
-        w_out = np.empty((d, head.b.value.size), dtype=np.float32)
-        w_out[0] = head.b.value
-        w_out[1:] = head.effective_weight()[:, perm].T
-        state["w_out"] = w_out
+        w_head = head.effective_weight()[:, perm]
+        for i, cut in enumerate(cuts):
+            lo, hi = model.offsets[i], model.offsets[i + 1]
+            state[f"head::{i}"] = np.vstack([head.b.value[lo:hi], w_head[lo:hi, :cut].T])
         self._bind(state)
 
     def invalidate(self) -> None:
@@ -287,9 +294,10 @@ class CompiledResMADE:
         """Every deterministic compiled buffer, as a flat ``name -> array`` map.
 
         Compiles first if needed. The map is the kernel's buffer table (the
-        folded LUTs, the degree-permuted bias-first GEMM weights and the
-        wildcard MASK machinery): exactly the state :meth:`attach_state`
-        needs to reconstruct this kernel without refolding, and exactly what
+        folded LUT suffixes, the all-wildcard base row, and the
+        degree-permuted bias-first block weights and per-column heads):
+        exactly the state :meth:`attach_state` needs to reconstruct this
+        kernel without refolding, and exactly what
         :attr:`size_bytes` counts, so a serving worker pool can publish one
         copy in shared memory and attach it in every process. The kernels
         read views of these buffers; only thread-local scratch is per
@@ -464,9 +472,9 @@ class FoldSession:
     token contribution on the rows that drew one — one small delta gather
     per column per *walk* instead of a full-width gather per forward pass,
     and wildcard rows cost nothing at all. A column's LUT rows are exactly
-    zero on hidden units of lower degree, so each fold only touches the
-    buffer's ``cut[col]:`` suffix. ``rows`` is a slice or an index array
-    everywhere.
+    zero on hidden units of lower degree, so the table stores, and each fold
+    touches, only the ``cut[col]:`` suffix. ``rows`` is a slice or an index
+    array everywhere.
     """
 
     __slots__ = ("compiled", "buffer")
@@ -492,14 +500,13 @@ class FoldSession:
         every row (deterministic columns).
         """
         c = self.compiled
-        cut = int(c._cuts[col])
-        mask_row = c._mask_stack[col][cut:]
+        lut = c._luts[col]
         if np.ndim(ids) == 0:
-            delta = c._luts[col][int(ids), cut:] - mask_row
+            delta = lut[int(ids)] - lut[-1]
         else:
-            delta = c._luts[col][ids, cut:]
-            delta -= mask_row
-        self.buffer[rows, cut:] += delta
+            delta = lut[ids]
+            delta -= lut[-1]
+        self.buffer[rows, int(c._cuts[col]) :] += delta
 
     def _prefix(self, rows, cut: int) -> np.ndarray:
         """The rows' folded pre-activation, ``cut`` wide, in kernel scratch
@@ -513,38 +520,29 @@ class FoldSession:
         """``p(X_col | folded prefix)`` for the given global rows."""
         c = self.compiled
         cut = int(c._cuts[col])
-        lo, hi = c.model.offsets[col], c.model.offsets[col + 1]
+        head = c._heads[col]
         if cut == 0:
-            logits = np.broadcast_to(c._w_out[0, lo:hi], (len(self.buffer[rows, :0]), hi - lo))
+            logits = np.broadcast_to(head[0], (len(self.buffer[rows, :0]), head.shape[1]))
             return softmax(np.array(logits, dtype=np.float32))
         hidden = c._blocks(self._prefix(rows, cut), cut)
-        return _softmax_inplace(np.matmul(hidden, c._w_out[: cut + 1, lo:hi]))
+        return _softmax_inplace(np.matmul(hidden, head))
 
     def probs_multi(self, rows, cols) -> list:
         """Conditionals for several columns from one shared blocks pass.
 
         Valid when every column below ``cols[-1]`` that will ever be folded
         already is: the blocks run once at the widest (last) column's prefix.
-        Hidden units of degree ``>= c`` carry exactly-zero output weights for
-        column ``c`` (the MADE mask), so each column's slice of the wider
-        head computes the logits the per-column kernel would. ``cols[:-1]``
-        must be consecutive (an indicator run), which makes their heads one
-        column slice of ``w_out``; the last column (the run's end, or the
-        column after it) gets a second GEMM on the same hidden pass.
+        The residual stack never mixes a unit into units of lower degree, so
+        the pass's first ``cut[c] + 1`` outputs are the ones column ``c``'s
+        own pass would give, and each column multiplies that prefix of the
+        shared pass by its own head.
         """
         c = self.compiled
         cut = int(c._cuts[cols[-1]])
         if cut == 0:
             return [self.probs(rows, col) for col in cols]
-        offsets = c.model.offsets
         hidden = c._blocks(self._prefix(rows, cut), cut)
-        out = []
-        if len(cols) > 1:
-            base = offsets[cols[0]]
-            run = np.matmul(hidden, c._w_out[: cut + 1, base : offsets[cols[-2] + 1]])
-            out = [
-                _softmax_inplace(run[:, offsets[col] - base : offsets[col + 1] - base])
-                for col in cols[:-1]
-            ]
-        lo, hi = offsets[cols[-1]], offsets[cols[-1] + 1]
-        return out + [_softmax_inplace(np.matmul(hidden, c._w_out[: cut + 1, lo:hi]))]
+        return [
+            _softmax_inplace(np.matmul(hidden[:, : c._cuts[col] + 1], c._heads[col]))
+            for col in cols
+        ]

@@ -59,7 +59,9 @@ class Linear:
             raise TrainingError(
                 f"{name}: mask shape {mask.shape} != ({d_out}, {d_in})"
             )
-        self.mask = None if mask is None else mask.astype(dtype)
+        # Stored as ``bool``: a product with it casts to the weight's dtype,
+        # so masking is exact and the mask costs a byte per entry.
+        self.mask = None if mask is None else mask.astype(bool, copy=False)
         self._x: Optional[np.ndarray] = None
         self._w: Optional[np.ndarray] = None
 

@@ -108,7 +108,8 @@ class ResMADE:
             name="input",
             dtype=dtype,
         )
-        hidden = made_masks.hidden_mask(degrees)
+        # One bool mask shared by every block linear (``Linear`` keeps it as is).
+        hidden = made_masks.hidden_mask(degrees).astype(bool)
         self.blocks = [
             _ResidualBlock(rng, d_ff, hidden, f"block{i}", dtype) for i in range(n_blocks)
         ]

@@ -25,6 +25,7 @@ from repro.core.inference import (
 )
 from repro.errors import EstimationError
 from repro.nn.compiled import CompiledResMADE
+from repro.nn.masks import hidden_degrees
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
 from repro.relational.schema import JoinEdge, JoinSchema
@@ -273,12 +274,45 @@ class TestOneTable:
             operands = matmul_operands(
                 lambda: session.probs(slice(None), col), monkeypatch
             )
-            want_tables = [] if attached._cuts[col] == 0 else blocks + [views["w_out"]]
+            want_tables = [] if attached._cuts[col] == 0 else blocks + [views[f"head::{col}"]]
             assert len(operands) == len(want_tables), col
             for operand, table in zip(operands, want_tables):
                 assert np.shares_memory(operand, table), col
             session.fold(col, slice(None), tokens[:, col])
         assert attached.stats()["dynamic_cache_bytes"] == 0
+
+    def test_table_holds_only_what_the_masks_leave_live(self, fitted):
+        """Each LUT is its ``cut:`` suffix and each head its bias-first
+        ``(cut + 1, dom)`` block: every entry the full-width fold would add is
+        an exact zero, and the table stores nothing else."""
+        _, estimator = fitted
+        model = estimator.model
+        compiled = CompiledResMADE(model).compile()
+        state = compiled.export_state()
+        assert "w_out" not in state and "mask_stack" not in state
+        assert compiled.size_bytes == sum(a.nbytes for a in state.values())
+
+        # The full-width fold, in float64, as compile builds it.
+        perm = np.argsort(hidden_degrees(model.n_columns, model.d_ff), kind="stable")
+        w_in = model.input_linear.effective_weight()[perm].astype(np.float64)
+        head = model.output_linear
+        w_out = np.vstack(
+            [head.b.value[None], head.effective_weight()[:, perm].T]
+        ).astype(np.float64)
+        d_emb = model.d_emb
+        for i, dom in enumerate(model.domains):
+            cut = int(state["cuts"][i])
+            lo, hi = model.offsets[i], model.offsets[i + 1]
+            lut = (
+                model.embeddings[i].W.value.astype(np.float64)
+                @ w_in[:, i * d_emb : (i + 1) * d_emb].T
+            )
+            assert state[f"lut::{i}"].shape == (dom + 1, model.d_ff - cut), i
+            assert state[f"head::{i}"].shape == (cut + 1, dom), i
+            assert np.all(lut[:, :cut] == 0), i
+            assert np.all(w_out[cut + 1 :, lo:hi] == 0), i
+            np.testing.assert_array_equal(state[f"lut::{i}"], lut[:, cut:].astype(np.float32))
+            np.testing.assert_array_equal(state[f"head::{i}"], w_out[: cut + 1, lo:hi])
 
     def test_sliced_multi_head_matches_per_column_probs(self, fitted):
         """``probs_multi`` reads a run's heads as one ``w_out`` slice and its

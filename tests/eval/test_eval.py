@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.config import NeuroCardConfig
+from repro.core.estimator import NeuroCard
 from repro.errors import DataError, EstimationError
+from repro.eval.calibration import calibration_workload
 from repro.eval.figures import ascii_cdf, cdf_series, selectivity_spectrum
 from repro.eval.harness import (
     evaluate_estimator,
@@ -80,6 +82,37 @@ class TestHarness:
         text = format_report("T", [res], paper_rows={"oracle": "1 1 1 1"})
         assert "oracle" in text
         assert "(paper)" in text
+
+
+class TestCalibrationWorkload:
+    def test_excluded_columns_are_never_filtered(self, small):
+        """A workload drawn with the served model's exclusions names none of
+        them, so the neural tier answers every query; without them it would
+        filter on columns that tier rejects."""
+        schema, counts = small
+        excluded = set(DEFAULT_EXCLUDED_COLUMNS)
+
+        def named(queries):
+            return {f"{p.table}.{p.column}" for q in queries for p in q.predicates}
+
+        unfiltered = calibration_workload(schema, n_queries=60, seed=4, counts=counts)
+        assert named(unfiltered) & excluded
+        queries = calibration_workload(
+            schema, n_queries=60, seed=4, counts=counts,
+            exclude_columns=DEFAULT_EXCLUDED_COLUMNS,
+        )
+        assert len(queries) == 60 and not named(queries) & excluded
+
+        config = NeuroCardConfig(
+            d_emb=8, d_ff=32, n_blocks=1, train_tuples=2_000, batch_size=256,
+            progressive_samples=16, sampler_threads=1,
+            exclude_columns=DEFAULT_EXCLUDED_COLUMNS,
+        )
+        model = NeuroCard(schema, config).fit()
+        estimates = model.estimate_batch(
+            queries, rngs=[np.random.default_rng(i) for i in range(len(queries))]
+        )
+        assert np.all(np.isfinite(estimates)) and np.all(np.asarray(estimates) >= 0)
 
 
 class TestFigures:
