@@ -4,7 +4,7 @@ Every benchmark file regenerates one table or figure of the paper. Heavy
 artifacts (schemas, ground truths, trained estimators) are session-scoped
 and shared. Reports are printed and persisted under ``benchmarks/results/``
 so that ``bench_output.txt`` plus that directory capture the full
-paper-vs-measured comparison (also summarized in EXPERIMENTS.md).
+paper-vs-measured comparison (methodology in docs/benchmarks.md).
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def main() -> None:
         exclude_columns=("customers.id", "orders.customer_id"),
     )
     # compile=True lowers the trained model into plan-specialized serving
-    # kernels (folded-embedding LUTs, incremental fold sessions, sliced
+    # kernels (per-column input slices, incremental fold sessions, sliced
     # output heads — fp32 fast path); it is also the default via
     # NeuroCardConfig.compiled_inference="fp32".
     estimator = NeuroCard(initial, config).fit(compile=True)

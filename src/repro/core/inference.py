@@ -9,12 +9,13 @@ conditionals come from (``NeuroCardConfig.compiled_inference``):
     The correctness oracle for everything below it.
 ``"fp32"``
     The serving fast path: the model is wrapped in
-    :class:`~repro.nn.compiled.CompiledResMADE` (embedding-folded LUTs,
-    degree-sorted prefix-sliced blocks, sliced output heads, fp32 scratch
-    reuse), whose incremental :class:`~repro.nn.compiled.FoldSession` owns
-    the walk's sampled prefix as a running pre-activation buffer: each
-    column's drawn tokens are folded into it exactly once per walk, as the
-    walk draws them. Estimates sit within 1e-4 relative of ``"off"`` (CI-gated).
+    :class:`~repro.nn.compiled.CompiledResMADE` (embedding rows folded
+    through per-column input slices, degree-sorted prefix-sliced blocks,
+    sliced output heads, fp32 scratch reuse), whose incremental
+    :class:`~repro.nn.compiled.FoldSession` owns the walk's sampled prefix
+    as a running pre-activation buffer: each column's drawn tokens are
+    folded into it exactly once per walk, as the walk draws them.
+    Estimates sit within 1e-4 relative of ``"off"`` (CI-gated).
 
 Compiled state is derived from the weights: never persisted (snapshot
 artifacts carry only the raw parameters plus the configured modes), and

@@ -6,10 +6,11 @@ takes a trained :class:`~repro.nn.resmade.ResMADE` and lowers its forward
 pass into inference-only kernels that exploit everything that is constant
 per query plan:
 
-* **Embedding folding** — each column's embedding table is multiplied
-  through the input masked-linear offline, so the input layer becomes one
-  per-column LUT gather + add per constrained column. No embedding concat,
-  no input matmul at inference.
+* **Embedding folding** — a column's input-layer contribution for a token
+  is its embedding row times the column's slice of the input masked-linear.
+  The table stores only the slice (``win::i``); a fold multiplies the
+  embedding rows, read from the wrapped model's own table, through it. No
+  embedding concat and no full input matmul at inference.
 * **Degree-sorted prefix slicing** — hidden units are permuted so MADE
   degrees are non-decreasing. Column ``c``'s logits depend only on hidden
   units of degree ``< c``, which after the permutation is a contiguous
@@ -18,11 +19,12 @@ per query plan:
   views of one bias-first table: index 0 of every GEMM weight holds the
   constant-1 input and the bias, so a corner is ``W[:cut + 1, :cut + 1]``
   (unit inner stride, ``lda = d_ff + 1``) and NumPy hands it to BLAS as is.
-* **Live-only storage** — the MADE masks make a column's LUT exactly zero
-  on hidden units below its cut and its output weights zero past it, so the
-  table keeps only what they leave live: LUT ``i`` is its ``cut[i]:``
-  suffix, and column ``i``'s head is one contiguous bias-first
-  ``(cut[i] + 1, dom[i])`` block, the only output weight its logits read.
+* **Live-only storage** — the MADE masks make a column's input
+  contribution exactly zero on hidden units below its cut and its output
+  weights zero past it, so the table keeps only what they leave live: input
+  slice ``i`` is ``(d_emb, d_ff - cut[i])``, and column ``i``'s head is one
+  contiguous bias-first ``(cut[i] + 1, dom[i])`` block, the only output
+  weight its logits read.
 * **float32 scratch reuse** — all kernels run in fp32 out-of-place into
   thread-local scratch buffers that are reused across steps and calls
   (no per-call allocation on the hot path).
@@ -35,11 +37,13 @@ per query plan:
 Everything :meth:`CompiledResMADE.compile` folds lives in one
 ``name -> array`` table: it is what :meth:`~CompiledResMADE.export_state`
 publishes, :meth:`~CompiledResMADE.attach_state` adopts and
-:attr:`~CompiledResMADE.size_bytes` counts, and every GEMM operand is a
-view of it, so no process holds a second copy. The session is the only
-kernel: the stateless :meth:`~CompiledResMADE.conditional` opens a one-shot
-session over a private buffer, folds the prefix it was handed and asks for
-one column.
+:attr:`~CompiledResMADE.size_bytes` counts, and every GEMM weight is a
+view of it, so no process holds a second copy. The one operand outside it
+is the embedding rows a fold reads from the wrapped model, which already
+holds them (a worker attaches the model's weights before the table). The
+session is the only kernel: the stateless
+:meth:`~CompiledResMADE.conditional` opens a one-shot session over a
+private buffer, folds the prefix it was handed and asks for one column.
 
 Precision
 ---------
@@ -161,7 +165,8 @@ class CompiledResMADE:
         # The buffer table and the hot-path views :meth:`_bind` points at it.
         self._state: Dict[str, np.ndarray] = {}
         self._cuts: Optional[np.ndarray] = None
-        self._luts: List[np.ndarray] = []
+        self._embs: List[np.ndarray] = []
+        self._wins: List[np.ndarray] = []
         self._heads: List[np.ndarray] = []
         self._mask_base: Optional[np.ndarray] = None
         self._block_ws: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -172,11 +177,14 @@ class CompiledResMADE:
 
         ``state`` is everything deterministic the kernel holds — what
         :meth:`_compile_locked` folds, :meth:`export_state` publishes and
-        :attr:`size_bytes` counts; nothing else lists the buffers.
+        :attr:`size_bytes` counts; nothing else lists the buffers. A fold
+        also reads the wrapped model's embedding tables, bound here as they
+        stand: the current weights, or the views a worker attached first.
         """
         self._state = state
         self._cuts = state["cuts"]
-        self._luts = [state[f"lut::{i}"] for i in range(self.model.n_columns)]
+        self._embs = [emb.W.value for emb in self.model.embeddings]
+        self._wins = [state[f"win::{i}"] for i in range(self.model.n_columns)]
         self._heads = [state[f"head::{i}"] for i in range(self.model.n_columns)]
         self._mask_base = state["mask_base"]
         self._block_ws = [
@@ -232,29 +240,29 @@ class CompiledResMADE:
             ).astype(np.int64),
         }
 
-        # Fold every embedding table through the (permuted) input linear in
-        # fp64, then round once: each LUT row is the column's exact
-        # contribution to the hidden pre-activation for one token id, and
-        # the last row (id = domain size) is its MASK row.
-        w_in = model.input_linear.effective_weight()[perm].astype(np.float64)
-        d_emb = model.d_emb
-        luts = [
-            (emb.W.value.astype(np.float64) @ w_in[:, i * d_emb : (i + 1) * d_emb].T)
-            .astype(np.float32)
-            for i, emb in enumerate(model.embeddings)
-        ]
+        # Column ``i``'s contribution to the hidden pre-activation for token
+        # ``t`` is ``E_i[t] @ w_in_i``, with ``w_in_i`` its permuted, masked
+        # ``(d_emb, d_ff)`` input slice; the MASK token is the last row of
+        # ``E_i``. The contribution is exactly zero on hidden units of lower
+        # degree, so the table keeps only ``w_in_i``'s ``cut:`` columns and
+        # a fold multiplies embedding rows through them.
+        w_in = model.input_linear.effective_weight()[perm]
         b_in64 = model.input_linear.b.value[perm].astype(np.float64)
-        # The all-wildcard pre-activation: bias + every column's MASK row. A
-        # column's contribution is exactly zero on hidden units of lower
-        # degree, so pre-adding *future* columns' MASK rows is invisible to
-        # every conditional until the column is folded (replaced) — which
-        # lets fold sessions start here and touch only non-wildcard rows.
-        # For the same reason a LUT keeps only its ``cut:`` suffix.
-        mask_rows = np.stack([lut[-1] for lut in luts])
-        state["mask_base"] = b_in64.astype(np.float32) + mask_rows.sum(axis=0)
+        d_emb = model.d_emb
         cuts = state["cuts"]
-        for i, lut in enumerate(luts):
-            state[f"lut::{i}"] = np.ascontiguousarray(lut[:, cuts[i] :])
+        mask_rows = []
+        for i, emb in enumerate(model.embeddings):
+            w = w_in[:, i * d_emb : (i + 1) * d_emb].T
+            mask_rows.append(
+                (emb.W.value[-1:].astype(np.float64) @ w.astype(np.float64)).astype(np.float32)
+            )
+            state[f"win::{i}"] = np.ascontiguousarray(w[:, cuts[i] :], dtype=np.float32)
+        # The all-wildcard pre-activation: bias + every column's MASK row,
+        # folded in fp64 and rounded once per column. Pre-adding *future*
+        # columns' MASK rows is invisible to every conditional until the
+        # column is folded (replaced) — which lets fold sessions start here
+        # and touch only non-wildcard rows.
+        state["mask_base"] = b_in64.astype(np.float32) + np.concatenate(mask_rows).sum(axis=0)
 
         # GEMM weights, stored ``(1 + in, out)`` over the permuted units with
         # the bias as row 0. The kernels keep the constant-1 input at index 0
@@ -294,14 +302,16 @@ class CompiledResMADE:
         """Every deterministic compiled buffer, as a flat ``name -> array`` map.
 
         Compiles first if needed. The map is the kernel's buffer table (the
-        folded LUT suffixes, the all-wildcard base row, and the
+        per-column live input slices, the all-wildcard base row, and the
         degree-permuted bias-first block weights and per-column heads):
         exactly the state :meth:`attach_state` needs to reconstruct this
         kernel without refolding, and exactly what
         :attr:`size_bytes` counts, so a serving worker pool can publish one
         copy in shared memory and attach it in every process. The kernels
-        read views of these buffers; only thread-local scratch is per
-        process.
+        read views of these buffers, plus the wrapped model's embedding
+        tables (a fold multiplies their rows through the input slices), so
+        the model's parameters must be the ones the table was folded from;
+        only thread-local scratch is per process.
         """
         self.compile()
         with self._lock:
@@ -469,12 +479,12 @@ class FoldSession:
     *all-wildcard* pre-activation (bias + every column's MASK row, see
     ``_mask_base``) — the session's own copy of the sampled prefix; the walk
     keeps none. :meth:`fold` replaces a column's MASK contribution with its
-    token contribution on the rows that drew one — one small delta gather
-    per column per *walk* instead of a full-width gather per forward pass,
-    and wildcard rows cost nothing at all. A column's LUT rows are exactly
-    zero on hidden units of lower degree, so the table stores, and each fold
-    touches, only the ``cut[col]:`` suffix. ``rows`` is a slice or an index
-    array everywhere.
+    token contribution on the rows that drew one — one small
+    ``(rows, d_emb)`` product per column per *walk* instead of a full-width
+    input matmul per forward pass, and wildcard rows cost nothing at all. A
+    column's contribution is exactly zero on hidden units of lower degree,
+    so the table stores, and each fold touches, only the ``cut[col]:``
+    suffix. ``rows`` is a slice or an index array everywhere.
     """
 
     __slots__ = ("compiled", "buffer")
@@ -497,16 +507,12 @@ class FoldSession:
         """Replace ``col``'s MASK contribution with token ids on ``rows``.
 
         ``ids`` may be an array (one token per row) or a scalar shared by
-        every row (deterministic columns).
+        every row (deterministic columns); either way the delta is the
+        embedding rows minus the MASK row, times the column's input slice.
         """
         c = self.compiled
-        lut = c._luts[col]
-        if np.ndim(ids) == 0:
-            delta = lut[int(ids)] - lut[-1]
-        else:
-            delta = lut[ids]
-            delta -= lut[-1]
-        self.buffer[rows, int(c._cuts[col]) :] += delta
+        emb = c._embs[col]
+        self.buffer[rows, int(c._cuts[col]) :] += (emb[ids] - emb[-1]) @ c._wins[col]
 
     def _prefix(self, rows, cut: int) -> np.ndarray:
         """The rows' folded pre-activation, ``cut`` wide, in kernel scratch

@@ -13,9 +13,10 @@ Zero-copy model memory
 Model state is published as immutable **versioned blobs** in
 ``multiprocessing.shared_memory``: one segment per registry version,
 holding the trained weights plus every deterministic compiled buffer of
-:class:`~repro.nn.compiled.CompiledResMADE` (live LUT suffixes,
+:class:`~repro.nn.compiled.CompiledResMADE` (live input slices,
 degree-permuted block weights, per-column heads — see
-``CompiledResMADE.export_state``). Workers rebuild only the cheap
+``CompiledResMADE.export_state``; a fold reads the embedding rows from the
+attached weights). Workers rebuild only the cheap
 skeleton (counts/sampler/layout, deterministic given schema + config) and
 *attach* read-only views — no weight copy, no refolding, and N workers
 share one physical copy of the kernels. ``ModelRegistry.swap()`` /

@@ -282,19 +282,21 @@ class TestOneTable:
         assert attached.stats()["dynamic_cache_bytes"] == 0
 
     def test_table_holds_only_what_the_masks_leave_live(self, fitted):
-        """Each LUT is its ``cut:`` suffix and each head its bias-first
-        ``(cut + 1, dom)`` block: every entry the full-width fold would add is
-        an exact zero, and the table stores nothing else."""
+        """Each column keeps its input slice's ``cut:`` columns and its
+        bias-first ``(cut + 1, dom)`` head: every entry the full-width fold
+        would add is an exact zero, no folded LUT is stored beside the
+        embeddings, and the table stores nothing else."""
         _, estimator = fitted
         model = estimator.model
         compiled = CompiledResMADE(model).compile()
         state = compiled.export_state()
-        assert "w_out" not in state and "mask_stack" not in state
+        stale = [n for n in state if n.startswith("lut::") or n in ("w_out", "mask_stack")]
+        assert not stale
         assert compiled.size_bytes == sum(a.nbytes for a in state.values())
 
-        # The full-width fold, in float64, as compile builds it.
+        # The full-width fold, in float64.
         perm = np.argsort(hidden_degrees(model.n_columns, model.d_ff), kind="stable")
-        w_in = model.input_linear.effective_weight()[perm].astype(np.float64)
+        w_in = model.input_linear.effective_weight()[perm]
         head = model.output_linear
         w_out = np.vstack(
             [head.b.value[None], head.effective_weight()[:, perm].T]
@@ -303,21 +305,58 @@ class TestOneTable:
         for i, dom in enumerate(model.domains):
             cut = int(state["cuts"][i])
             lo, hi = model.offsets[i], model.offsets[i + 1]
-            lut = (
-                model.embeddings[i].W.value.astype(np.float64)
-                @ w_in[:, i * d_emb : (i + 1) * d_emb].T
-            )
-            assert state[f"lut::{i}"].shape == (dom + 1, model.d_ff - cut), i
+            w_in_i = w_in[:, i * d_emb : (i + 1) * d_emb].T
+            lut = model.embeddings[i].W.value.astype(np.float64) @ w_in_i.astype(np.float64)
+            assert state[f"win::{i}"].shape == (d_emb, model.d_ff - cut), i
             assert state[f"head::{i}"].shape == (cut + 1, dom), i
             assert np.all(lut[:, :cut] == 0), i
             assert np.all(w_out[cut + 1 :, lo:hi] == 0), i
-            np.testing.assert_array_equal(state[f"lut::{i}"], lut[:, cut:].astype(np.float32))
+            np.testing.assert_array_equal(state[f"win::{i}"], w_in_i[:, cut:])
             np.testing.assert_array_equal(state[f"head::{i}"], w_out[: cut + 1, lo:hi])
 
+    def test_fold_multiplies_embedding_rows_through_the_input_slice(self, fitted):
+        """A fold adds ``(E[ids] - E[MASK]) @ w_in`` on its rows and nothing
+        elsewhere, for array and scalar ids and for ``rows`` as a slice or an
+        index array, within fp32 round-off of the float64 product."""
+        _, estimator = fitted
+        model = estimator.model
+        compiled = CompiledResMADE(model).compile()
+        perm = np.argsort(hidden_degrees(model.n_columns, model.d_ff), kind="stable")
+        w_in = model.input_linear.effective_weight()[perm].astype(np.float64)
+        base = compiled._mask_base.astype(np.float64)
+        d_emb = model.d_emb
+        rng = np.random.default_rng(5)
+        n = 12
+        picked = rng.choice(n, size=5, replace=False)
+        row_forms = {"slice": (slice(2, 9), np.arange(2, 9)), "index": (picked, picked)}
+        for col, dom in enumerate(model.domains):
+            emb = model.embeddings[col].W.value.astype(np.float64)
+            w_in_col = w_in[:, col * d_emb : (col + 1) * d_emb].T
+            for form, (rows, index) in row_forms.items():
+                for kind in ("array", "scalar"):
+                    ids = rng.integers(0, dom, len(index))
+                    if kind == "scalar":
+                        ids = np.int64(ids[0])
+                    session = compiled.begin_session(n)
+                    session.fold(col, rows, ids)
+                    want = np.broadcast_to(base, (n, model.d_ff)).copy()
+                    want[index] += (emb[ids] - emb[-1]) @ w_in_col
+                    np.testing.assert_allclose(
+                        session.buffer, want, rtol=1e-5, atol=1e-5,
+                        err_msg=f"column {col}, {form} rows, {kind} ids",
+                    )
+                    untouched = np.setdiff1d(np.arange(n), index)
+                    np.testing.assert_array_equal(
+                        session.buffer[untouched], np.broadcast_to(
+                            compiled._mask_base, (len(untouched), model.d_ff)
+                        ),
+                    )
+
     def test_sliced_multi_head_matches_per_column_probs(self, fitted):
-        """``probs_multi`` reads a run's heads as one ``w_out`` slice and its
-        last column through a second view: every column's answer matches its
-        own ``probs``, whether that last column continues the run or not."""
+        """``probs_multi`` runs one blocks pass at the run's widest prefix and
+        multiplies each column's own head by that pass's first ``cut + 1``
+        outputs: every column's answer matches its own ``probs``, whether the
+        last column continues the run or not."""
         _, estimator = fitted
         model = estimator.model
         compiled = CompiledResMADE(model)
