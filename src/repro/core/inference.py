@@ -11,9 +11,9 @@ conditionals come from (``NeuroCardConfig.compiled_inference``):
     The serving fast path: the model is wrapped in
     :class:`~repro.nn.compiled.CompiledResMADE` (embedding rows folded
     through per-column input slices, degree-sorted prefix-sliced blocks,
-    sliced output heads, fp32 scratch reuse), whose incremental
-    :class:`~repro.nn.compiled.FoldSession` owns the walk's sampled prefix
-    as a running pre-activation buffer: each column's drawn tokens are
+    sliced output heads, chunked fp32 passes over bounded scratch), whose
+    incremental :class:`~repro.nn.compiled.FoldSession` owns the walk's
+    sampled prefix as a running pre-activation buffer: each column's drawn tokens are
     folded into it exactly once per walk, as the walk draws them.
     Estimates sit within 1e-4 relative of ``"off"`` (CI-gated).
 

@@ -53,6 +53,7 @@ from repro.core.encoding import Layout
 from repro.core.factorization import Factorizer, IntervalState, SetTrie
 from repro.core.regions import Region
 from repro.errors import EstimationError, QueryError
+from repro.nn.compiled import CHUNK_ROWS
 from repro.relational.query import Query
 
 
@@ -60,9 +61,26 @@ from repro.relational.query import Query
 # Draws. ``probs`` holds one conditional per *distinct prefix*; ``inv`` maps
 # each sampled row to its prefix (None: row i reads ``probs[i]``). Whatever
 # is O(domain) — cumulative sums, tilts — runs once per prefix, a row pays
-# O(1) gathers plus the search for its own target. ``u`` holds one uniform
-# variate per row, drawn from the row's query generator by the caller.
+# O(1) gathers plus the search for its own target, counted a row chunk at a
+# time. ``u`` holds one uniform variate per row, drawn from the row's query
+# generator by the caller.
 # ----------------------------------------------------------------------
+
+
+def _count_below(cum, inv, target):
+    """Per row, how many entries of its cumulative row (``cum[i]``, or
+    ``cum[inv[i]]``) lie below ``target[i]``: the drawn index.
+
+    Counted :data:`CHUNK_ROWS` rows at a time, so the gathered block and its
+    comparison never outgrow one chunk times the domain; each count is the
+    row's own, so the chunking cannot change a draw.
+    """
+    drawn = np.empty(len(target), dtype=np.int64)
+    for lo in range(0, len(target), CHUNK_ROWS):
+        at = slice(lo, lo + CHUNK_ROWS)
+        block = cum[at] if inv is None else cum[inv[at]]
+        (block < target[at, None]).sum(axis=1, out=drawn[at])
+    return drawn
 
 
 def _draw_interval(probs, inv, lo, hi, u):
@@ -71,29 +89,28 @@ def _draw_interval(probs, inv, lo, hi, u):
     ``lo`` / ``hi`` are inclusive code bounds, per row or one scalar each.
     """
     cum = np.cumsum(probs, axis=1)
-    rows, spread = (np.arange(len(probs)), cum) if inv is None else (inv, cum[inv])
+    rows = np.arange(len(probs)) if inv is None else inv
     upper = cum[rows, hi]
     lower = np.where(lo > 0, cum[rows, np.maximum(lo - 1, 0)], 0.0)
     mass = np.maximum(upper - lower, 0.0)
     # Compare in the probs' own dtype: a no-op for the reference model's
     # float64 conditionals, half the comparison traffic for fp32 kernels.
     target = (lower + u * mass).astype(probs.dtype, copy=False)
-    drawn = (spread < target[:, None]).sum(axis=1)
+    drawn = _count_below(cum, inv, target)
     return mass, np.minimum(np.maximum(drawn, lo), hi)
 
 
 def _draw_set(probs, inv, codes, u):
     """In-set mass and a sample among ``codes`` (shared across rows).
 
-    The mass is the running sum's last entry rather than a separate
-    reduction: one fixed left-to-right order, whatever the number of rows
-    and the memory layout of the gathered block.
+    The running sums are taken once per prefix, and the mass is their last
+    entry rather than a separate reduction: one fixed left-to-right order,
+    whatever the number of rows.
     """
-    sub = probs[:, codes] if inv is None else probs[inv[:, None], codes]
-    cums = np.cumsum(sub, axis=1)
-    mass = cums[:, -1]
+    cums = np.cumsum(probs[:, codes], axis=1)
+    mass = cums[:, -1] if inv is None else cums[inv, -1]
     target = (u * mass).astype(cums.dtype, copy=False)
-    idx = (cums < target[:, None]).sum(axis=1)
+    idx = _count_below(cums, inv, target)
     return mass, codes[np.minimum(idx, len(codes) - 1)]
 
 
@@ -103,9 +120,9 @@ def _draw_tilted(probs, inv, tilt, u):
     mass = q.sum(axis=1)
     cums = np.cumsum(q, axis=1)
     if inv is not None:
-        mass, cums = mass[inv], cums[inv]
+        mass = mass[inv]
     target = (u * mass).astype(cums.dtype, copy=False)
-    idx = (cums < target[:, None]).sum(axis=1)
+    idx = _count_below(cums, inv, target)
     return mass, np.minimum(idx, probs.shape[1] - 1)
 
 

@@ -25,9 +25,12 @@ per query plan:
   slice ``i`` is ``(d_emb, d_ff - cut[i])``, and column ``i``'s head is one
   contiguous bias-first ``(cut[i] + 1, dom[i])`` block, the only output
   weight its logits read.
-* **float32 scratch reuse** — all kernels run in fp32 out-of-place into
-  thread-local scratch buffers that are reused across steps and calls
-  (no per-call allocation on the hot path).
+* **Chunked passes, bounded scratch** — the gather, the residual stack
+  and the head GEMMs run over at most :data:`CHUNK_ROWS` rows at a time,
+  in fp32, through three thread-local scratch arrays allocated once at
+  ``CHUNK_ROWS × (d_ff + 1)``; only the ``(rows, dom)`` logits grow with
+  the batch, so a walk's working set is set by the chunk and the fold
+  buffer, not by batch size times domain.
 * **Incremental fold session** — for a batched walk, :class:`FoldSession`
   owns the sampled prefix as one running ``(n_rows, d_ff)`` pre-activation
   buffer. The walk hands each column's drawn tokens over exactly once
@@ -68,7 +71,6 @@ import numpy as np
 
 from repro.errors import EstimationError
 from repro.nn import masks as made_masks
-from repro.nn.layers import softmax
 
 _REQUIRED_ATTRS = (
     "embeddings",
@@ -81,6 +83,12 @@ _REQUIRED_ATTRS = (
     "d_ff",
     "n_columns",
 )
+
+
+#: Most rows one kernel pass (gather, residual stack, head GEMMs) covers,
+#: and the row chunk the walk's draws count over. 512 rows keeps BLAS at
+#: full rate while the scratch stays under a megabyte at ``d_ff = 128``.
+CHUNK_ROWS = 512
 
 
 def supports_compilation(model) -> bool:
@@ -128,6 +136,23 @@ def read_blob(manifest: list, buf) -> Dict[str, np.ndarray]:
         view.flags.writeable = False
         out[name] = view
     return out
+
+
+def _chunks(rows, n_rows: int) -> list:
+    """``(out, part)`` per chunk of the ``n_rows`` rows ``rows`` selects:
+    ``out`` slices the chunk's positions in the result, ``part`` selects its
+    rows. ``rows`` is a unit-step slice from a non-negative start (cut into
+    sub-slices, so no fancy indexing) or an index array."""
+    if n_rows <= CHUNK_ROWS:
+        return [(slice(None), rows)]
+    starts = range(0, n_rows, CHUNK_ROWS)
+    if isinstance(rows, slice):
+        first = rows.start or 0
+        return [
+            (slice(lo, lo + CHUNK_ROWS), slice(first + lo, first + min(lo + CHUNK_ROWS, n_rows)))
+            for lo in starts
+        ]
+    return [(slice(lo, lo + CHUNK_ROWS), rows[lo : lo + CHUNK_ROWS]) for lo in starts]
 
 
 def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
@@ -342,12 +367,12 @@ class CompiledResMADE:
 
         The bytes of the buffer table :meth:`compile` fills — what
         :meth:`export_state` publishes, no more and no less. Thread-local
-        scratch is bounded but workload- and thread-dependent, so it is
-        reported via :meth:`stats` instead — keeping serving-layer memory
-        accounting (registry eviction budgets) stable across identical
-        models. Taken
-        under the compile lock: a scrape beside :meth:`invalidate` (every
-        hot-swap) must see the buffers either all present or all gone.
+        scratch (chunk-sized kernel arrays and a fold buffer per walking
+        thread) is reported via :meth:`stats` instead — keeping
+        serving-layer memory accounting (registry eviction budgets) stable
+        across identical models. Taken under the compile lock: a scrape
+        beside :meth:`invalidate` (every hot-swap) must see the buffers
+        either all present or all gone.
         """
         with self._lock:
             return int(sum(a.nbytes for a in self._state.values()))
@@ -407,43 +432,32 @@ class CompiledResMADE:
         weight its bias, so each layer is one GEMM on the ``(cut + 1)²``
         corner view of the table (see :meth:`_compile_locked`) and the whole
         stack runs as bare ``relu``/``matmul``/``add`` passes with no
-        separate bias traversals over the batch.
+        separate bias traversals over the batch. A block's second GEMM
+        lands in ``r``, free again once ``a`` holds its first.
         """
         h[:, 0] = 1.0
-        _, r, a, t = self._scratch(len(h), cut)
+        _, r, a = self._scratch(len(h), cut)
         k = cut + 1
         for w1, w2 in self._block_ws:
             np.maximum(h, 0.0, out=r)
             np.matmul(r, w1[:k, :k], out=a)
             np.maximum(a, 0.0, out=a)
-            np.matmul(a, w2[:k, :k], out=t)
-            h += t
+            np.matmul(a, w2[:k, :k], out=r)
+            h += r
         np.maximum(h, 0.0, out=r)
         return r
 
-    def _scratch(self, n: int, cut: int):
-        """Four contiguous ``(n, cut + 1)`` fp32 views over thread-local buffers.
+    def _scratch(self, n: int, cut: int) -> np.ndarray:
+        """Three contiguous ``(n, cut + 1)`` fp32 views, ``n <= CHUNK_ROWS``,
+        over one thread-local buffer allocated once at the chunk size.
 
-        Column 0 carries the constant-1 bias input (see :meth:`_blocks`);
-        buffers are reused across steps and calls.
+        Column 0 carries the constant-1 bias input (see :meth:`_blocks`).
         """
         loc = self._local
-        need = n * (cut + 1)
-        if getattr(loc, "capacity", 0) < need:
-            capacity = max(need, 2 * getattr(loc, "capacity", 0))
-            loc.h = np.empty(capacity, dtype=np.float32)
-            loc.r = np.empty(capacity, dtype=np.float32)
-            loc.a = np.empty(capacity, dtype=np.float32)
-            loc.t = np.empty(capacity, dtype=np.float32)
-            self._scratch_bytes += 4 * (capacity - getattr(loc, "capacity", 0)) * 4
-            loc.capacity = capacity
-        shape = (n, cut + 1)
-        return (
-            loc.h[:need].reshape(shape),
-            loc.r[:need].reshape(shape),
-            loc.a[:need].reshape(shape),
-            loc.t[:need].reshape(shape),
-        )
+        if not hasattr(loc, "scratch"):
+            loc.scratch = np.empty((3, CHUNK_ROWS * (self.model.d_ff + 1)), dtype=np.float32)
+            self._scratch_bytes += loc.scratch.nbytes
+        return loc.scratch[:, : n * (cut + 1)].reshape(3, n, cut + 1)
 
     def _session_buffer(self, n: int) -> np.ndarray:
         """A reusable fp32 ``(n, d_ff)`` fold buffer (thread-local pool)."""
@@ -524,14 +538,7 @@ class FoldSession:
 
     def probs(self, rows, col: int) -> np.ndarray:
         """``p(X_col | folded prefix)`` for the given global rows."""
-        c = self.compiled
-        cut = int(c._cuts[col])
-        head = c._heads[col]
-        if cut == 0:
-            logits = np.broadcast_to(head[0], (len(self.buffer[rows, :0]), head.shape[1]))
-            return softmax(np.array(logits, dtype=np.float32))
-        hidden = c._blocks(self._prefix(rows, cut), cut)
-        return _softmax_inplace(np.matmul(hidden, head))
+        return self.probs_multi(rows, (col,))[0]
 
     def probs_multi(self, rows, cols) -> list:
         """Conditionals for several columns from one shared blocks pass.
@@ -541,14 +548,20 @@ class FoldSession:
         The residual stack never mixes a unit into units of lower degree, so
         the pass's first ``cut[c] + 1`` outputs are the ones column ``c``'s
         own pass would give, and each column multiplies that prefix of the
-        shared pass by its own head.
+        shared pass by its own head. The pass runs chunk by chunk, each
+        head's GEMM writing its chunk's rows of that column's logits.
         """
         c = self.compiled
+        n_rows = len(self.buffer[rows, :0])
         cut = int(c._cuts[cols[-1]])
+        logits = [np.empty((n_rows, c._heads[col].shape[1]), dtype=np.float32) for col in cols]
         if cut == 0:
-            return [self.probs(rows, col) for col in cols]
-        hidden = c._blocks(self._prefix(rows, cut), cut)
-        return [
-            _softmax_inplace(np.matmul(hidden[:, : c._cuts[col] + 1], c._heads[col]))
-            for col in cols
-        ]
+            # No hidden unit feeds these columns: their logits are the bias.
+            for col, dst in zip(cols, logits):
+                dst[:] = c._heads[col][0]
+        else:
+            for out, part in _chunks(rows, n_rows):
+                hidden = c._blocks(self._prefix(part, cut), cut)
+                for col, dst in zip(cols, logits):
+                    np.matmul(hidden[:, : c._cuts[col] + 1], c._heads[col], out=dst[out])
+        return [_softmax_inplace(dst) for dst in logits]

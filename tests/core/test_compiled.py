@@ -24,7 +24,8 @@ from repro.core.inference import (
     export_engine_state,
 )
 from repro.errors import EstimationError
-from repro.nn.compiled import CompiledResMADE
+from repro.nn import compiled as compiled_module
+from repro.nn.compiled import CHUNK_ROWS, CompiledResMADE, FoldSession
 from repro.nn.masks import hidden_degrees
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
@@ -214,6 +215,87 @@ class TestDynamicCaches:
         np.testing.assert_allclose(
             compiled.column_conditional(tokens, col, wildcard),
             model.column_conditional(tokens, col, wildcard),
+            rtol=1e-4, atol=1e-6,
+        )
+
+
+class TestBoundedWorkingSet:
+    def test_walk_scratch_is_three_chunks_whatever_the_batch(self, monkeypatch):
+        """After a b32 walk whose kernel passes cover more than a chunk of
+        rows, a thread's kernel scratch (``scratch_bytes`` less the fold
+        buffer) is three ``CHUNK_ROWS x (d_ff + 1)`` fp32 arrays, and a b8
+        walk leaves the same."""
+        rng = np.random.default_rng(0)
+        columns = {c: [int(v) for v in rng.integers(0, 200, 2000)] for c in "abc"}
+        schema = JoinSchema(tables={"T": Table.from_dict("T", columns)}, edges=[], root="T")
+        config = small_config(exclude_columns=(), sampler_threads=1, progressive_samples=96)
+        # Untrained weights: near-uniform conditionals over 200 codes, so
+        # prefixes stop repeating after two columns.
+        estimator = NeuroCard(schema, config).prepare(compile="fp32")
+        queries = [
+            Query.make(["T"], [Predicate("T", "a", "<", 150 + i), Predicate("T", "b", ">=", i),
+                               Predicate("T", "c", "<", 190)])
+            for i in range(32)
+        ]
+        widest = [0]
+
+        def spy(real):
+            def counted(self, rows, cols):
+                widest[0] = max(widest[0], len(self.buffer[rows, :0]))
+                return real(self, rows, cols)
+
+            return counted
+
+        for name in ("probs", "probs_multi"):
+            monkeypatch.setattr(FoldSession, name, spy(getattr(FoldSession, name)))
+        kernel = {}
+        for size in (32, 8):
+            widest[0] = 0
+            (engine,) = engines(estimator, "fp32")
+            compiled = compiled_model(engine)
+            batch(engine, queries[:size])
+            fold = compiled._local.fold
+            assert fold.nbytes == size * 96 * estimator.model.d_ff * 4
+            kernel[size] = compiled.stats()["scratch_bytes"] - fold.nbytes
+            assert widest[0] > CHUNK_ROWS
+        assert kernel[32] <= 3 * CHUNK_ROWS * (estimator.model.d_ff + 1) * 4
+        assert kernel[8] == kernel[32]
+
+    @pytest.mark.parametrize("indexed", [False, True], ids=["slice", "index array"])
+    def test_session_over_several_chunks_matches_one_pass(self, fitted, monkeypatch, indexed):
+        """``probs`` / ``probs_multi`` over more than two chunks, with
+        ``rows`` a slice or an index array, match a session whose chunk
+        covers every row; the one-shot ``conditional`` takes the same path
+        and still matches the reference forward."""
+        _, estimator = fitted
+        model = estimator.model
+        n, n_rows = model.n_columns, 2 * CHUNK_ROWS + 37
+        rng = np.random.default_rng(12)
+        tokens = np.column_stack([rng.integers(0, d, n_rows) for d in model.domains])
+        given = rng.random((n_rows, n)) < 0.7
+        rows = rng.permutation(n_rows)[:-5] if indexed else slice(3, n_rows)
+        cols = [n - 4, n - 3, n - 1]
+
+        def answers():
+            compiled = CompiledResMADE(model)
+            session = compiled.begin_session(n_rows)
+            for i in range(cols[-1]):
+                at = np.flatnonzero(given[:, i])
+                session.fold(i, at, tokens[at, i])
+            single = [session.probs(rows, col) for col in cols]
+            return single + session.probs_multi(rows, cols)
+
+        chunked = answers()
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled_module, "CHUNK_ROWS", n_rows)
+            one_pass = answers()
+        for got, want in zip(chunked, one_pass):
+            assert got.shape == (n_rows - 5 if indexed else n_rows - 3, want.shape[1])
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
+        wildcard = ~given
+        np.testing.assert_allclose(
+            CompiledResMADE(model).conditional(tokens, n - 1, wildcard),
+            model.column_conditional(tokens, n - 1, wildcard),
             rtol=1e-4, atol=1e-6,
         )
 

@@ -4,7 +4,10 @@
 The recipe behind the walk numbers quoted in ROADMAP.md and CHANGES.md, on
 the perf benchmark's own fixture (``benchmarks/perf/fixture.py``, imported
 read-only: the fp32 model every workload serves and its 512 range-join
-queries). Three sections:
+queries), under the benchmark's pinned environment (one BLAS thread,
+``PYTHONHASHSEED=0``; ``tools/digest.py``'s ``PINNED_ENV``): run without
+it, the tool re-executes itself once with it set. The header prints the
+pins. Four sections:
 
 1. median milliseconds per query of ``estimate_batch`` at batch sizes 1, 2,
    8 and 32, nothing instrumented;
@@ -13,7 +16,11 @@ queries). Three sections:
 3. a phase table at batch 1 and 32: the walk's functions are wrapped with a
    clock that charges every nanosecond to the innermost wrapped function
    running, so the rows add up to the wrapped total. The wrappers cost a few
-   hundred nanoseconds per call themselves — read the shares, not the sum.
+   hundred nanoseconds per call themselves — read the shares, not the sum;
+4. the working set at batch 1 and 32, walked on a fresh thread: the median
+   and largest tracemalloc peak of one ``estimate_batch`` above what was
+   already allocated, and the kernel's ``stats()["scratch_bytes"]`` that
+   thread added (its kernel scratch plus its fold buffer).
 
 Run from the repository root::
 
@@ -26,16 +33,21 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
 import statistics
 import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "perf")]
+
+from digest import PINNED_ENV  # noqa: E402  (tools/ is this script's directory)
 
 BATCH_SIZES = (1, 2, 8, 32)
 
@@ -151,6 +163,41 @@ def phase_table(engine, queries, size, n_samples):
         print(f"  {phase:34s} {share:6.1%}   {per_query:7.1f} wrapped calls per query")
 
 
+def working_set(engine, queries, size, n_samples):
+    """``(median, max)`` tracemalloc peak of one batch above what was live
+    when it started, and the ``scratch_bytes`` / fold-buffer bytes one fresh
+    thread's walks added to the kernel (thread-local state starts empty)."""
+    from repro.core.inference import compiled_model
+
+    kernel = compiled_model(engine)
+    found = {}
+
+    def walk():
+        before = kernel.stats()["scratch_bytes"]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for index, batch in enumerate(batches(queries, size)):
+                rngs = [np.random.default_rng(1000 + index * size + j) for j in range(len(batch))]
+                tracemalloc.reset_peak()
+                live = tracemalloc.get_traced_memory()[0]
+                engine.estimate_batch(batch, n_samples=n_samples, rngs=rngs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - live)
+        finally:
+            tracemalloc.stop()
+        fold = getattr(kernel._local, "fold", None)
+        found.update(
+            peak=(statistics.median(peaks), max(peaks)),
+            scratch=kernel.stats()["scratch_bytes"] - before,
+            fold=0 if fold is None else fold.nbytes,
+        )
+
+    thread = threading.Thread(target=walk)
+    thread.start()
+    thread.join()
+    return found
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -161,6 +208,7 @@ def main(argv=None):
 
     import fixture
 
+    print("pinned: " + " ".join(f"{key}={os.environ.get(key)}" for key in PINNED_ENV))
     fx = fixture.build_fixture(args.seed, args.scale)
     engine = fx.model.inference
     n_samples = fx.model.config.progressive_samples
@@ -192,8 +240,25 @@ def main(argv=None):
 
     for size in (1, 32):
         phase_table(engine, queries, size, n_samples)
+
+    print(
+        "\nworking set of one walking thread (tracemalloc peak of one batch above what "
+        "was live, median / max; scratch_bytes the thread added = kernel scratch + fold buffer)"
+    )
+    for size in (1, 32):
+        found = working_set(engine, queries, size, n_samples)
+        median, largest = (peak / 1e6 for peak in found["peak"])
+        scratch, fold = found["scratch"] / 1e6, found["fold"] / 1e6
+        print(
+            f"  b{size:<3d} peak {median:6.2f} / {largest:6.2f} MB   scratch_bytes "
+            f"{scratch:6.2f} MB = kernel {scratch - fold:5.2f} + fold {fold:5.2f} MB"
+        )
     return 0
 
 
 if __name__ == "__main__":
+    if any(os.environ.get(key) != value for key, value in PINNED_ENV.items()):
+        # BLAS thread counts and the hash seed only take effect at
+        # interpreter start: replace this process with a pinned one.
+        os.execve(sys.executable, [sys.executable] + sys.argv, {**os.environ, **PINNED_ENV})
     raise SystemExit(main())
