@@ -5,17 +5,14 @@ d_ff 128 — the fig. 7d configuration) on a scaled-down JOB-light schema
 and compares the two engines over one batch of >= 64 range queries (both
 run the same batched walk; only the conditional provider differs):
 
-* ``off``   — the reference forward, the correctness oracle;
-* ``fp32``  — the compiled kernels (folded-embedding LUTs, incremental
-  fold session, prefix-sliced blocks, fused indicator runs, fp32
-  scratch): must keep estimates within 1e-4 relative of the
-  reference (median; p90 within 1e-3 guards stray Monte Carlo boundary
-  flips) and deliver **>= 2x** the reference's median batched latency.
-
-On top of the fp32 gate, variance-adaptive sampling (``max_rel_var``) is
-measured and gated against the same workload: probe walks escalate only
-non-converged queries, which must beat the fixed-samples path on median
-batched latency and raise the delivered QPS floor.
+* reference — ``ProgressiveSampler`` built directly over the trained
+  model's own forward, the correctness oracle;
+* compiled  — the served engine (``build_engine``: per-column input
+  slices, incremental fold session, prefix-sliced blocks, fused
+  indicator runs, fp32 scratch): must keep estimates within 1e-4
+  relative of the reference (median; p90 within 1e-3 guards stray Monte
+  Carlo boundary flips) and deliver **>= 2x** the reference's median
+  batched latency.
 
 Reference and compiled rounds are interleaved so machine drift hits both
 paths alike; one automatic re-measure absorbs a transient spike before the
@@ -37,6 +34,7 @@ import numpy as np
 
 from repro.core import NeuroCard, NeuroCardConfig
 from repro.core.inference import build_engine, compiled_model
+from repro.core.progressive import ProgressiveSampler
 from repro.joins.counts import JoinCounts
 from repro.workloads import job_light_ranges_queries, job_light_schema
 from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
@@ -44,12 +42,6 @@ from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
 SPEEDUP_FLOOR = 2.0
 REL_MEDIAN_TOL = 1e-4
 REL_P90_TOL = 1e-3
-#: Adaptive sampling must beat the fixed-samples walk on the same batch.
-#: At 0.15 relative standard error roughly a quarter of the range workload
-#: escalates (measured ~1.7x): the gate exercises both the early-stop and
-#: the escalation path instead of degenerating to all-probe or all-full.
-ADAPTIVE_SPEEDUP_FLOOR = 1.2
-ADAPTIVE_MAX_REL_VAR = 0.15
 
 
 def measure_interleaved(ref_fn, fast_fn, rounds: int) -> tuple[float, float, float]:
@@ -95,13 +87,13 @@ def main() -> None:
         exclude_columns=DEFAULT_EXCLUDED_COLUMNS, seed=0,
     )
     start = time.perf_counter()
-    estimator = NeuroCard(schema, config).fit(compile=False)
+    estimator = NeuroCard(schema, config).fit()
     train_seconds = time.perf_counter() - start
     queries = job_light_ranges_queries(schema, n=args.batch_size, counts=counts)
 
     J = estimator.counts.full_join_size
-    reference = build_engine(estimator.model, estimator.layout, J, "off")
-    compiled = build_engine(estimator.model, estimator.layout, J, "fp32")
+    reference = ProgressiveSampler(estimator.model, estimator.layout, J)
+    compiled = build_engine(estimator.model, estimator.layout, J)
 
     def run(engine):
         return engine.estimate_batch(
@@ -131,25 +123,6 @@ def main() -> None:
             break
         ref_s, fast_s, speedup = measure_interleaved(ref_fn, fast_fn, args.rounds)
 
-    # ---- Variance-adaptive sampling: fixed walk vs probe-and-escalate.
-    def adaptive_fn():
-        compiled.estimate_batch(
-            queries, n_samples=args.n_samples, rng=np.random.default_rng(0),
-            max_rel_var=ADAPTIVE_MAX_REL_VAR,
-        )
-
-    _, adaptive_s, adaptive_speedup = measure_interleaved(
-        fast_fn, adaptive_fn, args.rounds
-    )
-    for _ in range(2):
-        if adaptive_speedup >= ADAPTIVE_SPEEDUP_FLOOR:
-            break
-        _, adaptive_s, adaptive_speedup = measure_interleaved(
-            fast_fn, adaptive_fn, args.rounds
-        )
-    adaptive_state = compiled.last_adaptive
-    escalated_frac = float(adaptive_state["escalated"].mean())
-
     report = {
         "bench": "compiled_inference",
         "python": platform.python_version(),
@@ -168,11 +141,6 @@ def main() -> None:
         "compiled_extra_kb": round(
             compiled_model(compiled).size_bytes / 1024, 1
         ),
-        "adaptive_ms": round(adaptive_s * 1e3, 2),
-        "adaptive_speedup": round(adaptive_speedup, 3),
-        "adaptive_qps": round(len(queries) / adaptive_s, 2),
-        "adaptive_escalated_frac": round(escalated_frac, 3),
-        "adaptive_max_rel_var": ADAPTIVE_MAX_REL_VAR,
     }
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
@@ -190,18 +158,11 @@ def main() -> None:
             f"compiled speedup {speedup:.2f}x < {SPEEDUP_FLOOR:.1f}x "
             f"({ref_s * 1e3:.1f}ms -> {fast_s * 1e3:.1f}ms)"
         )
-    if adaptive_speedup < ADAPTIVE_SPEEDUP_FLOOR:
-        failures.append(
-            f"adaptive sampling {adaptive_speedup:.2f}x vs fixed walk "
-            f"< {ADAPTIVE_SPEEDUP_FLOOR:.1f}x at max_rel_var="
-            f"{ADAPTIVE_MAX_REL_VAR}"
-        )
     if failures:
         sys.exit("compiled-inference gate FAILED: " + "; ".join(failures))
     print(
         f"compiled-inference gate passed: {speedup:.2f}x at batch "
-        f"{len(queries)}, fp32 within tolerance, adaptive {adaptive_speedup:.2f}x "
-        f"({escalated_frac:.0%} escalated)."
+        f"{len(queries)}, fp32 within tolerance."
     )
 
 

@@ -11,7 +11,8 @@ amortized-latency series and a throughput comparison: packing ≥ 16 queries
 through ``estimate_batch`` must be at least 1.8x the sequential loop's
 queries/sec at equal ``n_samples`` (both paths ride the compiled fp32
 kernels, which lifted the sequential baseline), and the compiled engine
-must beat the reference batched path on top.
+must beat the reference batched path (``ProgressiveSampler`` built
+directly over the trained model, the oracle) on top.
 
 Standalone CI-smoke mode (no pytest, same small model as
 ``bench_compiled_inference.py``)::
@@ -19,11 +20,9 @@ Standalone CI-smoke mode (no pytest, same small model as
     PYTHONPATH=src python benchmarks/bench_fig7d_latency.py --out PATH
 
 measures the fig. 7d latency properties on the compiled fp32 engine —
-per-query median + p95/median predictability spread, batched QPS, and
-variance-adaptive QPS at ``max_rel_var=0.15`` — and writes ``fig7d.*``
-metrics for ``check_regression.py``. The adaptive path must beat the
-fixed-samples walk by >= 1.2x (the floor that PR's adaptive sampling
-raised); the predictability spread is gated in-script.
+per-query median + p95/median predictability spread and batched QPS —
+and writes ``fig7d.*`` metrics for ``check_regression.py``; the
+predictability spread is gated in-script.
 """
 
 import argparse
@@ -87,6 +86,7 @@ def test_fig7d_batched_throughput(light_env, neurocard_light, benchmark):
     path on top."""
     from conftest import RESULTS_DIR, write_result
     from repro.core.inference import build_engine
+    from repro.core.progressive import ProgressiveSampler
 
     inference = neurocard_light.inference
     n_samples = 256
@@ -94,13 +94,13 @@ def test_fig7d_batched_throughput(light_env, neurocard_light, benchmark):
     queries = light_env.queries["ranges"][: max(batch_sizes)]
 
     # Compiled-vs-reference batched engines over the same trained weights.
-    reference = build_engine(
+    reference = ProgressiveSampler(
         neurocard_light.model, neurocard_light.layout,
-        neurocard_light.full_join_size, "off",
+        neurocard_light.full_join_size,
     )
     compiled = build_engine(
         neurocard_light.model, neurocard_light.layout,
-        neurocard_light.full_join_size, "fp32",
+        neurocard_light.full_join_size,
     )
 
     def run():
@@ -162,9 +162,6 @@ def test_fig7d_batched_throughput(light_env, neurocard_light, benchmark):
 
 #: Paper's predictability claim: NeuroCard's per-query p95/median stays tight.
 SPREAD_CEILING = 6.0
-#: The adaptive path must beat the fixed-samples batched walk.
-ADAPTIVE_SPEEDUP_FLOOR = 1.2
-ADAPTIVE_MAX_REL_VAR = 0.15
 
 
 def main() -> None:
@@ -190,12 +187,12 @@ def main() -> None:
         exclude_columns=DEFAULT_EXCLUDED_COLUMNS, seed=0,
     )
     start = time.perf_counter()
-    estimator = NeuroCard(schema, config).fit(compile=False)
+    estimator = NeuroCard(schema, config).fit()
     train_seconds = time.perf_counter() - start
     queries = job_light_ranges_queries(schema, n=args.batch_size, counts=counts)
 
     J = estimator.counts.full_join_size
-    compiled = build_engine(estimator.model, estimator.layout, J, "fp32")
+    compiled = build_engine(estimator.model, estimator.layout, J)
 
     # Per-query latencies (the paper's CDF view): one warm pass, then one
     # timed pass per round; per-query medians across rounds form the CDF.
@@ -220,23 +217,8 @@ def main() -> None:
             queries, n_samples=args.n_samples, rng=np.random.default_rng(0)
         )
 
-    def adaptive_fn():
-        compiled.estimate_batch(
-            queries, n_samples=args.n_samples, rng=np.random.default_rng(0),
-            max_rel_var=ADAPTIVE_MAX_REL_VAR,
-        )
-
     fixed_s = median_of(fixed_fn, rounds=args.rounds)
-    adaptive_s = median_of(adaptive_fn, rounds=args.rounds)
-    for _ in range(2):  # re-measure absorbs transient load spikes
-        if fixed_s / adaptive_s >= ADAPTIVE_SPEEDUP_FLOOR:
-            break
-        fixed_s = median_of(fixed_fn, rounds=args.rounds)
-        adaptive_s = median_of(adaptive_fn, rounds=args.rounds)
-    adaptive_speedup = fixed_s / adaptive_s
-    escalated_frac = float(compiled.last_adaptive["escalated"].mean())
     batched_qps = len(queries) / fixed_s
-    adaptive_qps = len(queries) / adaptive_s
 
     report = {
         "bench": "fig7d",
@@ -252,11 +234,6 @@ def main() -> None:
         "latency_predictable": int(spread < SPREAD_CEILING),
         "batched_ms": round(fixed_s * 1e3, 2),
         "batched_qps": round(batched_qps, 2),
-        "adaptive_ms": round(adaptive_s * 1e3, 2),
-        "adaptive_qps": round(adaptive_qps, 2),
-        "adaptive_speedup": round(adaptive_speedup, 3),
-        "adaptive_escalated_frac": round(escalated_frac, 3),
-        "adaptive_max_rel_var": ADAPTIVE_MAX_REL_VAR,
     }
     out_dir = os.path.dirname(args.out)
     if out_dir:
@@ -266,25 +243,14 @@ def main() -> None:
     print(json.dumps(report, indent=2))
     print(f"[saved to {args.out}]")
 
-    failures = []
     if spread >= SPREAD_CEILING:
-        failures.append(
-            f"per-query p95/median spread {spread:.2f} >= {SPREAD_CEILING:.1f} "
-            f"(latency no longer predictable)"
+        sys.exit(
+            f"fig7d latency gate FAILED: per-query p95/median spread "
+            f"{spread:.2f} >= {SPREAD_CEILING:.1f} (latency no longer predictable)"
         )
-    if adaptive_speedup < ADAPTIVE_SPEEDUP_FLOOR:
-        failures.append(
-            f"adaptive sampling {adaptive_speedup:.2f}x vs fixed walk "
-            f"< {ADAPTIVE_SPEEDUP_FLOOR:.1f}x at max_rel_var="
-            f"{ADAPTIVE_MAX_REL_VAR}"
-        )
-    if failures:
-        sys.exit("fig7d latency gate FAILED: " + "; ".join(failures))
     print(
         f"fig7d latency gate passed: median {seq_p50_ms:.2f}ms/query "
-        f"(spread {spread:.2f}), batched {batched_qps:.0f} q/s, adaptive "
-        f"{adaptive_qps:.0f} q/s ({adaptive_speedup:.2f}x, "
-        f"{escalated_frac:.0%} escalated)."
+        f"(spread {spread:.2f}), batched {batched_qps:.0f} q/s."
     )
 
 

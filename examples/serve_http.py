@@ -44,7 +44,7 @@ def train(schema, train_tuples: int, seed: int) -> NeuroCard:
         learning_rate=5e-3, progressive_samples=128, sampler_threads=1,
         exclude_columns=DEFAULT_EXCLUDED_COLUMNS, seed=seed,
     )
-    return NeuroCard(schema, config).fit(compile=True)
+    return NeuroCard(schema, config).fit()
 
 
 def main() -> None:

@@ -51,7 +51,7 @@ def main() -> None:
         snapshots[-1], n=32, counts=JoinCounts(snapshots[-1])
     )
 
-    estimator = NeuroCard(snapshots[0], config).fit(compile=True)
+    estimator = NeuroCard(snapshots[0], config).fit()
     print(f"trained on partition 1/5 in "
           f"{estimator.train_result.wall_seconds:.1f}s "
           f"({snapshots[0].table('title').n_rows} title rows)")

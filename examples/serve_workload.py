@@ -62,11 +62,10 @@ def main() -> None:
         learning_rate=5e-3, progressive_samples=128,
         exclude_columns=("customers.id", "orders.customer_id"),
     )
-    # compile=True lowers the trained model into plan-specialized serving
-    # kernels (per-column input slices, incremental fold sessions, sliced
-    # output heads — fp32 fast path); it is also the default via
-    # NeuroCardConfig.compiled_inference="fp32".
-    estimator = NeuroCard(initial, config).fit(compile=True)
+    # fit() serves the trained model on plan-specialized fp32 kernels
+    # (per-column input slices, incremental fold sessions, sliced output
+    # heads), folded on the first estimate.
+    estimator = NeuroCard(initial, config).fit()
     print(f"trained in {estimator.train_result.wall_seconds:.1f}s, "
           f"{estimator.size_mb:.2f} MB")
 

@@ -7,24 +7,6 @@ from typing import Optional, Tuple
 
 from repro.errors import TrainingError
 
-#: Recognized values for ``NeuroCardConfig.compiled_inference``.
-INFERENCE_MODES = ("off", "fp32")
-
-
-def mode_error(compiled_inference: str) -> Optional[str]:
-    """Why this engine mode cannot be served.
-
-    The one place the rule lives: the config validates with it before
-    training, the estimator when it resolves its mode and ``build_engine``
-    before wrapping a model. Returns None for a servable mode.
-    """
-    if compiled_inference not in INFERENCE_MODES:
-        return (
-            f"unknown inference mode {compiled_inference!r}; "
-            f"compiled_inference must be one of {INFERENCE_MODES}"
-        )
-    return None
-
 
 @dataclass
 class NeuroCardConfig:
@@ -48,9 +30,6 @@ class NeuroCardConfig:
     wildcard_skipping: bool = True
     exclude_columns: Tuple[str, ...] = field(default_factory=tuple)
     seed: int = 0
-    #: Serving-side kernel compilation: "fp32" (compiled fast path, the
-    #: default) or "off" (uncompiled reference engine, the oracle).
-    compiled_inference: str = "fp32"
 
     def validate(self) -> None:
         if self.d_emb < 1 or self.d_ff < 1 or self.n_blocks < 0:
@@ -63,6 +42,3 @@ class NeuroCardConfig:
             raise TrainingError("progressive_samples must be >= 1")
         if self.sampler_threads < 1:
             raise TrainingError("sampler_threads must be >= 1")
-        problem = mode_error(self.compiled_inference)
-        if problem is not None:
-            raise TrainingError(problem)

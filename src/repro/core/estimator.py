@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import NeuroCardConfig, mode_error
+from repro.core.config import NeuroCardConfig
 from repro.core.encoding import FusedEncoder, Layout
 from repro.core.inference import (
     build_engine,
@@ -82,7 +82,6 @@ class NeuroCard:
         self.prepare_seconds = 0.0
         self._optimizer: Optional[Adam] = None
         self._rng = np.random.default_rng(self.config.seed + 1)
-        self._compile_mode = self.config.compiled_inference
         #: Monotonic id of the data snapshot this estimator was last trained
         #: on. 0 is the fit() snapshot; the streaming-ingest layer stamps
         #: its own versions through :meth:`update` so freshness is
@@ -94,24 +93,20 @@ class NeuroCard:
     def is_fitted(self) -> bool:
         return self.inference is not None
 
-    def fit(
-        self, train_tuples: Optional[int] = None, compile: Optional[object] = None
-    ) -> "NeuroCard":
+    def fit(self, train_tuples: Optional[int] = None) -> "NeuroCard":
         """Build join counts, train the AR model, prepare inference.
 
-        ``compile`` selects the serving kernels: ``True`` / ``"fp32"``
-        compiles, ``False`` / ``"off"`` keeps the reference engine, and
-        ``None`` defers to ``config.compiled_inference``.
-        Compilation itself is lazy — kernels fold on first estimate.
+        The engine serves compiled fp32 kernels; compilation is lazy —
+        kernels fold on first estimate (or on :meth:`precompile`).
         """
         cfg = self.config
         n_tuples = train_tuples if train_tuples is not None else cfg.train_tuples
-        self._prepare_structures(n_tuples, compile)
+        self._prepare_structures(n_tuples)
         self._train(n_tuples)
         self.inference = self.build_inference()
         return self
 
-    def prepare(self, compile: Optional[object] = None) -> "NeuroCard":
+    def prepare(self) -> "NeuroCard":
         """Build counts/sampler/layout/model/engine WITHOUT training.
 
         The weights stay at their seeded initialization. Two consumers
@@ -123,7 +118,7 @@ class NeuroCard:
         never a gradient step. The estimator reports ``is_fitted`` after
         this call; estimates are meaningless until real weights arrive.
         """
-        self._prepare_structures(self.config.train_tuples, compile)
+        self._prepare_structures(self.config.train_tuples)
         self.inference = self.build_inference()
         return self
 
@@ -157,9 +152,8 @@ class NeuroCard:
             param.value = value
         self.invalidate_compiled()
 
-    def _prepare_structures(self, n_tuples: int, compile: Optional[object]) -> None:
+    def _prepare_structures(self, n_tuples: int) -> None:
         cfg = self.config
-        self._compile_mode = self._resolve_compile_mode(compile)
         start = time.perf_counter()
         self.counts = JoinCounts(self.schema)
         specs = joined_column_specs(
@@ -181,27 +175,11 @@ class NeuroCard:
             total_steps=max(n_tuples // cfg.batch_size, 1),
         )
 
-    def _resolve_compile_mode(self, compile: Optional[object]) -> str:
-        if compile is None:
-            mode = self.config.compiled_inference
-        elif isinstance(compile, bool):
-            mode = "fp32" if compile else "off"
-        else:
-            mode = str(compile)
-        # Fail before training, not at the post-fit build_engine call.
-        problem = mode_error(mode)
-        if problem is not None:
-            raise EstimationError(problem)
-        return mode
-
     def build_inference(self) -> ProgressiveSampler:
-        """A fresh inference engine over the current weights (compiled per
-        the estimator's mode). Used on fit/update and by the serving
-        registry's hot-swap path, so stale compiled state never survives a
-        weight change."""
-        return build_engine(
-            self.model, self.layout, self.counts.full_join_size, self._compile_mode
-        )
+        """A fresh compiled inference engine over the current weights. Used
+        on fit/update and by the serving registry's hot-swap path, so stale
+        compiled state never survives a weight change."""
+        return build_engine(self.model, self.layout, self.counts.full_join_size)
 
     @staticmethod
     def _check_throttle(throttle: Optional[float]) -> None:
@@ -284,8 +262,6 @@ class NeuroCard:
         rng: Optional[np.random.Generator] = None,
         n_samples: Optional[int] = None,
         rngs: Optional[Sequence[np.random.Generator]] = None,
-        max_rel_var: Optional[float] = None,
-        min_samples: Optional[int] = None,
     ) -> np.ndarray:
         """Estimated COUNT(*) for many queries in one packed inference pass.
 
@@ -297,13 +273,6 @@ class NeuroCard:
         same generator state as a sequential :meth:`estimate` call, the
         batched result is bitwise-equal to the sequential one (the
         micro-batching scheduler relies on this for deterministic serving).
-
-        ``max_rel_var`` turns on variance-adaptive sampling: every query
-        first runs a cheap probe walk, and only queries whose relative
-        standard error exceeds the bound escalate to the full ``n_samples``
-        walk (on their pristine pinned streams, so escalated results are
-        bitwise-equal to a fixed-``n_samples`` run). ``min_samples``
-        overrides the probe size.
         """
         if not self.is_fitted:
             raise EstimationError("call fit() before estimate_batch()")
@@ -314,8 +283,6 @@ class NeuroCard:
             ),
             rng=rng if rng is not None else self._rng,
             rngs=rngs,
-            max_rel_var=max_rel_var,
-            min_samples=min_samples,
         )
 
     # ------------------------------------------------------------------
@@ -324,13 +291,11 @@ class NeuroCard:
 
         Compilation is otherwise lazy (first estimate pays it); serving
         layers call this on load/hot-swap so the first request after a
-        swap is already on compiled kernels. No-op on reference engines.
+        swap is already on compiled kernels.
         """
         if not self.is_fitted:
             raise EstimationError("call fit() before precompile()")
-        compiled = compiled_model(self.inference)
-        if compiled is not None:
-            compiled.compile()
+        compiled_model(self.inference).compile()
 
     def invalidate_compiled(self) -> None:
         """Drop compiled kernel state (weights changed out from under it)."""

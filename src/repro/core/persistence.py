@@ -236,10 +236,11 @@ def load_model(path: str | Path, schema: JoinSchema) -> NeuroCard:
             _check_columns(schema, meta["columns"])
         config_dict = dict(meta["config"])
         config_dict["exclude_columns"] = tuple(config_dict["exclude_columns"])
-        # Artifacts saved while quantized kernel modes existed carry this
-        # key. They only ever held raw fp32 parameters, so whatever mode it
-        # names, they load onto fp32 kernels.
+        # Artifacts saved while kernel-mode knobs existed carry these keys.
+        # They only ever held raw fp32 parameters, so whatever mode they
+        # name, they load onto the compiled fp32 engine.
         config_dict.pop("quantization", None)
+        config_dict.pop("compiled_inference", None)
         try:
             config = NeuroCardConfig(**config_dict)
             config.validate()

@@ -417,14 +417,6 @@ class ProgressiveSampler:
         self._trie_cache: Dict[tuple, SetTrie] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Variance-adaptive bookkeeping: per-batch diagnostics of the most
-        # recent adaptive run plus cumulative counters (see
-        # :meth:`estimate_batch` and :meth:`adaptive_stats`).
-        self.last_adaptive: Optional[Dict[str, np.ndarray]] = None
-        self._adaptive_batches = 0
-        self._adaptive_queries = 0
-        self._adaptive_escalated = 0
-        self._adaptive_samples_saved = 0
 
     # A sampler wraps an already-built model, so it is registrable at every
     # serving depth (ModelRegistry checks ``is_fitted``/``size_bytes``).
@@ -595,8 +587,6 @@ class ProgressiveSampler:
         n_samples: int = 512,
         rng: Optional[np.random.Generator] = None,
         rngs: Optional[Sequence[np.random.Generator]] = None,
-        max_rel_var: Optional[float] = None,
-        min_samples: Optional[int] = None,
     ) -> np.ndarray:
         """Estimated COUNT(*) for many queries in one packed pass.
 
@@ -608,18 +598,6 @@ class ProgressiveSampler:
 
         ``rngs`` pins one generator per query (used by the equivalence
         tests); by default independent streams are spawned from ``rng``.
-
-        ``max_rel_var`` switches on **variance-adaptive sampling**: every
-        query first runs a probe walk of ``min_samples`` rows (default
-        ``max(16, n_samples // 8)``) on a spawned side-stream, and only the
-        queries whose estimator's relative standard error —
-        ``sqrt(Var(w)/k) / mean(w)`` over the probe weights ``w`` — exceeds
-        the bound are escalated to a full ``n_samples`` walk. Converged
-        queries stop consuming batch slots after the probe, and escalated
-        queries run on their *untouched* per-query generators, so their
-        results equal a fixed ``n_samples`` run exactly. Per-batch
-        diagnostics land in :attr:`last_adaptive`; cumulative counters in
-        :meth:`adaptive_stats`.
         """
         queries = list(queries)
         if not queries:
@@ -635,82 +613,8 @@ class ProgressiveSampler:
         for query in queries:
             query.validate(self.layout.schema)
             plans.append(self.plan(query))
-        if max_rel_var is not None:
-            selectivity = self._adaptive_batch(
-                plans, n_samples, rngs, float(max_rel_var), min_samples
-            )
-        else:
-            # Fixed runs clear the diagnostics: last_adaptive always
-            # describes the most recent batch, never a stale adaptive one.
-            self.last_adaptive = None
-            selectivity = self._run_batch_weights(plans, n_samples, rngs).mean(axis=1)
+        selectivity = self._run_batch_weights(plans, n_samples, rngs).mean(axis=1)
         return selectivity * self.full_join_size
-
-    def _adaptive_batch(
-        self,
-        plans: Sequence["QueryPlan"],
-        n_samples: int,
-        rngs: Sequence[np.random.Generator],
-        max_rel_var: float,
-        min_samples: Optional[int],
-    ) -> np.ndarray:
-        """Probe-then-escalate executor (see :meth:`estimate_batch`)."""
-        if max_rel_var < 0:
-            raise EstimationError("max_rel_var must be >= 0")
-        n_probe = min_samples if min_samples is not None else max(16, n_samples // 8)
-        if n_probe < 2:
-            raise EstimationError("adaptive sampling needs min_samples >= 2")
-        n_probe = min(int(n_probe), n_samples)
-        # The probe consumes a spawned side-stream so each query's own
-        # generator stays pristine: an escalated query replays the exact
-        # walk a fixed n_samples run would, making escalated results
-        # bitwise-reproducible against the non-adaptive path.
-        probe_rngs = [r.spawn(1)[0] for r in rngs]
-        w = self._run_batch_weights(plans, n_probe, probe_rngs)
-        mean = w.mean(axis=1)
-        # Sample variance of the per-row weights -> standard error of the
-        # probe-mean estimator. All-zero weights (empty or fully pruned
-        # queries) have zero variance and converge immediately.
-        se = np.sqrt(w.var(axis=1, ddof=1) / n_probe)
-        rel_se = np.divide(
-            se, mean, out=np.zeros_like(mean), where=mean > 0.0
-        )
-        escalate = (rel_se > max_rel_var) & (n_probe < n_samples)
-        estimates = mean
-        if escalate.any():
-            idx = np.flatnonzero(escalate)
-            full = self._run_batch_weights(
-                [plans[i] for i in idx], n_samples, [rngs[i] for i in idx]
-            ).mean(axis=1)
-            estimates = mean.copy()
-            estimates[idx] = full
-        n_effective = np.where(escalate, n_probe + n_samples, n_probe)
-        self.last_adaptive = {
-            "probe_samples": int(n_probe),
-            "max_samples": int(n_samples),
-            "rel_se": rel_se,
-            "escalated": escalate,
-            "n_effective": n_effective,
-        }
-        self._adaptive_batches += 1
-        self._adaptive_queries += len(plans)
-        self._adaptive_escalated += int(escalate.sum())
-        self._adaptive_samples_saved += int(n_samples * len(plans) - n_effective.sum())
-        return estimates
-
-    def adaptive_stats(self) -> Dict[str, int]:
-        """Cumulative variance-adaptive counters (all zero when unused).
-
-        ``samples_saved`` compares against every query running a fixed
-        ``n_samples`` walk — escalated queries *cost* an extra probe, so
-        the counter can go negative on workloads that never converge.
-        """
-        return {
-            "adaptive_batches": self._adaptive_batches,
-            "adaptive_queries": self._adaptive_queries,
-            "adaptive_escalated": self._adaptive_escalated,
-            "adaptive_samples_saved": self._adaptive_samples_saved,
-        }
 
     def _run_batch_weights(
         self,

@@ -138,9 +138,7 @@ class _WorkerState:
             # respawned): rebuild the deterministic skeleton. Weight-only
             # swaps ship ``schema=None`` and reuse it.
             if payload.get("schema") is not None or not isinstance(est, NeuroCard):
-                est = NeuroCard(payload["schema"], payload["config"]).prepare(
-                    compile=payload["mode"]
-                )
+                est = NeuroCard(payload["schema"], payload["config"]).prepare()
             est.attach_parameters(
                 [arrays[f"param::{i}"] for i in range(payload["n_params"])]
             )
@@ -498,7 +496,7 @@ class WorkerPool:
     def _context_key(payload: dict) -> Optional[tuple]:
         if payload["transport"] != "shared":
             return None
-        return (id(payload["schema"]), id(payload["config"]), payload["mode"])
+        return (id(payload["schema"]), id(payload["config"]))
 
     def _slim_payload(self, payload: dict) -> dict:
         """Drop schema/config when the workers' skeleton already matches.
@@ -546,7 +544,6 @@ class WorkerPool:
                 "n_params": len(params),
                 "schema": model.schema,
                 "config": model.config,
-                "mode": model._compile_mode,  # noqa: SLF001 - serving twin
                 "fault_plan": fault_plan,
             }
             return payload, segment

@@ -1,9 +1,10 @@
 """Compiled inference engine: kernel equivalence, one table, lifecycle.
 
-The reference engine (``off``) is the correctness oracle throughout — both
-engines run the same batched walk (pinned to the sequential loop in
-``test_batched.py``), so ``fp32`` mode must match it to fp32 round-off on
-conditionals and estimates; every GEMM operand is a view of the one
+The reference engine (a ``ProgressiveSampler`` built directly over the
+trained model) is the correctness oracle throughout — both engines run the
+same batched walk (pinned to the sequential loop in ``test_batched.py``),
+so the served fp32 engine must match it to fp32 round-off on conditionals
+and estimates; every GEMM operand is a view of the one
 exported table, and per-process state (fold sessions, scratch) must never
 leak across queries, calls, or weight changes.
 """
@@ -23,6 +24,7 @@ from repro.core.inference import (
     compiled_size_bytes,
     export_engine_state,
 )
+from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError
 from repro.nn import compiled as compiled_module
 from repro.nn.compiled import CHUNK_ROWS, CompiledResMADE, FoldSession
@@ -54,11 +56,14 @@ def workload():
     ]
 
 
-def engines(estimator, *modes):
-    J = estimator.counts.full_join_size
-    return [
-        build_engine(estimator.model, estimator.layout, J, mode) for mode in modes
-    ]
+def served(estimator):
+    """A fresh serving engine over the estimator's weights."""
+    return build_engine(estimator.model, estimator.layout, estimator.full_join_size)
+
+
+def reference(estimator):
+    """The oracle: the same walk over the trained model's own forward."""
+    return ProgressiveSampler(estimator.model, estimator.layout, estimator.full_join_size)
 
 
 def batch(engine, queries, n=96, base_seed=700):
@@ -125,7 +130,7 @@ class TestKernelEquivalence:
         batched walk (one session) on the same pinned stream stay inside
         the documented fp32 envelope (docs/accuracy.md)."""
         _, estimator = fitted
-        (fast,) = engines(estimator, "fp32")
+        fast = served(estimator)
         for i, query in enumerate(workload()):
             seq = fast.estimate(query, n_samples=96, rng=np.random.default_rng(40 + i))
             (one,) = fast.estimate_batch(
@@ -135,7 +140,7 @@ class TestKernelEquivalence:
 
     def test_fp32_estimates_within_tolerance(self, fitted):
         _, estimator = fitted
-        ref, fast = engines(estimator, "off", "fp32")
+        ref, fast = reference(estimator), served(estimator)
         queries = workload()
         a, b = batch(ref, queries), batch(fast, queries)
         rel = np.abs(b - a) / np.maximum(np.abs(a), 1e-12)
@@ -168,20 +173,20 @@ class TestKernelEquivalence:
             Query.make(["R", last], [Predicate("R", "x", "=", 6)]),
             Query.make(["R", "C00"], []),
         ]
-        results = {}
-        for mode in ("off", "fp32"):
-            estimator = NeuroCard(schema, config).prepare(compile=mode)
-            indicator_specs = [
-                s.name for s in estimator.layout.specs if s.kind == "indicator"
-            ]
-            assert indicator_specs.index(
-                estimator.layout.indicator_spec_name(last)
-            ) >= 64
-            results[mode] = estimator.estimate_batch(
-                queries, rngs=[np.random.default_rng(i) for i in range(2)]
+        estimator = NeuroCard(schema, config).prepare()
+        indicator_specs = [
+            s.name for s in estimator.layout.specs if s.kind == "indicator"
+        ]
+        assert indicator_specs.index(estimator.layout.indicator_spec_name(last)) >= 64
+        fast, ref = (
+            engine.estimate_batch(
+                queries, n_samples=config.progressive_samples,
+                rngs=[np.random.default_rng(i) for i in range(2)],
             )
-        assert np.isfinite(results["fp32"]).all() and (results["fp32"] >= 0).all()
-        np.testing.assert_allclose(results["fp32"], results["off"], rtol=1e-4)
+            for engine in (estimator.inference, reference(estimator))
+        )
+        assert np.isfinite(fast).all() and (fast >= 0).all()
+        np.testing.assert_allclose(fast, ref, rtol=1e-4)
 
 
 class TestDynamicCaches:
@@ -189,11 +194,11 @@ class TestDynamicCaches:
         """A warm engine (scratch and fold buffers grown and reused by other
         queries' walks) must give the same bits as a cold engine."""
         _, estimator = fitted
-        (fast,) = engines(estimator, "fp32")
+        fast = served(estimator)
         queries = workload()
         warm_first = batch(fast, queries)
         warm_again = batch(fast, queries)  # every buffer reused now
-        (cold,) = engines(estimator, "fp32")
+        cold = served(estimator)
         cold_run = batch(cold, queries)
         np.testing.assert_array_equal(warm_first, warm_again)
         np.testing.assert_array_equal(warm_again, cold_run)
@@ -231,7 +236,7 @@ class TestBoundedWorkingSet:
         config = small_config(exclude_columns=(), sampler_threads=1, progressive_samples=96)
         # Untrained weights: near-uniform conditionals over 200 codes, so
         # prefixes stop repeating after two columns.
-        estimator = NeuroCard(schema, config).prepare(compile="fp32")
+        estimator = NeuroCard(schema, config).prepare()
         queries = [
             Query.make(["T"], [Predicate("T", "a", "<", 150 + i), Predicate("T", "b", ">=", i),
                                Predicate("T", "c", "<", 190)])
@@ -251,7 +256,7 @@ class TestBoundedWorkingSet:
         kernel = {}
         for size in (32, 8):
             widest[0] = 0
-            (engine,) = engines(estimator, "fp32")
+            engine = served(estimator)
             compiled = compiled_model(engine)
             batch(engine, queries[:size])
             fold = compiled._local.fold
@@ -320,7 +325,7 @@ class TestOneTable:
         counts, warm walks add nothing beside it, every GEMM operand is a view
         of it, and read-only views of it serve bitwise-identical estimates."""
         _, estimator = fitted
-        (source,) = engines(estimator, "fp32")
+        source = served(estimator)
         compiled = compiled_model(source).compile()
         size = compiled.size_bytes
         queries = workload() + workload()[:2]  # one batch of 8
@@ -338,7 +343,7 @@ class TestOneTable:
         views = {name: array.view() for name, array in state.items()}
         for view in views.values():
             view.flags.writeable = False
-        (clone,) = engines(estimator, "fp32")
+        clone = served(estimator)
         attach_engine_state(clone, views)
         attached = compiled_model(clone)
         assert attached.is_compiled and attached.stats()["attached"] == 1
@@ -493,7 +498,7 @@ class TestLifecycle:
         (after start-up and after every hot-swap's ``invalidate``): the
         scrape must never see half-dropped buffers under it."""
         _, estimator = fitted
-        (engine,) = engines(estimator, "fp32")
+        engine = served(estimator)
         compiled = compiled_model(engine)
         errors, scrapes, stop = [], [0], threading.Event()
 
@@ -533,17 +538,11 @@ class TestLifecycle:
         )[0]
         assert direct == pinned
 
-    def test_compile_modes_and_validation(self, fitted):
-        schema, estimator = fitted
-        off = NeuroCard(schema, small_config(train_tuples=1_000)).fit(compile=False)
-        assert off.inference.model is off.model  # raw reference engine
-        assert compiled_model(off.inference) is None
-        assert compiled_model(estimator.inference) is not None  # default fp32
-        for retired_or_unknown in ("fp64", "fp16"):
-            with pytest.raises(EstimationError, match="unknown inference mode"):
-                build_engine(
-                    estimator.model, estimator.layout, estimator.full_join_size,
-                    retired_or_unknown,
-                )
+    def test_served_engine_is_compiled_reference_is_built_directly(self, fitted):
+        _, estimator = fitted
+        assert compiled_model(estimator.inference) is not None
+        oracle = reference(estimator)
+        assert oracle.model is estimator.model  # raw reference engine
+        assert compiled_model(oracle) is None
         with pytest.raises(EstimationError):
             CompiledResMADE(object())

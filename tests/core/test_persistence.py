@@ -156,19 +156,18 @@ class TestCompatibilityValidation:
         with pytest.raises(PersistenceError, match="config"):
             load_model(path, schema)
 
-    def test_retired_fp64_mode_rejected_naming_the_field(self, trained, tmp_path):
-        """Artifacts saved with the retired ``"fp64"`` executor mode fail the
-        config validation up front, naming ``compiled_inference``."""
-        schema, estimator = trained
-        path = save_model(estimator, tmp_path / "fp64.npz")
-        _corrupt_meta(path, lambda m: m["config"].update(compiled_inference="fp64"))
-        with pytest.raises(PersistenceError, match="'fp64'; compiled_inference must be"):
-            load_model(path, schema)
-
-    def test_artifact_naming_a_retired_kernel_mode_loads_as_fp32(self, trained, tmp_path):
-        """Artifacts from before the quantized kernel modes were deleted carry
-        the mode in their config. They only ever held fp32 parameters, so
-        whatever mode they name, they load and answer like a current one."""
+    @pytest.mark.parametrize(
+        "key, modes",
+        [("quantization", ("off", "int8")), ("compiled_inference", ("off", "fp32"))],
+        ids=["quantization", "compiled_inference"],
+    )
+    def test_artifact_naming_a_retired_kernel_mode_loads_as_fp32(
+        self, trained, tmp_path, key, modes
+    ):
+        """Artifacts from before the kernel-mode knobs were deleted carry the
+        mode in their config. They only ever held fp32 parameters, so
+        whatever mode they name, they load and answer bitwise like a fresh
+        round trip."""
         schema, estimator = trained
         path = save_model(estimator, tmp_path / "current.npz")
         queries = [
@@ -184,9 +183,9 @@ class TestCompatibilityValidation:
             return loaded.estimate_batch(queries, rngs=rngs)
 
         want = answers(path)
-        for mode in ("off", "int8"):
+        for mode in modes:
             doctored = save_model(estimator, tmp_path / f"{mode}.npz")
-            _corrupt_meta(doctored, lambda m: m["config"].update(quantization=mode))
+            _corrupt_meta(doctored, lambda m: m["config"].update({key: mode}))
             assert np.array_equal(answers(doctored), want), mode
 
     def test_v1_artifact_without_columns_still_loads(self, trained, tmp_path):

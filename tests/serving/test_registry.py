@@ -133,8 +133,7 @@ class TestHotSwap:
         # built from the refreshed model must agree bitwise.
         query = Query.make(["R"])
         fresh = build_engine(
-            refreshed.model, refreshed.layout,
-            refreshed.counts.full_join_size, "fp32",
+            refreshed.model, refreshed.layout, refreshed.counts.full_join_size
         )
         served = refreshed.estimate(query, rng=np.random.default_rng(21))
         rebuilt = fresh.estimate_batch(

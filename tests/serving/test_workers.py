@@ -28,9 +28,11 @@ import pytest
 from repro.core.estimator import NeuroCard
 from repro.core.inference import (
     attach_engine_state,
+    compiled_model,
     compiled_size_bytes,
     export_engine_state,
 )
+from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError, ServingError
 from repro.nn.compiled import pack_layout, read_blob, write_blob
 from repro.relational.predicate import Predicate
@@ -119,12 +121,13 @@ def test_attach_parameters_rejects_mismatched_shapes(tiny_trained):
 
 
 def test_reference_engine_has_no_state_to_share(tiny_trained):
+    """Only the served engine holds kernels; the oracle is built directly."""
     schema, est = tiny_trained
-    reference = NeuroCard(schema, est.config).prepare(compile="off")
-    assert export_engine_state(reference.inference) == {}
-    attach_engine_state(reference.inference, {})  # nothing to attach: no-op
-    with pytest.raises(EstimationError, match="reference engine"):
-        attach_engine_state(reference.inference, export_engine_state(est.inference))
+    skeleton = NeuroCard(schema, est.config).prepare()
+    assert compiled_model(skeleton.inference) is not None
+    reference = ProgressiveSampler(est.model, est.layout, est.full_join_size)
+    assert compiled_model(reference) is None
+    assert compiled_size_bytes(reference) == 0
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,17 @@ class TestVerdicts:
         assert m["verdict"] == "ok"
         assert m["parent"]["median"] == 100.0 and m["change"]["median"] == 101.0
 
+    def test_no_gain_below_the_relative_floor_on_metrics_with_no_spread(self):
+        """Round-off on a metric every run repeats is not a gain."""
+        parent = [1.2345678] * 10
+        tiny = [p * (1 - 3e-8) for p in parent]
+        m = ab.judge(parent, tiny, "lower", 0.05)
+        assert (m["wins"], m["verdict"]) == (10, "ok")
+        # Past the floor, the same pairs read as a gain.
+        assert ab.judge(parent, [p * (1 - 1e-5) for p in parent], "lower", 0.05)[
+            "verdict"
+        ] == "gain"
+
     def test_identical_sides_are_ok_with_no_pair_won(self):
         m = ab.judge([1670472.0] * 3, [1670472.0] * 3, "lower", 0.05)
         assert (m["verdict"], m["wins"], m["losses"], m["sign_p"]) == ("ok", 0, 0, 1.0)
@@ -80,6 +91,8 @@ class TestSeeds:
         assert ab.seed_list(None, "41-44") == [41, 42, 43, 44]
         assert ab.seed_list(4, "41-44") == [41, 42, 43, 44]
         assert ab.seed_list(3, None) == [1, 2, 3]
+        assert ab.DEFAULT_PAIRS == 10
+        assert ab.seed_list(None, None) == list(range(1, 11))
 
     def test_disagreeing_or_empty_ranges_raise(self):
         with pytest.raises(ValueError):

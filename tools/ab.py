@@ -18,15 +18,17 @@ sign-test p-value and a verdict against the metric's bound in
 * ``worse``: the change's median is past the bound, in the metric's bad
   direction;
 * ``gain``: the change won at least 9 of every 10 pairs and its median beats
-  the parent's by more than the parent's interquartile range;
+  the parent's by more than the parent's interquartile range and by more
+  than a millionth of the parent's median;
 * ``unresolved``: the parent's runs are spread wider than the bound (IQR
   over median; range over median below four runs) and the change's runs do
   not all beat every parent run, so "no worse" cannot be told from noise;
 * ``ok``: none of the above.
 
 A metric the runs repeat exactly (``model_bytes``, the q-errors) has no
-spread, so any difference that repeats in 9 of 10 pairs reads ``gain`` or,
-past the bound, ``worse``, however small: read the ratio beside it.
+spread, so its interquartile range cannot tell a gain from float round-off;
+the millionth-of-the-median floor does: a relative difference of 3e-8 on
+``qerr_p95`` reads ``ok``, not ``gain``.
 
 Run from the repository root::
 
@@ -37,7 +39,7 @@ Run from the repository root::
 ``git clone``; ``.`` runs this checkout against itself. Without
 ``--workload`` every workload in ``BENCHMARK.json`` runs. ``--seeds A-B``
 gives pair ``i`` seed ``A + i`` (inclusive range; it sets the number of
-pairs); without it the pairs use seeds 1..N (N = ``--pairs``, default 5).
+pairs); without it the pairs use seeds 1..N (N = ``--pairs``, default 10).
 The last line is one JSON object; the exit status is 1 on any ``worse``
 verdict or any failed run.
 """
@@ -59,6 +61,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 #: A ``gain`` needs the change to win at least this many of every 10 pairs.
 GAIN_WINS_PER_10 = 9
+#: A ``gain`` must also beat this share of the parent's median, so a metric
+#: with no spread does not read round-off as a gain.
+GAIN_REL_FLOOR = 1e-6
+#: Pairs per workload without ``--pairs`` or ``--seeds``.
+DEFAULT_PAIRS = 10
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +113,9 @@ def judge(parent: Sequence[float], change: Sequence[float], better: str, bound: 
     gap = sign * (p_med - c_med)
     if worsening > bound:
         verdict = "worse"
-    elif 10 * wins >= GAIN_WINS_PER_10 * len(parent) and gap > p_q3 - p_q1:
+    elif 10 * wins >= GAIN_WINS_PER_10 * len(parent) and gap > max(
+        p_q3 - p_q1, GAIN_REL_FLOOR * abs(p_med)
+    ):
         verdict = "gain"
     elif spread(parent) > bound and not (
         max(change) < min(parent) if better == "lower" else min(change) > max(parent)
@@ -170,7 +179,7 @@ def seed_list(pairs: Optional[int], seeds: Optional[str]) -> List[int]:
     if pairs is not None and pairs < 1:
         raise ValueError(f"--pairs {pairs}: need at least one pair")
     if seeds is None:
-        return list(range(1, (pairs or 5) + 1))
+        return list(range(1, (pairs or DEFAULT_PAIRS) + 1))
     lo, _, hi = seeds.partition("-")
     first, last = int(lo), int(hi or lo)
     if last < first:

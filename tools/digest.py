@@ -8,8 +8,8 @@ pinned environment (one BLAS thread, ``PYTHONHASHSEED=0``) and its own
 ``tools/profile_walk.py`` does). A side fits the fixture model and records:
 
 * pinned-seed answers to the fixture's evaluation queries (query ``i`` on
-  stream ``EVAL_SEED + i``): the sequential engine loop, ``estimate_batch``
-  at batch 1, 8 and 32, and one variance-adaptive batch of 32;
+  stream ``EVAL_SEED + i``): the sequential engine loop and
+  ``estimate_batch`` at batch 1, 8 and 32;
 * the fit's per-step losses and every trained parameter array;
 * ``model_bytes`` (``NeuroCard.size_bytes``) and the compiled kernel table's
   entries with their shapes and bytes.
@@ -49,8 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 BATCH_SIZES = (1, 8, 32)
-ADAPTIVE_MAX_REL_VAR = 0.15
-ANSWER_SETS = ("sequential",) + tuple(f"b{size}" for size in BATCH_SIZES) + ("adaptive",)
+ANSWER_SETS = ("sequential",) + tuple(f"b{size}" for size in BATCH_SIZES)
 
 
 # ----------------------------------------------------------------------
@@ -187,9 +186,6 @@ def collect(scale: str) -> dict:
             rngs = streams(lo, len(batch))
             out.extend(engine.estimate_batch(batch, n_samples=n_samples, rngs=rngs))
         answers[f"b{size}"] = out
-    answers["adaptive"] = engine.estimate_batch(
-        queries[:32], n_samples=n_samples, rngs=streams(0, 32), max_rel_var=ADAPTIVE_MAX_REL_VAR
-    )
     table = {
         name: {"shape": list(a.shape), "dtype": str(a.dtype), "nbytes": int(a.nbytes)}
         for name, a in export_engine_state(engine).items()
