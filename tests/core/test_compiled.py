@@ -546,3 +546,21 @@ class TestLifecycle:
         assert compiled_model(oracle) is None
         with pytest.raises(EstimationError):
             CompiledResMADE(object())
+
+    def test_compile_modes_and_validation(self, fitted):
+        """One served mode: every place that used to pick an inference mode
+        now refuses the argument loudly instead of ignoring it."""
+        schema, estimator = fitted
+        with pytest.raises(TypeError):
+            build_engine(
+                estimator.model, estimator.layout, estimator.full_join_size, "fp32"
+            )
+        with pytest.raises(TypeError):
+            NeuroCard(schema, small_config(train_tuples=1_000)).prepare(compile="off")
+        with pytest.raises(TypeError):
+            NeuroCard(schema, small_config(train_tuples=1_000)).fit(compile=False)
+        with pytest.raises(TypeError):
+            small_config(compiled_inference="off")
+        # The served engine is the compiled one, whatever the config says.
+        skeleton = NeuroCard(schema, small_config(train_tuples=1_000)).prepare()
+        assert compiled_model(skeleton.inference) is not None

@@ -156,18 +156,9 @@ class TestCompatibilityValidation:
         with pytest.raises(PersistenceError, match="config"):
             load_model(path, schema)
 
-    @pytest.mark.parametrize(
-        "key, modes",
-        [("quantization", ("off", "int8")), ("compiled_inference", ("off", "fp32"))],
-        ids=["quantization", "compiled_inference"],
-    )
-    def test_artifact_naming_a_retired_kernel_mode_loads_as_fp32(
+    def _assert_doctored_artifacts_answer_like_a_round_trip(
         self, trained, tmp_path, key, modes
     ):
-        """Artifacts from before the kernel-mode knobs were deleted carry the
-        mode in their config. They only ever held fp32 parameters, so
-        whatever mode they name, they load and answer bitwise like a fresh
-        round trip."""
         schema, estimator = trained
         path = save_model(estimator, tmp_path / "current.npz")
         queries = [
@@ -184,9 +175,27 @@ class TestCompatibilityValidation:
 
         want = answers(path)
         for mode in modes:
-            doctored = save_model(estimator, tmp_path / f"{mode}.npz")
+            doctored = save_model(estimator, tmp_path / f"{key}-{mode}.npz")
             _corrupt_meta(doctored, lambda m: m["config"].update({key: mode}))
-            assert np.array_equal(answers(doctored), want), mode
+            assert np.array_equal(answers(doctored), want), (key, mode)
+
+    def test_artifact_naming_a_retired_kernel_mode_loads_as_fp32(self, trained, tmp_path):
+        """Artifacts from before the quantized kernel modes were deleted carry
+        the mode in their config. They only ever held fp32 parameters, so
+        whatever mode they name, they load and answer bitwise like a fresh
+        round trip."""
+        self._assert_doctored_artifacts_answer_like_a_round_trip(
+            trained, tmp_path, "quantization", ("off", "int8")
+        )
+
+    def test_artifact_naming_an_inference_mode_loads_as_fp32(self, trained, tmp_path):
+        """Artifacts from before the inference-mode knob was deleted carry
+        ``compiled_inference``. Whether it read the reference ``"off"`` or
+        ``"fp32"``, the parameters are the same, so they load onto the one
+        served engine and answer bitwise like a fresh round trip."""
+        self._assert_doctored_artifacts_answer_like_a_round_trip(
+            trained, tmp_path, "compiled_inference", ("off", "fp32")
+        )
 
     def test_v1_artifact_without_columns_still_loads(self, trained, tmp_path):
         """Back-compat: pre-metadata artifacts load via the domains check."""

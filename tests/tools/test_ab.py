@@ -81,6 +81,19 @@ class TestVerdicts:
             "verdict"
         ] == "gain"
 
+    def test_relative_floor_holds_for_higher_is_better_metrics(self):
+        parent = [250.0] * 10
+        floor = ab.GAIN_REL_FLOOR * 250.0
+        assert ab.judge(parent, [250.0 + floor / 2] * 10, "higher", 0.05)["verdict"] == "ok"
+        assert ab.judge(parent, [250.0 + floor * 4] * 10, "higher", 0.05)["verdict"] == "gain"
+
+    def test_parent_spread_wider_than_the_floor_still_governs(self):
+        """The floor only raises the bar; a wide parent IQR keeps its own."""
+        parent = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 100.2, 99.8, 100.1, 99.9]
+        change = [p - 0.2 for p in parent]
+        m = ab.judge(parent, change, "lower", 0.05)
+        assert m["wins"] == 10 and m["verdict"] == "ok"
+
     def test_identical_sides_are_ok_with_no_pair_won(self):
         m = ab.judge([1670472.0] * 3, [1670472.0] * 3, "lower", 0.05)
         assert (m["verdict"], m["wins"], m["losses"], m["sign_p"]) == ("ok", 0, 0, 1.0)
