@@ -60,7 +60,7 @@ from repro.serving import (
 # The tabular oracle lives with the tests (numpy-only, no pytest import);
 # the CI smoke job runs from the repo root with only the package installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.core.oracle import OracleModel  # noqa: E402
+from tests.core.oracle import FixedBudget, OracleModel  # noqa: E402
 
 
 #: Columns the served oracle model leaves out; calibration never filters them.
@@ -102,8 +102,6 @@ def serving_config(args, cascade_cfg=None) -> ServingConfig:
     return ServingConfig(
         max_batch=16,
         max_wait_us=1000,
-        cache_size=0,
-        n_samples=args.n_samples,
         cascade=cascade_cfg,
     )
 
@@ -216,7 +214,7 @@ def main() -> None:
         print(f"NeuroCard-only run: {args.requests} requests, "
               f"{args.clients} clients...")
         with EstimationService(config=serving_config(args)) as service:
-            service.register("oracle", engine)
+            service.register("oracle", FixedBudget(engine, args.n_samples))
             service.estimate(requests[0][0], seed=999_983)  # warm the scheduler
             reference = run_closed_loop(service, requests, args.clients)
 
@@ -224,7 +222,7 @@ def main() -> None:
         with EstimationService(
             config=serving_config(args, cascade_cfg)
         ) as service:
-            service.register("oracle", engine)
+            service.register("oracle", FixedBudget(engine, args.n_samples))
             cascade = service.enable_cascade(
                 estimators={"per_table": per_table, "deepdb": deepdb}
             )

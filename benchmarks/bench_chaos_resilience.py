@@ -67,7 +67,7 @@ from repro.serving.updates import BackgroundRefresher
 # The tabular oracle lives with the tests (numpy-only, no pytest import);
 # the CI smoke job runs from the repo root with only the package installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.core.oracle import OracleModel  # noqa: E402
+from tests.core.oracle import FixedBudget, OracleModel  # noqa: E402
 
 
 def build_oracle_engine():
@@ -128,8 +128,6 @@ def serving_config(args, *, breaker_failures=2, breaker_cooldown_s=0.05):
     return ServingConfig(
         max_batch=16,
         max_wait_us=1000,
-        cache_size=0,
-        n_samples=args.n_samples,
         workers=args.workers,
         min_shard=4,
         breaker_failures=breaker_failures,
@@ -295,9 +293,7 @@ def check_corruption_containment(args, schema):
 
 def check_deadline_probe(args, engine, reference) -> bool:
     """Expired deadlines fail typed before dispatch; generous ones are bitwise."""
-    config = ServingConfig(
-        max_batch=16, max_wait_us=1000, cache_size=0, n_samples=args.n_samples
-    )
+    config = ServingConfig(max_batch=16, max_wait_us=1000)
     with EstimationService(config=config) as service:
         service.register("oracle", engine)
         query, seed = QUERIES[0], 1000  # request 0 of the reference workload
@@ -336,6 +332,7 @@ def main() -> None:
     args = parser.parse_args()
 
     schema, engine = build_oracle_engine()
+    engine = FixedBudget(engine, args.n_samples)  # served at the bench's budget
     requests = make_requests(args.requests)
 
     schedule_deterministic = check_schedule_determinism(args.seed)

@@ -64,7 +64,7 @@ from repro.serving.metrics import parse_samples
 # The tabular oracle lives with the tests (numpy-only, no pytest import);
 # the CI smoke job runs from the repo root with only the package installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.core.oracle import OracleModel  # noqa: E402
+from tests.core.oracle import FixedBudget, OracleModel  # noqa: E402
 
 
 def build_oracle_engine() -> ProgressiveSampler:
@@ -90,7 +90,7 @@ def build_oracle_engine() -> ProgressiveSampler:
 
 
 def make_requests(n_requests: int):
-    """(query, seed) pairs; unique seeds so the result cache cannot hit."""
+    """(query, seed) pairs; a unique seed, so a distinct stream, per request."""
     queries = [
         Query.make(["R"], [Predicate("R", "year", ">=", 1994)]),
         Query.make(["R", "C"], [Predicate("C", "kind", "IN", (0, 2, 4))]),
@@ -227,16 +227,13 @@ def main() -> None:
         for q, seed in requests
     ])
 
-    config = ServingConfig(
-        max_batch=64, max_wait_us=2000,
-        cache_size=0,  # unique seeds anyway; keep the measurement honest
-        n_samples=args.n_samples,
-    )
+    config = ServingConfig(max_batch=64, max_wait_us=2000)
+    served = FixedBudget(engine, args.n_samples)
 
     # -- in-process scheduler baselines: as configured, and unbatched ---
     def inprocess_run(config):
         service = EstimationService(config=config)
-        service.register("oracle", engine)
+        service.register("oracle", served)
         service.estimate(requests[0][0], seed=requests[0][1])  # warm the scheduler
         qps, results = run_inprocess(service, requests, args.clients)
         service.close()
@@ -247,7 +244,7 @@ def main() -> None:
 
     # -- wire run (uncontended) ----------------------------------------
     service = EstimationService(config=config)
-    service.register("oracle", engine)
+    service.register("oracle", served)
     with HttpServerThread(service, HttpConfig(port=0)) as server:
         wire_client = HttpEstimationClient(
             server.host, server.port, "oracle", tenant="bench"
@@ -273,7 +270,7 @@ def main() -> None:
     # admits; shedding must appear and the survivors must stay fast.
     quota_rate = max(wire_qps / args.overload_x, 1.0)
     service = EstimationService(config=config)
-    service.register("oracle", engine)
+    service.register("oracle", served)
     with HttpServerThread(
         service,
         HttpConfig(port=0, rate=quota_rate, burst=max(quota_rate / 10, 1.0)),

@@ -64,7 +64,6 @@ from repro.serving import (
     MicroBatchScheduler,
     ModelRegistry,
     ServingConfig,
-    WorkerPool,
 )
 from repro.workloads import job_light_ranges_queries, job_light_schema
 from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
@@ -72,7 +71,7 @@ from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
 # The tabular oracle lives with the tests (numpy-only, no pytest import);
 # the CI smoke job runs from the repo root with only the package installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.core.oracle import OracleModel  # noqa: E402
+from tests.core.oracle import FixedBudget, OracleModel  # noqa: E402
 
 
 def train_tiny_estimator(n_samples: int) -> NeuroCard:
@@ -87,7 +86,7 @@ def train_tiny_estimator(n_samples: int) -> NeuroCard:
 
 
 def make_requests(schema, n_requests: int, n_queries: int):
-    """(query, seed) pairs; unique seeds so the result cache cannot hit."""
+    """(query, seed) pairs; a unique seed, so a distinct stream, per request."""
     counts = JoinCounts(schema)
     queries = job_light_ranges_queries(schema, n=n_queries, counts=counts)
     return [(queries[i % len(queries)], i) for i in range(n_requests)]
@@ -173,9 +172,9 @@ def oracle_bitwise_check(n_samples: int = 200) -> bool:
         ps.estimate(q, n_samples=n_samples, rng=np.random.default_rng(100 + i))
         for i, q in enumerate(queries)
     ]
+    served = FixedBudget(ps, n_samples)
     with MicroBatchScheduler(
-        lambda: (ps, 0), max_batch=3, max_wait_us=500,
-        cache_size=0, n_samples=n_samples,
+        lambda: (served, 0), max_batch=3, max_wait_us=500
     ) as scheduler:
         futures = [scheduler.submit(q, seed=100 + i) for i, q in enumerate(queries)]
         coalesced = [f.result() for f in futures]
@@ -195,7 +194,7 @@ class TagModel:
     def __init__(self, tag: float):
         self.tag = tag
 
-    def estimate_batch(self, queries, n_samples=None, rngs=None):
+    def estimate_batch(self, queries, rngs=None):
         return np.full(len(queries), self.tag, dtype=np.float64)
 
     def estimate(self, query, **kwargs) -> float:
@@ -203,7 +202,7 @@ class TagModel:
 
 
 def pooled_oracle_bitwise_check(workers: int, n_samples: int = 200) -> bool:
-    """Sharded pool == sequential, bitwise, on the fp64 oracle engine."""
+    """Service over a sharded pool == sequential, bitwise, on the fp64 oracle."""
     rng = np.random.default_rng(7)
     years = rng.integers(1990, 1998, 40)
     root = Table.from_dict(
@@ -233,13 +232,13 @@ def pooled_oracle_bitwise_check(workers: int, n_samples: int = 200) -> bool:
         ps.estimate(q, n_samples=n_samples, rng=np.random.default_rng(100 + i))
         for i, q in enumerate(queries)
     ]
-    with WorkerPool(n_workers=workers, name="oracle", min_shard=1) as pool:
-        pool.publish(ps, 1)
-        pooled = [
-            pool.estimate(q, seed=100 + i, n_samples=n_samples)
-            for i, q in enumerate(queries)
-        ]
-    return all(a == b for a, b in zip(sequential, pooled))
+    config = ServingConfig(workers=workers, min_shard=1)
+    with EstimationService(config=config) as service:
+        service.register("oracle", FixedBudget(ps, n_samples))
+        futures = [service.submit(q, seed=100 + i) for i, q in enumerate(queries)]
+        pooled = [f.result() for f in futures]
+        took_the_pool = service.stats()["pools"]["oracle"]["batches"] > 0
+    return took_the_pool and all(a == b for a, b in zip(sequential, pooled))
 
 
 def swap_under_load_check(workers: int, queries) -> dict:
@@ -247,7 +246,7 @@ def swap_under_load_check(workers: int, queries) -> dict:
     registry = ModelRegistry()
     registry.register("probe", TagModel(1.0))
     config = ServingConfig(
-        workers=workers, max_batch=16, max_wait_us=500, cache_size=0, min_shard=1
+        workers=workers, max_batch=16, max_wait_us=500, min_shard=1
     )
     failed = 0
     stale_post_swap = 0
@@ -330,11 +329,7 @@ def main() -> None:
         estimator.inference, requests, args.n_samples
     )
 
-    base_config = ServingConfig(
-        max_batch=args.max_batch, max_wait_us=args.max_wait_us,
-        cache_size=0,  # unique seeds anyway; keep the measurement honest
-        n_samples=args.n_samples,
-    )
+    base_config = ServingConfig(max_batch=args.max_batch, max_wait_us=args.max_wait_us)
     service = EstimationService(config=base_config)
     service.register("tiny", estimator)
     scheduler = service.scheduler("tiny")
@@ -379,8 +374,7 @@ def main() -> None:
     pool_report = None
     if args.workers > 0:
         pool_config = ServingConfig(
-            max_batch=args.max_batch, max_wait_us=args.max_wait_us,
-            cache_size=0, n_samples=args.n_samples, workers=args.workers,
+            max_batch=args.max_batch, max_wait_us=args.max_wait_us, workers=args.workers
         )
         pool_service = EstimationService(config=pool_config)
         pool_service.register("tiny", estimator)

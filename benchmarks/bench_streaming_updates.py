@@ -70,7 +70,7 @@ from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
 # The tabular oracle lives with the tests (numpy-only, no pytest import);
 # the CI smoke job runs from the repo root with only the package installed.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.core.oracle import OracleModel  # noqa: E402
+from tests.core.oracle import FixedBudget, OracleModel  # noqa: E402
 
 
 def tiny_config(n_samples: int) -> NeuroCardConfig:
@@ -106,8 +106,8 @@ def run_live_phase(estimator, snapshots, deltas, queries, args):
     ).start()
     scheduler = MicroBatchScheduler(
         lambda: registry.get_with_version("live"),
-        max_batch=args.max_batch, max_wait_us=args.max_wait_us,
-        cache_size=0, n_samples=args.n_samples,
+        max_batch=args.max_batch,
+        max_wait_us=args.max_wait_us,
     )
 
     completions = []  # (monotonic completion time,) per request
@@ -219,7 +219,9 @@ def torn_read_check(n_samples: int = 128, rounds: int = 40) -> bool:
 
     def engine(schema):
         oracle = OracleModel(schema, factorization_bits=2, exclude=("R.id", "C.rid"))
-        return ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size)
+        return FixedBudget(
+            ProgressiveSampler(oracle, oracle.layout, oracle.full_join_size), n_samples
+        )
 
     old_engine, new_engine = engine(old_schema), engine(new_schema)
     queries = [
@@ -232,10 +234,8 @@ def torn_read_check(n_samples: int = 128, rounds: int = 40) -> bool:
     expected = {}
     for i, q in enumerate(queries):
         expected[i] = {
-            old_engine.estimate(q, n_samples=n_samples,
-                                rng=np.random.default_rng(100 + i)),
-            new_engine.estimate(q, n_samples=n_samples,
-                                rng=np.random.default_rng(100 + i)),
+            old_engine.estimate(q, rng=np.random.default_rng(100 + i)),
+            new_engine.estimate(q, rng=np.random.default_rng(100 + i)),
         }
 
     holder = {"model": old_engine, "version": 0}
@@ -250,8 +250,7 @@ def torn_read_check(n_samples: int = 128, rounds: int = 40) -> bool:
 
     ok = True
     with MicroBatchScheduler(
-        lambda: (holder["model"], holder["version"]),
-        max_batch=3, max_wait_us=300, cache_size=0, n_samples=n_samples,
+        lambda: (holder["model"], holder["version"]), max_batch=3, max_wait_us=300
     ) as scheduler:
         flipper = threading.Thread(target=swapper)
         flipper.start()

@@ -32,7 +32,6 @@ from repro.serving import (
     HttpConfig,
     HttpEstimationClient,
     HttpServerThread,
-    ServingConfig,
 )
 from repro.workloads import job_light_ranges_queries, job_light_schema
 from repro.workloads.imdb import DEFAULT_EXCLUDED_COLUMNS, ImdbScale
@@ -54,7 +53,7 @@ def main() -> None:
     print("training the initial model (short run)...")
     estimator = train(schema, train_tuples=20_000, seed=0)
 
-    service = EstimationService(config=ServingConfig(n_samples=128, cache_size=0))
+    service = EstimationService()
     service.register("imdb", estimator)
 
     with HttpServerThread(service, HttpConfig(port=0)) as server:

@@ -26,7 +26,6 @@ from repro.joins.counts import JoinCounts
 from repro.serving import (
     EstimationService,
     RefreshPolicy,
-    ServingConfig,
     StreamingIngestor,
 )
 from repro.workloads import job_light_ranges_queries, job_light_schema
@@ -59,8 +58,7 @@ def main() -> None:
     # re-scored against every later snapshot to show what refreshing buys.
     stale_reference = clone_estimator(estimator)
 
-    serving = ServingConfig(n_samples=128, cache_size=0)
-    with EstimationService(config=serving) as service:
+    with EstimationService() as service:
         service.register("imdb", estimator)
         ingestor = StreamingIngestor(snapshots[0])
         refresher = service.serve_with_updates(

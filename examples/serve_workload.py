@@ -120,8 +120,7 @@ def main() -> None:
         print(f"{n_requests} requests from {n_clients} clients in {wall:.2f}s "
               f"-> {n_requests / wall:.0f} QPS "
               f"(p95 {np.percentile(latencies, 95) * 1e3:.1f} ms, "
-              f"mean batch {stats['mean_batch_size']:.1f}, "
-              f"{stats['cache_hits']:.0f} cache hits)")
+              f"mean batch {stats['mean_batch_size']:.1f})")
         if pool_stats:
             print(f"worker pool: {pool_stats['workers']} processes, "
                   f"{pool_stats['chunks']} shards over "
@@ -131,7 +130,7 @@ def main() -> None:
 
         # Zero-downtime refresh: a copy ingests the full snapshot and takes
         # extra gradient steps, then replaces the live model atomically; the
-        # version bump invalidates the scheduler's result cache.
+        # next batch the scheduler flushes runs on the new version.
         before = service.estimate(workload[0], seed=0)
         version = service.refresh("shop", full, train_tuples=20_000)
         after = service.estimate(workload[0], seed=0)

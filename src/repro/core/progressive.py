@@ -162,22 +162,6 @@ class QueryPlan:
         """True when the column walk must process ``spec`` for this plan."""
         return spec.name in self.constrained
 
-    def cache_key(self) -> tuple:
-        """Hashable canonical form of this plan.
-
-        Two queries with the same table set and the same per-column valid
-        regions produce equal keys regardless of predicate spelling
-        (``x >= 3 AND x >= 5`` vs ``x >= 5``), so serving-layer result
-        caches can coalesce them. Set regions are keyed by their sorted
-        code bytes; intervals by their inclusive bounds.
-        """
-        regions = tuple(
-            (name, region.kind, region.lo, region.hi,
-             None if region.codes is None else region.codes.tobytes())
-            for name, region in self.regions
-        )
-        return (regions, self.indicators, self.fanouts)
-
 
 # ----------------------------------------------------------------------
 # Per-column programs. One op instance handles one (query, spec) pair over
@@ -415,8 +399,8 @@ class ProgressiveSampler:
         self._shape_cache: Dict[FrozenSet[str], Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self._region_cache: Dict[tuple, Region] = {}
         self._trie_cache: Dict[tuple, SetTrie] = {}
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        self.shape_cache_hits = 0
+        self.shape_cache_misses = 0
 
     # A sampler wraps an already-built model, so it is registrable at every
     # serving depth (ModelRegistry checks ``is_fitted``/``size_bytes``).
@@ -518,7 +502,7 @@ class ProgressiveSampler:
         tables_key = frozenset(query.tables)
         shape = self._shape_cache.get(tables_key)
         if shape is None:
-            self.plan_cache_misses += 1
+            self.shape_cache_misses += 1
             indicators = frozenset(
                 self.layout.indicator_spec_name(t) for t in query.tables
             )
@@ -526,7 +510,7 @@ class ProgressiveSampler:
             shape = (indicators, fanouts)
             self._shape_cache[tables_key] = shape
         else:
-            self.plan_cache_hits += 1
+            self.shape_cache_hits += 1
         regions = self.regions_for_query(query)
         return QueryPlan(
             regions=tuple(sorted(regions.items())),

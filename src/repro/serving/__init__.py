@@ -8,10 +8,10 @@ batched inference fast path:
 * :class:`MicroBatchScheduler` — coalesces concurrent ``submit(query)``
   calls into single ``estimate_batch`` invocations (a batch goes once
   it holds every expected caller; ``max_batch`` caps it and
-  ``max_wait_us`` bounds the wait for a straggler) with per-caller futures
-  and a plan-keyed LRU result cache;
-* :class:`WorkerPool` — shards those micro-batches across N worker
-  processes that attach the model's weights and compiled buffers from
+  ``max_wait_us`` bounds the wait for a straggler) with per-caller futures,
+  each answered fresh at the model's own sample budget;
+* :class:`WorkerPool` — the scheduler's executor: shards those
+  micro-batches across N worker processes that attach the model's weights and compiled buffers from
   immutable versioned shared-memory blobs (zero-copy, hot-swap aware);
 * :class:`ServingConfig` — every serving knob in one validated,
   dict-round-trippable dataclass;
@@ -43,7 +43,7 @@ batched inference fast path:
   :meth:`EstimationService.enable_cascade`.
 
 Everything that answers queries — a bare estimator, a scheduler, a
-service, a worker pool — satisfies the :class:`EstimationClient`
+service, the wire client — satisfies the :class:`EstimationClient`
 protocol, so harnesses and applications can be written once against the
 protocol and handed any serving depth.
 """
@@ -77,7 +77,9 @@ class EstimationClient(Protocol):
     """Anything that answers cardinality queries, at any serving depth.
 
     :class:`~repro.core.estimator.NeuroCard`, :class:`MicroBatchScheduler`,
-    :class:`EstimationService` and :class:`WorkerPool` all conform, so
+    :class:`EstimationService` and :class:`HttpEstimationClient` all
+    conform (a :class:`WorkerPool` does not: it is reached through a
+    scheduler), so
     :func:`repro.eval.harness.evaluate_estimator` (including its
     ``concurrency=N`` closed-loop mode) and application code accept any of
     them interchangeably. Clients with a ``submit(query) -> Future`` method

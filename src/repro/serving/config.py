@@ -17,14 +17,16 @@ from:
 ======================  ==========================================
 earlier home            ServingConfig field
 ======================  ==========================================
-(service kwargs)        ``max_batch``, ``max_wait_us``,
-                        ``cache_size``, ``n_samples``
+(service kwargs)        ``max_batch``, ``max_wait_us``
 (serve_with_updates)    ``poll_interval``
 (registry ctor)         ``budget_bytes``
 (RefreshPolicy ctor)    ``drift_threshold`` … ``min_interval_seconds``
-(new in PR 6)           ``workers``, ``worker_start``, ``min_shard``,
-                        ``max_inflight``
+(new in PR 6)           ``workers``, ``min_shard``
 ======================  ==========================================
+
+There is no sample-count field: every request is answered at the served
+model's own ``NeuroCardConfig.progressive_samples``. ``cache_size`` is
+retired (the result cache is gone) and accepts only 0.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Optional, Tuple
 from repro.core.refresh import FAST_REFRESH_FRACTION
 from repro.errors import ServingError
 from repro.serving.admission import TenantQuota
+from repro.serving.scheduler import RETIRED_CACHE
 from repro.serving.updates import RefreshPolicy
 
 
@@ -221,11 +224,8 @@ class ServingConfig:
     #: the scheduler expects but that have not shown up yet. A batch that
     #: already holds every expected caller does not wait at all.
     max_wait_us: int = 2000
-    #: Plan-keyed LRU result-cache entries per model (0 disables).
-    cache_size: int = 1024
-    #: Progressive-sample count every request is answered with (None =
-    #: each model's config). Requests cannot override it.
-    n_samples: Optional[int] = None
+    #: Retired: the result cache is gone; only 0 is accepted.
+    cache_size: int = 0
 
     # -- registry -----------------------------------------------------
     #: Byte budget for resident models (None = unbounded).
@@ -235,15 +235,9 @@ class ServingConfig:
     #: Worker processes per served model; 0 = inline single-process
     #: serving (the bitwise-reference path, and the default).
     workers: int = 0
-    #: multiprocessing start method (None = "spawn"; "fork" is unsafe
-    #: with threaded BLAS and exists for constrained test environments).
-    worker_start: Optional[str] = None
     #: Smallest per-worker shard; batches below ``workers * min_shard``
     #: queries use fewer workers rather than shipping tiny shards.
     min_shard: int = 4
-    #: In-flight micro-batches per worker before the scheduler's flusher
-    #: blocks (backpressure that re-enables request coalescing).
-    max_inflight: int = 2
 
     # -- resilience (PR 9) --------------------------------------------
     #: Consecutive primary failures before a model's circuit breaker
@@ -284,24 +278,14 @@ class ServingConfig:
             raise ServingError("max_batch must be >= 1")
         if self.max_wait_us < 0:
             raise ServingError("max_wait_us must be >= 0")
-        if self.cache_size < 0:
-            raise ServingError("cache_size must be >= 0 (0 disables caching)")
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ServingError("n_samples must be >= 1 (or None for per-model default)")
+        if self.cache_size != 0:
+            raise ServingError(RETIRED_CACHE)
         if self.budget_bytes is not None and self.budget_bytes <= 0:
             raise ServingError("budget_bytes must be positive (or None for unbounded)")
         if self.workers < 0:
             raise ServingError("workers must be >= 0 (0 serves inline)")
-        if self.worker_start is not None and self.worker_start not in (
-            "spawn", "fork", "forkserver"
-        ):
-            raise ServingError(
-                f"worker_start must be spawn/fork/forkserver, got {self.worker_start!r}"
-            )
         if self.min_shard < 1:
             raise ServingError("min_shard must be >= 1")
-        if self.max_inflight < 1:
-            raise ServingError("max_inflight must be >= 1")
         if self.breaker_failures < 1:
             raise ServingError("breaker_failures must be >= 1")
         if self.breaker_cooldown_s < 0:
@@ -374,17 +358,13 @@ class ServingConfig:
         return dict(
             max_batch=self.max_batch,
             max_wait_us=self.max_wait_us,
-            cache_size=self.cache_size,
-            n_samples=self.n_samples,
         )
 
     def pool_opts(self) -> dict:
         """Keyword arguments for :class:`~repro.serving.workers.WorkerPool`."""
         return dict(
             n_workers=max(self.workers, 1),
-            start_method=self.worker_start,
             min_shard=self.min_shard,
-            max_inflight=self.max_inflight,
         )
 
     def refresh_policy(self) -> RefreshPolicy:

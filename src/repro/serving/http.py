@@ -34,8 +34,8 @@ flusher/pool threads do the heavy lifting, and the resulting
 ``concurrent.futures.Future`` is awaited via :func:`asyncio.wrap_future`.
 The loop therefore stays responsive while NumPy crunches — wire requests
 coalesce into micro-batches exactly like in-process submits do. Futures
-already answered when ``submit`` returns (result-cache hits, cheap cascade
-tiers) are read inline, with no loop round trip.
+already answered when ``submit`` returns (cheap cascade tiers, fallback
+answers behind an open circuit) are read inline, with no loop round trip.
 
 Graceful drain (SIGTERM in :func:`serve`, or :meth:`drain`): stop
 accepting connections, answer in-flight requests to completion, reject
@@ -424,8 +424,9 @@ class EstimationHttpServer:
                 return finish(503, {"error": str(exc)})
             try:
                 if all(f.done() for f in futures):
-                    # Answered inline (cache hit, cheap cascade tier): skip
-                    # the loop round trip a wrapped future costs.
+                    # Answered inline (cheap cascade tier, open-circuit
+                    # fallback): skip the loop round trip a wrapped future
+                    # costs.
                     estimates = [f.result() for f in futures]
                 else:
                     gathered = asyncio.gather(*[asyncio.wrap_future(f) for f in futures])

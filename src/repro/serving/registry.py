@@ -13,8 +13,8 @@ live:
   entries never are;
 * **hot-swap** — :meth:`swap` and :meth:`refresh` replace a model behind a
   name with one reference assignment and bump the entry's version, so
-  readers holding the old object finish their batches untouched and result
-  caches keyed on ``(name, version)`` invalidate themselves. Incremental
+  readers holding the old object finish their batches untouched and the
+  next batch a scheduler flushes runs on the new one. Incremental
   refreshes train on a *copy* of the live estimator; readers are never
   blocked by gradient steps.
 """

@@ -31,14 +31,11 @@ round-off depends on how many rows share the batch, so coalescing
 reproduces its answers to ~1e-9 (reference engine) or <= 5e-6 (fp32
 kernels) relative rather than bit for bit (``docs/architecture.md``).
 
-Every request is answered with the one ``n_samples`` the scheduler was
-built with (None: the model's own default), so a flush is one
-``estimate_batch`` / ``submit_batch`` call.
-
-Results are cached in an LRU keyed on the *canonicalized plan* —
-``(model version, table set + predicate regions, seed)`` — so textually
-different but semantically identical predicates coalesce, and a registry
-hot-swap (version bump) invalidates every stale entry at once.
+Every request is answered fresh, at the served model's own sample budget
+(``NeuroCardConfig.progressive_samples``), so a flush is one
+``estimate_batch`` / ``submit_batch`` call and a request's path is always
+the same: validate, queue, batch, resolve. A registry hot-swap needs no
+invalidation: the source is read per flush.
 
 Failure semantics mirror :class:`~repro.errors.SamplerError`'s fail-fast
 contract: if a batched inference call raises, every future in that batch
@@ -50,7 +47,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -61,6 +57,13 @@ from repro.errors import DeadlineError, QueryError, ServingError
 from repro.relational.query import Query
 from repro.serving import faults
 from repro.serving.metrics import Histogram
+
+#: Why a nonzero ``cache_size`` fails: the parameter stays (accepting only
+#: 0) for callers that still pass the old "off" value.
+RETIRED_CACHE = (
+    "the result cache was removed; every request is answered fresh "
+    "(cache_size accepts only 0)"
+)
 
 #: ``source`` contract: returns the current (model, version) pair.
 ModelSource = Callable[[], Tuple[object, int]]
@@ -90,7 +93,6 @@ class _Request:
     query: Query
     seed: Optional[int]
     future: Future
-    cache_key: Optional[tuple]
     submitted_at: float
     #: Absolute ``time.monotonic()`` deadline (None = no deadline). Expired
     #: requests are failed with :class:`DeadlineError` at flush time,
@@ -103,19 +105,20 @@ class MicroBatchScheduler:
 
     ``source`` is any zero-arg callable returning ``(model, version)`` —
     typically ``lambda: registry.get_with_version(name)`` — where ``model``
-    exposes ``estimate_batch(queries, n_samples=..., rngs=...)``. Reading
+    exposes ``estimate_batch(queries, rngs=...)``. Reading
     the source *per flush* is what makes registry hot-swaps take effect
     mid-stream without a restart.
 
     ``executor`` (optional) offloads flushed micro-batches instead of
     executing them inline on the flusher thread: anything with
-    ``submit_batch(model, version, queries, rngs=..., n_samples=...)
-    -> Future`` works, in practice a
-    :class:`~repro.serving.workers.WorkerPool` that shards the batch
-    across processes. Request coalescing, per-request seeds, the
-    version-keyed result cache, and fail-fast error chaining behave
-    identically on both paths; the inline path remains the bitwise
-    reference.
+    ``submit_batch(model, version, queries, rngs=...) -> Future`` works,
+    in practice a :class:`~repro.serving.workers.WorkerPool` that shards
+    the batch across processes. Request coalescing, per-request seeds and
+    fail-fast error chaining behave identically on both paths; the inline
+    path remains the bitwise reference.
+
+    ``cache_size`` is retired: the result cache is gone, and only its
+    old "off" value, 0, is accepted.
     """
 
     def __init__(
@@ -124,8 +127,7 @@ class MicroBatchScheduler:
         *,
         max_batch: int = 64,
         max_wait_us: int = 2000,
-        cache_size: int = 1024,
-        n_samples: Optional[int] = None,
+        cache_size: int = 0,
         name: str = "model",
         executor=None,
     ):
@@ -133,17 +135,14 @@ class MicroBatchScheduler:
             raise ServingError("max_batch must be >= 1")
         if max_wait_us < 0:
             raise ServingError("max_wait_us must be >= 0")
-        if cache_size < 0:
-            raise ServingError("cache_size must be >= 0 (0 disables caching)")
+        if cache_size != 0:
+            raise ServingError(RETIRED_CACHE)
         self._source = source
         self._executor = executor
         self.max_batch = max_batch
         self.max_wait_s = max_wait_us / 1e6
-        self.cache_size = cache_size
-        self.n_samples = n_samples
         self.name = name
         self._queue: List[_Request] = []
-        self._cache: "OrderedDict[tuple, float]" = OrderedDict()
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._closed = False
@@ -160,7 +159,6 @@ class MicroBatchScheduler:
         # Telemetry (reads are approximate; guarded writes only).
         self.n_requests = 0
         self.n_batches = 0
-        self.n_cache_hits = 0
         self.n_flushed_requests = 0
         self.n_deadline_expired = 0
         self.n_short_batches = 0
@@ -203,8 +201,7 @@ class MicroBatchScheduler:
             isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
         ):
             raise QueryError(f"seed must be a non-negative integer, got {seed!r}")
-        model, version = self._source()
-        key = self._cache_key(model, version, query, seed)
+        _validate(self._source()[0], query)
         future: Future = Future()
         with self._work:
             if self._closed:
@@ -212,18 +209,13 @@ class MicroBatchScheduler:
             if self._flusher_failure is not None:
                 raise self._flusher_death_error()
             self.n_requests += 1
-            if key is not None and key in self._cache:
-                self._cache.move_to_end(key)
-                self.n_cache_hits += 1
-                future.set_result(self._cache[key])
-                return future
             # Counted out again by whoever ends it: _resolve_batch / _fail
             # just before they wake the caller, or this callback if the
             # caller cancels first.
             future.add_done_callback(self._cancelled)
             self._outstanding += 1
             self._expected = max(self._expected, self._outstanding)
-            self._queue.append(_Request(query, seed, future, key, submitted_at, deadline))
+            self._queue.append(_Request(query, seed, future, submitted_at, deadline))
             self._work.notify()
         return future
 
@@ -246,18 +238,11 @@ class MicroBatchScheduler:
         with self._lock:
             return self._ewma_latency_ms
 
-    def invalidate(self) -> None:
-        """Drop every cached result (hot-swaps do this implicitly via versions)."""
-        with self._lock:
-            self._cache.clear()
-
     def stats(self) -> Dict[str, float]:
         with self._lock:
             return {
                 "requests": self.n_requests,
                 "batches": self.n_batches,
-                "cache_hits": self.n_cache_hits,
-                "cache_size": len(self._cache),
                 "mean_batch_size": (
                     self.n_flushed_requests / self.n_batches if self.n_batches else 0.0
                 ),
@@ -440,16 +425,12 @@ class MicroBatchScheduler:
                     version,
                     [r.query for r in batch],
                     rngs=rngs,
-                    n_samples=self.n_samples,
                 )
             except BaseException as exc:
                 self._fail(batch, exc)
                 return
-            pooled.add_done_callback(lambda f: self._complete_pooled(batch, version, f))
+            pooled.add_done_callback(lambda f: self._complete_pooled(batch, f))
             return
-        kwargs = {"rngs": rngs}
-        if self.n_samples is not None:
-            kwargs["n_samples"] = self.n_samples
         try:
             # Chaos seam: fires inside the try so an injected fault fails
             # this batch's futures (the contract under test), never the
@@ -457,25 +438,21 @@ class MicroBatchScheduler:
             injector = faults.get_active()
             if injector is not None:
                 injector.check("scheduler.flush")
-            estimates = model.estimate_batch([r.query for r in batch], **kwargs)
+            estimates = model.estimate_batch([r.query for r in batch], rngs=rngs)
         except BaseException as exc:
             self._fail(batch, exc)
             return
-        self._resolve_batch(batch, version, estimates)
+        self._resolve_batch(batch, estimates)
 
-    def _complete_pooled(
-        self, requests: List[_Request], version: int, pooled: Future
-    ) -> None:
+    def _complete_pooled(self, requests: List[_Request], pooled: Future) -> None:
         """Resolve a pool-executed batch (runs on the pool's collector)."""
         exc = pooled.exception()
         if exc is not None:
             self._fail(requests, exc)
             return
-        self._resolve_batch(requests, version, pooled.result())
+        self._resolve_batch(requests, pooled.result())
 
-    def _resolve_batch(
-        self, requests: List[_Request], version: int, estimates
-    ) -> None:
+    def _resolve_batch(self, requests: List[_Request], estimates) -> None:
         if len(estimates) != len(requests):
             self._fail(
                 requests,
@@ -497,17 +474,6 @@ class MicroBatchScheduler:
                     if self._ewma_latency_ms is None
                     else 0.2 * lat_ms + 0.8 * self._ewma_latency_ms
                 )
-            for request, estimate in zip(requests, estimates):
-                value = float(estimate)
-                # Re-key under the version actually served: a swap between
-                # submit and flush must not poison the new model's cache.
-                key = request.cache_key
-                if key is not None and self.cache_size > 0:
-                    key = (version,) + key[1:]
-                    self._cache[key] = value
-                    self._cache.move_to_end(key)
-                    while len(self._cache) > self.cache_size:
-                        self._cache.popitem(last=False)
         # Resolve futures outside the lock: done-callbacks run synchronously
         # in this thread and may legally re-enter submit().
         for request, estimate in zip(requests, estimates):
@@ -519,36 +485,16 @@ class MicroBatchScheduler:
         for request in requests:
             request.future.set_exception(exc)
 
-    # ------------------------------------------------------------------
-    def _cache_key(
-        self,
-        model,
-        version: int,
-        query: Query,
-        seed: Optional[int],
-    ) -> Optional[tuple]:
-        """Canonical result-cache key, or None when the query can't be keyed.
 
-        Prefers the inference engine's plan canonicalization (semantically
-        equal predicates share an entry); duck-typed models without a
-        ``ProgressiveSampler`` fall back to the literal query if hashable.
-        """
-        inference = getattr(model, "inference", None)
-        if inference is None and hasattr(model, "plan"):
-            inference = model  # a bare ProgressiveSampler-like engine
-        if inference is not None and hasattr(inference, "plan"):
-            # Validate even with caching disabled: an invalid query must
-            # fail its own submit, never the batch it would have joined.
-            query.validate(inference.layout.schema)
-            if self.cache_size == 0:
-                return None
-            plan_key = inference.plan(query).cache_key()
-        else:
-            if self.cache_size == 0:
-                return None
-            plan_key = (query.tables, query.predicates)
-            try:
-                hash(plan_key)
-            except TypeError:
-                return None
-        return (version, plan_key, seed)
+def _validate(model, query: Query) -> None:
+    """Fail an invalid query at its own submit, never the batch it would join.
+
+    Applies to models that expose a ``ProgressiveSampler``-like engine
+    (``inference``, or a bare engine with ``plan``); duck-typed models
+    validate nothing here.
+    """
+    inference = getattr(model, "inference", None)
+    if inference is None and hasattr(model, "plan"):
+        inference = model  # a bare ProgressiveSampler-like engine
+    if inference is not None and hasattr(inference, "plan"):
+        query.validate(inference.layout.schema)

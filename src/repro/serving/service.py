@@ -119,8 +119,10 @@ class EstimationService:
     ) -> int:
         """Incrementally retrain a *copy* onto a snapshot, then hot-swap it in.
 
-        Readers never block: the version bump invalidates the scheduler's
-        result cache so post-refresh submits recompute against the new model.
+        Readers never block: the scheduler reads the registry per flush, so
+        a batch that starts after the swap runs on the new version, while
+        batches already running finish on the old one, which is left as it
+        was.
         """
         return self.registry.refresh(name, new_schema, train_tuples=train_tuples)
 
@@ -215,7 +217,7 @@ class EstimationService:
 
         The cascade's final tier must be its neural tier: queries routed
         there go through the registered model's micro-batching scheduler
-        (seeds, caching, deadlines, breaker all apply); queries a cheaper
+        (seeds, deadlines, breaker all apply); queries a cheaper
         tier answers are served inline and skip batching entirely.
         """
         name = self._resolve(model)
@@ -364,11 +366,7 @@ class EstimationService:
                 if self.config.workers > 0:
                     pool = self._pools.get(name)
                     if pool is None:
-                        pool = WorkerPool(
-                            lambda: self.registry.get_with_version(name),
-                            name=name,
-                            **self.config.pool_opts(),
-                        )
+                        pool = WorkerPool(name=name, **self.config.pool_opts())
                         self._pools[name] = pool
                 scheduler = MicroBatchScheduler(
                     lambda: self.registry.get_with_version(name),

@@ -25,11 +25,11 @@ estimator stays accurate while the data changes under load:
   :meth:`~repro.serving.registry.ModelRegistry.refresh` /
   :meth:`~repro.serving.registry.ModelRegistry.swap` without ever blocking
   in-flight :class:`~repro.serving.scheduler.MicroBatchScheduler` traffic:
-  training happens on a clone, the swap is one reference assignment, the
-  version bump invalidates the plan-keyed result cache, and the clone's
-  rebuilt engine discards compiled kernels folded from pre-refresh weights
-  (fresh ones fold on swap via ``precompile``). A failed refresh leaves
-  the old model serving and is retried only when new data arrives.
+  training happens on a clone, the swap is one reference assignment that
+  the next flushed batch reads, and the clone's rebuilt engine discards
+  compiled kernels folded from pre-refresh weights (fresh ones fold on
+  swap via ``precompile``). A failed refresh leaves the old model serving
+  and is retried only when new data arrives.
 """
 
 from __future__ import annotations
@@ -391,10 +391,10 @@ class BackgroundRefresher:
     model to keep fresh. The poll loop reads the ingestor's latest
     snapshot, asks the policy, and applies ``fast`` via
     ``registry.refresh`` (clone → incremental train → atomic swap) or
-    ``retrain`` via :func:`repro.core.refresh.full_retrain` + ``swap``. The
-    registry's version bump makes every scheduler's plan-keyed result cache
-    invalidate itself, and the swapped-in estimator carries freshly folded
-    compiled kernels — in-flight batches finish on the old model object
+    ``retrain`` via :func:`repro.core.refresh.full_retrain` + ``swap``. Every
+    scheduler reads the registry per flush, so the next batch runs on the
+    swapped-in estimator, which carries freshly folded compiled kernels —
+    in-flight batches finish on the old model object
     untouched, so no request ever observes a torn model.
 
     Failure containment: an exception inside a refresh is recorded as a

@@ -52,7 +52,7 @@ import time
 import weakref
 from concurrent.futures import Future
 from multiprocessing import connection, shared_memory
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,8 +63,10 @@ from repro.nn.compiled import pack_layout, read_blob, write_blob
 from repro.relational.query import Query
 from repro.serving import faults
 
-#: ``source`` contract (same as the scheduler's): current (model, version).
-ModelSource = Callable[[], Tuple[object, int]]
+#: Shards a worker may hold unanswered before the scheduler's flusher
+#: blocks in :meth:`WorkerPool.submit_batch` (backpressure that lets new
+#: requests coalesce behind it): one running, one queued on the pipe.
+MAX_INFLIGHT = 2
 
 _COMPILED_PREFIX = "compiled::"
 
@@ -230,7 +232,7 @@ def _worker_main(slot: int, conn) -> None:
                     continue
                 conn.send(("ready", slot, state.version))
             elif kind == "batch":
-                _, chunk_id, version, queries, rngs, n_samples = msg
+                _, chunk_id, version, queries, rngs = msg
                 try:
                     injector = faults.get_active()
                     if injector is not None:
@@ -243,10 +245,7 @@ def _worker_main(slot: int, conn) -> None:
                             f"worker holds model version {state.version} but "
                             f"received a batch for version {version}"
                         )
-                    kwargs = {"rngs": rngs}
-                    if n_samples is not None:
-                        kwargs["n_samples"] = n_samples
-                    values = state.est.estimate_batch(queries, **kwargs)
+                    values = state.est.estimate_batch(queries, rngs=rngs)
                     conn.send(("result", slot, chunk_id, [float(v) for v in values]))
                 except BaseException as exc:
                     try:
@@ -300,47 +299,36 @@ class _Handle:
 
 
 class WorkerPool:
-    """N estimator processes behind one batched-executor + client surface.
+    """N estimator processes behind the scheduler's batched-executor hook.
 
-    Three ways in:
+    One way in: pass ``executor=pool`` to
+    :class:`~repro.serving.scheduler.MicroBatchScheduler` (the service does
+    this when ``ServingConfig.workers > 0``), and every flushed micro-batch
+    is sharded across the least-loaded workers via :meth:`submit_batch`.
+    :meth:`publish` installs a model version ahead of traffic (the service
+    calls it on every registry swap; ``submit_batch`` publishes a version
+    it has not seen yet).
 
-    * **scheduler executor** — pass ``executor=pool`` to
-      :class:`~repro.serving.scheduler.MicroBatchScheduler` (the service
-      does this when ``ServingConfig.workers > 0``); every flushed
-      micro-batch is sharded across the least-loaded workers via
-      :meth:`submit_batch`;
-    * **EstimationClient** — :meth:`estimate` / :meth:`estimate_batch` /
-      :meth:`submit` serve direct callers against the published model;
-    * **publisher** — :meth:`publish` installs a model version explicitly
-      (the scheduler/registry path publishes implicitly on version bumps).
-
-    Start method defaults to ``spawn``: workers import numpy fresh
-    instead of inheriting a forked BLAS state mid-operation, and the cost
-    is paid once per worker, not per request.
+    Workers are started with ``spawn``: they import numpy fresh instead of
+    inheriting a forked BLAS state mid-operation, and the cost is paid once
+    per worker, not per request.
     """
 
     def __init__(
         self,
-        source: Optional[ModelSource] = None,
         *,
         n_workers: Optional[int] = None,
         name: str = "pool",
-        start_method: Optional[str] = None,
         min_shard: int = 4,
-        max_inflight: int = 2,
     ):
         if n_workers is not None and n_workers < 1:
             raise ServingError("n_workers must be >= 1")
         if min_shard < 1:
             raise ServingError("min_shard must be >= 1")
-        if max_inflight < 1:
-            raise ServingError("max_inflight must be >= 1")
-        self._source = source
         self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
         self.name = name
         self.min_shard = min_shard
-        self.max_inflight = max_inflight
-        self._ctx = multiprocessing.get_context(start_method or "spawn")
+        self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         #: Serializes every pipe write of "model"/"batch" messages, so the
@@ -354,11 +342,9 @@ class WorkerPool:
         self._segments: Dict[int, shared_memory.SharedMemory] = {}
         self._finalizer = weakref.finalize(self, _unlink_segments, self._segments)
         self._published_version: Optional[int] = None
-        self._published_model = None
         self._current_payload: Optional[dict] = None
         self._shipped_context: Optional[tuple] = None
         self._chunk_ids = itertools.count()
-        self._rng = np.random.default_rng(0)
         self._closed = False
         # Telemetry (guarded writes, approximate reads).
         self.respawns = 0
@@ -481,7 +467,6 @@ class WorkerPool:
             if segment is not None:
                 self._segments[version] = segment
             self._published_version = version
-            self._published_model = model
             self._current_payload = payload
             handles = [h for h in self._handles if h.alive]
         slim = self._slim_payload(payload)
@@ -598,7 +583,6 @@ class WorkerPool:
         queries: Sequence[Query],
         *,
         rngs: Sequence[np.random.Generator],
-        n_samples: Optional[int] = None,
     ) -> Future:
         """Shard one micro-batch across the pool; future -> ordered array.
 
@@ -641,7 +625,7 @@ class WorkerPool:
                     try:
                         handle.send(
                             ("batch", chunk_id, version,
-                             queries[lo:hi], rngs[lo:hi], n_samples)
+                             queries[lo:hi], rngs[lo:hi])
                         )
                     except Exception as exc:
                         with self._lock:
@@ -653,19 +637,16 @@ class WorkerPool:
                         error.__cause__ = exc
                         self._fail_batch(pending, error)
         if assignments is None:  # stale version: inline on the caller's model
-            kwargs = {"rngs": rngs}
-            if n_samples is not None:
-                kwargs["n_samples"] = n_samples
             try:
                 pending.future.set_result(
-                    np.asarray(model.estimate_batch(queries, **kwargs), dtype=np.float64)
+                    np.asarray(model.estimate_batch(queries, rngs=rngs), dtype=np.float64)
                 )
             except BaseException as exc:
                 pending.future.set_exception(exc)
         return pending.future
 
     def _await_capacity(self) -> None:
-        """Soft backpressure: block while every worker is at max_inflight.
+        """Soft backpressure: block while every worker is at MAX_INFLIGHT.
 
         Blocking the caller (the scheduler's flusher) is the feature: new
         submits keep queueing behind it and coalesce into larger
@@ -674,7 +655,7 @@ class WorkerPool:
         with self._lock:
             while not self._closed:
                 live = [h for h in self._handles if h.alive]
-                if live and min(len(h.inflight) for h in live) < self.max_inflight:
+                if live and min(len(h.inflight) for h in live) < MAX_INFLIGHT:
                     return
                 self._cond.wait(timeout=0.1)
             raise ServingError(f"worker pool {self.name!r} is closed")
@@ -706,65 +687,6 @@ class WorkerPool:
             self.batches += 1
             self.chunks += len(assignments)
         return assignments
-
-    # ------------------------------------------------------------------
-    # EstimationClient surface (direct callers, no scheduler in front)
-    # ------------------------------------------------------------------
-    def _client_source(self) -> Tuple[object, int]:
-        if self._source is not None:
-            return self._source()
-        with self._lock:
-            if self._closed:
-                raise ServingError(f"worker pool {self.name!r} is closed")
-            if self._published_model is None:
-                raise ServingError(
-                    f"pool {self.name!r} has no model; publish() one or "
-                    "construct the pool with a source"
-                )
-            return self._published_model, self._published_version
-
-    def estimate(self, query: Query, *, seed: Optional[int] = None,
-                 n_samples: Optional[int] = None) -> float:
-        """Blocking single-query estimate on the pool (client protocol)."""
-        return float(self.submit(query, seed=seed, n_samples=n_samples).result())
-
-    def estimate_batch(
-        self,
-        queries: Sequence[Query],
-        *,
-        n_samples: Optional[int] = None,
-        rngs: Optional[Sequence[np.random.Generator]] = None,
-    ) -> np.ndarray:
-        """Sharded batch estimate; same contract as the inline engines."""
-        queries = list(queries)
-        model, version = self._client_source()
-        if rngs is None:
-            with self._lock:
-                rngs = list(self._rng.spawn(len(queries)))
-        pooled = self.submit_batch(model, version, queries, rngs=list(rngs), n_samples=n_samples)
-        return np.asarray(pooled.result())
-
-    def submit(self, query: Query, *, seed: Optional[int] = None,
-               n_samples: Optional[int] = None) -> Future:
-        """One query as a Future (scheduler-compatible client surface)."""
-        model, version = self._client_source()
-        if seed is not None:
-            rng = np.random.default_rng(seed)
-        else:
-            with self._lock:
-                rng = self._rng.spawn(1)[0]
-        inner = self.submit_batch(model, version, [query], rngs=[rng], n_samples=n_samples)
-        out: Future = Future()
-
-        def relay(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                out.set_exception(exc)
-            else:
-                out.set_result(float(done.result()[0]))
-
-        inner.add_done_callback(relay)
-        return out
 
     # ------------------------------------------------------------------
     # Collector: results, version acks, worker death

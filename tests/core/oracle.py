@@ -49,3 +49,36 @@ class OracleModel:
             hist = np.bincount(self.all_tokens[mask, col], minlength=dom)
             out[i] = hist / total
         return out
+
+
+class FixedBudget:
+    """A bare engine served at one sample count.
+
+    The serving stack passes no sample budget: a served ``NeuroCard``
+    answers at its own ``progressive_samples``. This gives a bare
+    :class:`~repro.core.progressive.ProgressiveSampler` (the oracle) the
+    same shape, so a scheduler, a service or a worker pool (it pickles)
+    answers with ``n_samples`` rows per query. ``inference`` lets the
+    scheduler validate queries at submit; ``schema`` lets a service build
+    cascade tiers and fallbacks.
+    """
+
+    is_fitted = True
+
+    def __init__(self, engine, n_samples: int):
+        self.inference = engine
+        self.n_samples = n_samples
+
+    @property
+    def schema(self):
+        return self.inference.layout.schema
+
+    @property
+    def size_bytes(self) -> int:
+        return self.inference.size_bytes
+
+    def estimate_batch(self, queries, rngs=None):
+        return self.inference.estimate_batch(queries, n_samples=self.n_samples, rngs=rngs)
+
+    def estimate(self, query, rng=None) -> float:
+        return self.inference.estimate(query, n_samples=self.n_samples, rng=rng)

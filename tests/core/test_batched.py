@@ -214,8 +214,8 @@ class TestPlanCache:
             for i in range(12)
         ]
         ps.estimate_batch(queries, n_samples=8, rng=np.random.default_rng(0))
-        assert ps.plan_cache_misses == 1  # one distinct table set
-        assert ps.plan_cache_hits == 11
+        assert ps.shape_cache_misses == 1  # one distinct table set
+        assert ps.shape_cache_hits == 11
         assert len(ps._region_cache) == 3  # three distinct predicate values
 
     def test_cached_plans_do_not_change_results(self):
@@ -225,7 +225,7 @@ class TestPlanCache:
         first = ps.estimate(query, n_samples=300, rng=np.random.default_rng(3))
         again = ps.estimate(query, n_samples=300, rng=np.random.default_rng(3))
         assert first == again
-        assert ps.plan_cache_hits >= 1
+        assert ps.shape_cache_hits >= 1
 
     def test_region_cache_bounded(self):
         schema = rich_schema(seed=3)

@@ -64,7 +64,7 @@ class FakeModel:
     def size_bytes(self) -> int:
         return 1000
 
-    def estimate_batch(self, queries, n_samples=None, rngs=None):
+    def estimate_batch(self, queries, rngs=None):
         self.calls += 1
         self.batch_sizes.append(len(queries))
         if self.delay:

@@ -386,8 +386,6 @@ def cascade_service(schema, oracle_engine):
     config = ServingConfig(
         max_batch=8,
         max_wait_us=500,
-        cache_size=0,
-        n_samples=64,
         cascade=CascadeConfig(
             tiers=("per_table", "neural"),
             default_max_q_error=1.5,
@@ -419,9 +417,7 @@ class TestServiceWiring:
         future = service.submit(HARD, model="oracle", seed=123)
         assert future.tier == "neural"
         reference = EstimationService(
-            config=ServingConfig(
-                max_batch=8, max_wait_us=500, cache_size=0, n_samples=64
-            )
+            config=ServingConfig(max_batch=8, max_wait_us=500)
         )
         reference.register("oracle", oracle_engine)
         try:
@@ -466,7 +462,7 @@ class TestServiceWiring:
     def test_inline_tier_error_escalates_to_the_scheduler(self, schema):
         key = QueryFeatures.extract(EASY, schema).class_key
         service = EstimationService(
-            config=ServingConfig(max_batch=4, max_wait_us=500, cache_size=0)
+            config=ServingConfig(max_batch=4, max_wait_us=500)
         )
         service.register("m", FakeModel(42.0))
         cascade = EstimatorCascade(

@@ -605,7 +605,7 @@ class TestWorkerPropagation:
 
         plan = FaultPlan(seed=9, specs=(FaultSpec("worker.crash", at=(5,), kind="crash"),))
         model = FakeModel(tag=1.0)
-        pool = WorkerPool(lambda: (model, 0), name="p", n_workers=1)
+        pool = WorkerPool(name="p", n_workers=1)
         try:
             with faults.injected(plan):
                 payload, _ = pool._build_payload(model, 0)

@@ -364,8 +364,8 @@ class TestObservability:
             assert (
                 samples['repro_http_request_seconds_count{tenant="t1"}'] == ok
             )
-            # Distinct seeds, so no cache hits: every answered query waited
-            # in the scheduler's queue exactly once.
+            # Every answered query waited in the scheduler's queue exactly
+            # once.
             waits = 'repro_scheduler_queue_wait_seconds'
             assert samples[f'{waits}_count{{model="oracle"}}'] == queries
             assert samples[f'{waits}_bucket{{model="oracle",le="+Inf"}}'] == queries

@@ -153,8 +153,7 @@ class TestHotSwap:
         lock = threading.Lock()
 
         with MicroBatchScheduler(
-            lambda: registry.get_with_version("m"),
-            max_batch=8, max_wait_us=200, cache_size=0,
+            lambda: registry.get_with_version("m"), max_batch=8, max_wait_us=200
         ) as scheduler:
 
             def client():

@@ -1,4 +1,4 @@
-"""MicroBatchScheduler: coalescing, flush timing, caching, failure semantics."""
+"""MicroBatchScheduler: coalescing, flush timing, fresh answers, failure semantics."""
 
 import sys
 import threading
@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.errors import DeadlineError, QueryError, ServingError
-from repro.relational.predicate import Predicate
 from repro.relational.query import Query
 from repro.serving import MicroBatchScheduler
+from tests.core.oracle import FixedBudget
 from tests.serving.conftest import FakeModel
 
 
@@ -33,7 +33,7 @@ class GatedModel(FakeModel):
         self._proceed = threading.Semaphore(0)
         self.entered_at = 0.0
 
-    def estimate_batch(self, queries, n_samples=None, rngs=None):
+    def estimate_batch(self, queries, rngs=None):
         self.entered_at = time.perf_counter()
         self.calls += 1
         self.batch_sizes.append(len(queries))
@@ -64,8 +64,8 @@ class ThreadExecutor:
     def __init__(self):
         self._threads = ThreadPoolExecutor(max_workers=4)
 
-    def submit_batch(self, model, version, queries, *, rngs, n_samples):
-        return self._threads.submit(model.estimate_batch, queries, n_samples=n_samples, rngs=rngs)
+    def submit_batch(self, model, version, queries, *, rngs):
+        return self._threads.submit(model.estimate_batch, queries, rngs=rngs)
 
     def close(self) -> None:
         self._threads.shutdown()
@@ -107,7 +107,7 @@ class TestCoalescing:
         model = FakeModel(tag=7.0, delay=0.02)
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(model), max_batch=64, max_wait_us=5_000, cache_size=0
+            fixed_source(model), max_batch=64, max_wait_us=5_000
         ) as scheduler:
             # First request occupies the flusher (20ms model delay); the
             # rest pile up and must coalesce into far fewer batches.
@@ -123,7 +123,7 @@ class TestCoalescing:
         model = FakeModel(tag=1.0)
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(model), max_batch=4, max_wait_us=5_000_000, cache_size=0
+            fixed_source(model), max_batch=4, max_wait_us=5_000_000
         ) as scheduler:
             start = time.perf_counter()
             futures = [scheduler.submit(q) for _ in range(4)]
@@ -144,7 +144,7 @@ class TestCoalescing:
         model = FakeModel(tag=1.0)
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(model), max_batch=64, max_wait_us=60_000_000, cache_size=0
+            fixed_source(model), max_batch=64, max_wait_us=60_000_000
         ) as scheduler:
             for _ in range(3):
                 assert scheduler.submit(q).result(timeout=10) == 1.0
@@ -152,7 +152,7 @@ class TestCoalescing:
 
         gate = GatedModel()
         with MicroBatchScheduler(
-            fixed_source(gate), max_batch=64, max_wait_us=60_000, cache_size=0
+            fixed_source(gate), max_batch=64, max_wait_us=60_000
         ) as scheduler:
             prime(scheduler, gate, 2)
             start = time.perf_counter()
@@ -169,7 +169,7 @@ class TestCoalescing:
         model = FakeModel(tag=2.0)
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(model), max_batch=4, max_wait_us=1_000, cache_size=0
+            fixed_source(model), max_batch=4, max_wait_us=1_000
         ) as scheduler:
             chained = {}
             submitted = threading.Event()
@@ -186,7 +186,7 @@ class TestCoalescing:
         model = FakeModel(tag=3.0)
         q = Query.make(["T"])
         scheduler = MicroBatchScheduler(
-            fixed_source(model), max_batch=64, max_wait_us=1_000_000, cache_size=0
+            fixed_source(model), max_batch=64, max_wait_us=1_000_000
         )
         futures = [scheduler.submit(q) for _ in range(5)]
         scheduler.close()  # long max-wait: close must not wait the window out
@@ -209,7 +209,7 @@ class TestExpectedConcurrency:
         gate = GatedModel()
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(gate), max_wait_us=self.MINUTE_US, cache_size=0, executor=executor
+            fixed_source(gate), max_wait_us=self.MINUTE_US, executor=executor
         ) as scheduler:
             a = scheduler.submit(q)  # the only caller known: goes alone
             gate.wait_entered()
@@ -235,7 +235,7 @@ class TestExpectedConcurrency:
         q = Query.make(["T"])
         stalled = []
         with MicroBatchScheduler(
-            fixed_source(gate), max_wait_us=100_000, cache_size=0, executor=executor
+            fixed_source(gate), max_wait_us=100_000, executor=executor
         ) as scheduler:
             prime(scheduler, gate, callers)
             for _cycle in range(3):
@@ -256,7 +256,7 @@ class TestExpectedConcurrency:
         gate = GatedModel()
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(gate), max_wait_us=200_000, cache_size=0
+            fixed_source(gate), max_wait_us=200_000
         ) as scheduler:
             a = scheduler.submit(q)
             gate.wait_entered()
@@ -296,7 +296,7 @@ class TestExpectedConcurrency:
         gate = GatedModel()
         stalled = []
         with MicroBatchScheduler(
-            fixed_source(gate), max_wait_us=50_000, cache_size=0
+            fixed_source(gate), max_wait_us=50_000
         ) as scheduler:
             running = scheduler.submit(Query.make(["T"]))
             gate.wait_entered()
@@ -312,7 +312,7 @@ class TestExpectedConcurrency:
         gate = GatedModel()
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(gate), max_wait_us=50_000, cache_size=0
+            fixed_source(gate), max_wait_us=50_000
         ) as scheduler:
             a = scheduler.submit(q)
             gate.wait_entered()
@@ -339,7 +339,7 @@ class TestExpectedConcurrency:
     def test_close_while_waiting_for_a_straggler_drains(self, executor):
         gate = GatedModel()
         with MicroBatchScheduler(
-            fixed_source(gate), max_wait_us=self.MINUTE_US, cache_size=0, executor=executor
+            fixed_source(gate), max_wait_us=self.MINUTE_US, executor=executor
         ) as scheduler:
             prime(scheduler, gate, 2)
             waiting = scheduler.submit(Query.make(["T"]))
@@ -360,7 +360,7 @@ class TestExpectedConcurrency:
         sys.setswitchinterval(1e-5)
         try:
             with MicroBatchScheduler(
-                fixed_source(model), max_batch=64, max_wait_us=200, cache_size=0
+                fixed_source(model), max_batch=64, max_wait_us=200
             ) as scheduler:
 
                 def caller():
@@ -389,7 +389,7 @@ class TestExpectedConcurrency:
         later request would silently pay ``max_wait_us`` again."""
         gate = GatedModel()
         q = Query.make(["T"])
-        scheduler = MicroBatchScheduler(fixed_source(gate), max_wait_us=1_000, cache_size=0)
+        scheduler = MicroBatchScheduler(fixed_source(gate), max_wait_us=1_000)
         try:
             # Hold the flusher inside a batch so the request under test is
             # still queued when its fate is decided.
@@ -439,7 +439,7 @@ class TestFailureSemantics:
         model = FakeModel(tag=0.0, fail=True)
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(model), max_batch=8, max_wait_us=2_000, cache_size=0
+            fixed_source(model), max_batch=8, max_wait_us=2_000
         ) as scheduler:
             futures = [scheduler.submit(q) for _ in range(3)]
             for f in futures:
@@ -451,13 +451,13 @@ class TestFailureSemantics:
 
     def test_short_result_array_fails_batch_instead_of_hanging(self):
         class TruncatingModel(FakeModel):
-            def estimate_batch(self, queries, n_samples=None, rngs=None):
+            def estimate_batch(self, queries, rngs=None):
                 return super().estimate_batch(queries[:1])
 
         model = TruncatingModel(tag=1.0, delay=0.01)
         q = Query.make(["T"])
         with MicroBatchScheduler(
-            fixed_source(model), max_batch=8, max_wait_us=2_000, cache_size=0
+            fixed_source(model), max_batch=8, max_wait_us=2_000
         ) as scheduler:
             futures = [scheduler.submit(q) for _ in range(3)]
             for f in futures:
@@ -482,8 +482,7 @@ class TestFailureSemantics:
         q = workload[0]
         pinned = oracle_engine.estimate(q, n_samples=64, rng=np.random.default_rng(7))
         with MicroBatchScheduler(
-            fixed_source(oracle_engine), max_batch=4, max_wait_us=1_000,
-            cache_size=0, n_samples=64,
+            fixed_source(FixedBudget(oracle_engine, 64)), max_batch=4, max_wait_us=1_000
         ) as scheduler:
             valid = [scheduler.submit(q, seed=s) for s in seeds[:-1]]
             with pytest.raises(QueryError, match="seed"):
@@ -502,8 +501,7 @@ class TestOracleEquivalence:
             for i, q in enumerate(workload)
         ]
         with MicroBatchScheduler(
-            fixed_source(oracle_engine), max_batch=2, max_wait_us=500,
-            cache_size=0, n_samples=n,
+            fixed_source(FixedBudget(oracle_engine, n)), max_batch=2, max_wait_us=500
         ) as scheduler:
             futures = [
                 scheduler.submit(q, seed=40 + i) for i, q in enumerate(workload)
@@ -512,66 +510,38 @@ class TestOracleEquivalence:
         assert coalesced == sequential  # bitwise, not approx
 
 
-class TestResultCache:
-    def test_repeat_submission_hits_cache(self, oracle_engine, workload):
+class TestFreshAnswers:
+    """No result cache and no sample override: every request is computed,
+    at the served model's own budget."""
+
+    def test_nonzero_cache_size_is_rejected(self):
+        with pytest.raises(ServingError, match="result cache was removed"):
+            MicroBatchScheduler(fixed_source(FakeModel(tag=1.0)), cache_size=1)
+        MicroBatchScheduler(fixed_source(FakeModel(tag=1.0)), cache_size=0).close()
+
+    def test_repeated_seeded_submit_recomputes(self, oracle_engine, workload):
         q = workload[1]
         with MicroBatchScheduler(
-            fixed_source(oracle_engine), max_batch=4, max_wait_us=500, n_samples=64
+            fixed_source(FixedBudget(oracle_engine, 64)), max_batch=4, max_wait_us=500
         ) as scheduler:
             first = scheduler.submit(q, seed=5).result(timeout=30)
             batches = scheduler.stats()["batches"]
             again = scheduler.submit(q, seed=5).result(timeout=30)
-            assert again == first
-            assert scheduler.n_cache_hits == 1
-            assert scheduler.stats()["batches"] == batches  # no recompute
-
-    def test_semantically_equal_predicates_share_entry(self, oracle_engine):
-        """Plan canonicalization: x>=3 AND x>=5 coalesces with x>=5."""
-        loose = Query.make(
-            ["R"],
-            [Predicate("R", "year", ">=", 1993), Predicate("R", "year", ">=", 1995)],
-        )
-        tight = Query.make(["R"], [Predicate("R", "year", ">=", 1995)])
-        with MicroBatchScheduler(
-            fixed_source(oracle_engine), max_batch=4, max_wait_us=500, n_samples=64
-        ) as scheduler:
-            a = scheduler.submit(tight, seed=2).result(timeout=30)
-            b = scheduler.submit(loose, seed=2).result(timeout=30)
-            assert a == b
-            assert scheduler.n_cache_hits == 1
-
-    def test_version_bump_invalidates_cache(self, oracle_engine, workload):
-        """A registry hot-swap (new version) must force recomputation."""
-        q = workload[2]
-        version = {"v": 0}
-        source = lambda: (oracle_engine, version["v"])
-        with MicroBatchScheduler(
-            source, max_batch=4, max_wait_us=500, n_samples=64
-        ) as scheduler:
-            scheduler.submit(q, seed=3).result(timeout=30)
-            scheduler.submit(q, seed=3).result(timeout=30)
-            assert scheduler.n_cache_hits == 1
-            batches = scheduler.stats()["batches"]
-            version["v"] = 1  # simulated update()/hot-swap
-            scheduler.submit(q, seed=3).result(timeout=30)
-            assert scheduler.n_cache_hits == 1  # miss: stale entry not served
             assert scheduler.stats()["batches"] == batches + 1
+        assert again == first  # same pinned stream, computed twice
 
-    def test_lru_eviction_bounds_cache(self, oracle_engine, workload):
-        with MicroBatchScheduler(
-            fixed_source(oracle_engine), max_batch=8, max_wait_us=500,
-            cache_size=2, n_samples=64,
-        ) as scheduler:
-            for seed in range(5):
-                scheduler.submit(workload[0], seed=seed).result(timeout=30)
-            assert scheduler.stats()["cache_size"] <= 2
-
-    def test_cache_disabled(self, oracle_engine, workload):
-        with MicroBatchScheduler(
-            fixed_source(oracle_engine), max_batch=4, max_wait_us=500,
-            cache_size=0, n_samples=64,
-        ) as scheduler:
-            a = scheduler.submit(workload[0], seed=1).result(timeout=30)
-            b = scheduler.submit(workload[0], seed=1).result(timeout=30)
-            assert a == b  # same pinned stream, recomputed
-            assert scheduler.n_cache_hits == 0
+    def test_answers_at_the_models_own_sample_budget(self, tiny_trained, workload):
+        _, estimator = tiny_trained
+        assert estimator.config.progressive_samples == 64
+        with pytest.raises(TypeError, match="n_samples"):
+            MicroBatchScheduler(fixed_source(estimator), n_samples=64)
+        with MicroBatchScheduler(fixed_source(estimator), max_wait_us=500) as scheduler:
+            served = [
+                scheduler.submit(q, seed=30 + i).result(timeout=30)
+                for i, q in enumerate(workload)
+            ]
+        direct = [
+            estimator.estimate_batch([q], rngs=[np.random.default_rng(30 + i)])[0]
+            for i, q in enumerate(workload)
+        ]
+        assert served == direct  # bitwise: same engine, same budget, batches of 1

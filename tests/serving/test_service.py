@@ -1,4 +1,4 @@
-"""EstimationService: façade behavior, refresh invalidation, harness wiring."""
+"""EstimationService: façade behavior, refresh hand-over, harness wiring."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from tests.serving.conftest import FakeModel
 @pytest.fixture()
 def service(tiny_trained):
     _, estimator = tiny_trained
-    config = ServingConfig(max_batch=16, max_wait_us=1_000, n_samples=64)
+    config = ServingConfig(max_batch=16, max_wait_us=1_000)
     with EstimationService(config=config) as svc:
         svc.register("tiny", estimator)
         yield svc
@@ -29,18 +29,16 @@ class TestFacade:
     def test_pinned_seed_matches_direct_batched_engine(self, service, tiny_trained, workload):
         _, estimator = tiny_trained
         query = workload[1]
-        direct = estimator.estimate_batch(
-            [query], n_samples=64, rngs=[np.random.default_rng(21)]
-        )[0]
+        direct = estimator.estimate_batch([query], rngs=[np.random.default_rng(21)])[0]
         served = service.estimate(query, seed=21)
-        assert served == direct  # same engine, same pinned stream
+        assert served == direct  # same engine, same budget, same pinned stream
 
     def test_single_model_resolves_implicitly(self, service, workload):
         assert service.submit(workload[0]).result(timeout=30) >= 0
 
     def test_multi_model_requires_name(self, tiny_trained, workload):
         _, estimator = tiny_trained
-        with EstimationService(config=ServingConfig(n_samples=64)) as svc:
+        with EstimationService() as svc:
             svc.register("a", estimator)
             svc.registry.register("b", FakeModel(tag=5.0))
             with pytest.raises(ServingError, match="model name required"):
@@ -49,7 +47,7 @@ class TestFacade:
 
     def test_closed_service_rejects_submits(self, tiny_trained, workload):
         _, estimator = tiny_trained
-        svc = EstimationService(config=ServingConfig(n_samples=64))
+        svc = EstimationService()
         svc.register("tiny", estimator)
         svc.close()
         with pytest.raises(ServingError):
@@ -64,34 +62,32 @@ class TestFacade:
 
 
 class TestRefreshInvalidation:
-    def test_result_cache_invalidated_after_refresh(self, tiny_trained, workload):
+    def test_next_request_after_refresh_runs_on_the_new_version(
+        self, tiny_trained, workload
+    ):
         schema, estimator = tiny_trained
         query = workload[1]
-        config = ServingConfig(max_batch=8, max_wait_us=500, n_samples=64)
+
+        def pinned(model):
+            return model.estimate_batch([query], rngs=[np.random.default_rng(11)])[0]
+
+        config = ServingConfig(max_batch=8, max_wait_us=500)
         with EstimationService(config=config) as svc:
             svc.register("tiny", estimator)
-            svc.estimate(query, seed=11)
-            svc.estimate(query, seed=11)
-            scheduler = svc.scheduler("tiny")
-            assert scheduler.n_cache_hits == 1
-            batches = scheduler.stats()["batches"]
-
+            before = svc.estimate(query, seed=11)
             assert svc.refresh("tiny", schema, train_tuples=1_024) == 1
-
-            svc.estimate(query, seed=11)
-            # The version bump forced a recompute on the refreshed model;
-            # the stale cached result was not served.
-            assert scheduler.n_cache_hits == 1
-            assert scheduler.stats()["batches"] == batches + 1
-            # And the original estimator object was never touched.
-            assert svc.registry.get("tiny") is not estimator
+            refreshed = svc.registry.get("tiny")
+            assert refreshed is not estimator
+            assert svc.estimate(query, seed=11) == pinned(refreshed)
+        # The original estimator object was never touched.
+        assert pinned(estimator) == before
 
     def test_refresh_under_live_planning_traffic(self, tiny_trained, workload):
         """refresh() copies safely while serving threads mutate plan caches."""
         import threading
 
         schema, estimator = tiny_trained
-        config = ServingConfig(max_batch=8, max_wait_us=200, n_samples=32)
+        config = ServingConfig(max_batch=8, max_wait_us=200)
         with EstimationService(config=config) as svc:
             svc.register("tiny", estimator)
             stop = threading.Event()
@@ -135,7 +131,7 @@ class TestHarnessWiring:
 
         failing = FakeModel(tag=1.0, fail=True)
         with MicroBatchScheduler(
-            lambda: (failing, 0), max_batch=4, max_wait_us=500, cache_size=0
+            lambda: (failing, 0), max_batch=4, max_wait_us=500
         ) as scheduler:
             with pytest.raises(RuntimeError, match="exploded"):
                 evaluate_estimator(

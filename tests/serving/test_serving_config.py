@@ -44,12 +44,9 @@ def test_defaults_validate_and_match_refresh_policy_defaults():
         ("max_batch", 0),
         ("max_wait_us", -1),
         ("cache_size", -1),
-        ("n_samples", 0),
         ("budget_bytes", 0),
         ("workers", -1),
-        ("worker_start", "threads"),
         ("min_shard", 0),
-        ("max_inflight", 0),
         ("drift_threshold", 1.5),
         ("ingest_threshold", -0.1),
         ("qerror_threshold", 0.5),
@@ -75,10 +72,7 @@ def test_config_is_frozen():
 # Dict round-trip
 # ----------------------------------------------------------------------
 def test_dict_round_trip_is_exact():
-    config = ServingConfig(
-        workers=4, worker_start="spawn", max_batch=32, budget_bytes=1 << 20,
-        qerror_threshold=8.0, n_samples=64,
-    )
+    config = ServingConfig(workers=4, max_batch=32, budget_bytes=1 << 20, qerror_threshold=8.0)
     assert ServingConfig.from_dict(config.to_dict()) == config
     # and the dict is JSON-serializable (deployment-file friendly)
     assert ServingConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
@@ -92,6 +86,25 @@ def test_unknown_keys_are_hard_errors():
 def test_per_request_sampling_bound_is_not_a_config_field():
     with pytest.raises(ServingError, match="max_rel_var"):
         ServingConfig.from_dict({"max_rel_var": 0.1})
+
+
+@pytest.mark.parametrize(
+    "retired, value", [("n_samples", 64), ("worker_start", "spawn"), ("max_inflight", 2)]
+)
+def test_removed_fields_are_rejected(retired, value):
+    """The sample count is the model's; workers always spawn, two shards deep."""
+    with pytest.raises(ServingError, match=retired):
+        ServingConfig.from_dict({retired: value})
+    with pytest.raises(TypeError, match=retired):
+        ServingConfig(**{retired: value})
+
+
+def test_result_cache_is_retired():
+    assert ServingConfig().cache_size == 0
+    assert ServingConfig.from_dict({"cache_size": 0}) == ServingConfig()
+    for size in (1, 1024):
+        with pytest.raises(ServingError, match="result cache was removed"):
+            ServingConfig(cache_size=size)
 
 
 # ----------------------------------------------------------------------
@@ -115,10 +128,12 @@ def test_every_serving_depth_satisfies_the_protocol(oracle_engine):
     registry.register("m", FakeModel(tag=1.0))
     scheduler = MicroBatchScheduler(lambda: (oracle_engine, 0))
     pool = WorkerPool(n_workers=1, name="protocol")
-    service = EstimationService(registry, config=ServingConfig(cache_size=0))
+    service = EstimationService(registry)
     try:
-        for client in (oracle_engine, scheduler, service, pool):
+        for client in (oracle_engine, scheduler, service):
             assert isinstance(client, EstimationClient), type(client)
+        # The pool has one way in, the scheduler's executor hook.
+        assert not isinstance(pool, EstimationClient)
     finally:
         service.close()
         scheduler.close()

@@ -24,7 +24,7 @@ from repro.serving import (
     RefreshPolicy,
     StreamingIngestor,
 )
-from tests.core.oracle import OracleModel
+from tests.core.oracle import FixedBudget, OracleModel
 from tests.core.test_estimator import correlated_schema, small_config
 
 
@@ -336,10 +336,11 @@ class TestNoTornReads:
                                     rng=np.random.default_rng(i)),
             )
 
-        holder = {"model": old_engine, "version": 0}
+        old_served = FixedBudget(old_engine, n_samples)
+        new_served = FixedBudget(new_engine, n_samples)
+        holder = {"model": old_served, "version": 0}
         with MicroBatchScheduler(
-            lambda: (holder["model"], holder["version"]),
-            max_batch=4, max_wait_us=200, cache_size=0, n_samples=n_samples,
+            lambda: (holder["model"], holder["version"]), max_batch=4, max_wait_us=200
         ) as scheduler:
             results = []
             stop = threading.Event()
@@ -348,9 +349,9 @@ class TestNoTornReads:
                 while not stop.is_set():
                     # Atomic publication order: new model first, version
                     # second, exactly like ModelRegistry.swap under its lock.
-                    holder["model"], holder["version"] = new_engine, 1
+                    holder["model"], holder["version"] = new_served, 1
                     time.sleep(0.0005)
-                    holder["model"], holder["version"] = old_engine, 0
+                    holder["model"], holder["version"] = old_served, 0
                     time.sleep(0.0005)
 
             flipper = threading.Thread(target=swapper)
@@ -390,8 +391,7 @@ class TestNoTornReads:
         failures = []
         stop = threading.Event()
         scheduler = MicroBatchScheduler(
-            lambda: registry.get_with_version("live"),
-            max_batch=8, max_wait_us=500, cache_size=0, n_samples=32,
+            lambda: registry.get_with_version("live"), max_batch=8, max_wait_us=500
         )
 
         def client(cid):
@@ -463,8 +463,8 @@ class TestRefreshFailure:
         assert not event.ok and isinstance(event.error, ServingError)
 
 
-class TestCacheInvalidationOnRefresh:
-    def test_result_cache_invalidates_on_version_bump(self, updatable):
+class TestRefreshHandOver:
+    def test_next_request_after_refresh_runs_on_the_new_version(self, updatable):
         full, initial, estimator = updatable
         registry = ModelRegistry()
         registry.register("live", estimator)
@@ -474,24 +474,22 @@ class TestCacheInvalidationOnRefresh:
             policy=RefreshPolicy(retrain_drift_threshold=2.0),
         )
         query = Query.make(["R", "C1"], [Predicate("C1", "kind", "=", 1)])
-        with MicroBatchScheduler(
-            lambda: registry.get_with_version("live"),
-            max_batch=8, max_wait_us=200, cache_size=64, n_samples=32,
-        ) as scheduler:
-            first = scheduler.submit(query, seed=9).result()
-            assert scheduler.submit(query, seed=9).result() == first
-            assert scheduler.stats()["cache_hits"] == 1
 
+        def pinned(model):
+            return model.estimate_batch([query], rngs=[np.random.default_rng(9)])[0]
+
+        with MicroBatchScheduler(
+            lambda: registry.get_with_version("live"), max_batch=8, max_wait_us=200
+        ) as scheduler:
+            before = scheduler.submit(query, seed=9).result()
             ingestor.ingest(c2_suffix_batches(full, initial, n_batches=1)[0])
             event = refresher.refresh_now("fast")
             assert event.ok and event.model_version == registry.version("live")
-
-            batches_before = scheduler.stats()["batches"]
-            refreshed = scheduler.submit(query, seed=9).result()
-            stats = scheduler.stats()
-            assert stats["cache_hits"] == 1            # not served from cache
-            assert stats["batches"] == batches_before + 1
-            assert np.isfinite(refreshed)
+            refreshed = registry.get("live")
+            assert refreshed is not estimator
+            assert scheduler.submit(query, seed=9).result() == pinned(refreshed)
+        # The estimator that served before the refresh was never touched.
+        assert pinned(estimator) == before
 
 
 class TestThrottledRefresh:
@@ -525,8 +523,7 @@ class TestSchedulerFlusherDeath:
         from tests.serving.conftest import FakeModel
 
         scheduler = MicroBatchScheduler(
-            lambda: (FakeModel(tag=1.0), 0),
-            max_batch=4, max_wait_us=50_000, cache_size=0,
+            lambda: (FakeModel(tag=1.0), 0), max_batch=4, max_wait_us=50_000
         )
         boom = RuntimeError("flusher exploded")
 

@@ -55,7 +55,7 @@ class SlowModel:
         self.tag = tag
         self.delay = delay
 
-    def estimate_batch(self, queries, n_samples=None, rngs=None):
+    def estimate_batch(self, queries, rngs=None):
         if self.delay:
             time.sleep(self.delay)
         return np.full(len(queries), self.tag, dtype=np.float64)
@@ -66,6 +66,10 @@ class SlowModel:
 
 def _query():
     return Query.make(["R"], [Predicate("R", "year", ">=", 1995)])
+
+
+def _pinned(seed0: int, n: int):
+    return [np.random.default_rng(seed0 + i) for i in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -137,15 +141,11 @@ def test_pool_matches_inline_compiled(tiny_trained):
     """Sharded fp32 serving reproduces the single-process path."""
     _schema, est = tiny_trained
     queries = [_query()] * 8
-    inline = est.estimate_batch(
-        queries, rngs=[np.random.default_rng(40 + i) for i in range(8)]
-    )
+    inline = est.estimate_batch(queries, rngs=_pinned(40, 8))
     with WorkerPool(n_workers=2, name="fp32", min_shard=1) as pool:
         pool.publish(est, 1)
         assert pool.shared_bytes > 0  # zero-copy transport, not pickle
-        pooled = pool.estimate_batch(
-            queries, rngs=[np.random.default_rng(40 + i) for i in range(8)]
-        )
+        pooled = pool.submit_batch(est, 1, queries, rngs=_pinned(40, 8)).result(timeout=60)
     np.testing.assert_allclose(pooled, np.asarray(inline), rtol=5e-6)
 
 
@@ -157,10 +157,11 @@ def test_pool_is_bitwise_on_reference_engine(oracle_engine, workload):
     ]
     with WorkerPool(n_workers=2, name="ref", min_shard=1) as pool:
         pool.publish(oracle_engine, 1)
-        pooled = [
-            pool.estimate(q, seed=100 + i) for i, q in enumerate(workload)
-        ]
-    assert pooled == inline
+        pooled = pool.submit_batch(
+            oracle_engine, 1, workload, rngs=_pinned(100, len(workload))
+        ).result(timeout=60)
+        assert pool.stats()["chunks"] == 2  # really sharded
+    assert pooled.tolist() == inline
 
 
 def test_scheduler_executor_path_matches_seeded_submits(oracle_engine, workload):
@@ -176,7 +177,6 @@ def test_scheduler_executor_path_matches_seeded_submits(oracle_engine, workload)
             lambda: (oracle_engine, 3),
             max_batch=4,
             max_wait_us=500,
-            cache_size=0,
             executor=pool,
         ) as sched:
             futures = [
@@ -192,10 +192,9 @@ def test_scheduler_executor_path_matches_seeded_submits(oracle_engine, workload)
 # ----------------------------------------------------------------------
 def test_worker_death_fails_fast_and_respawns(oracle_engine, workload):
     with WorkerPool(n_workers=2, name="doomed", min_shard=1) as pool:
-        pool.publish(SlowModel(tag=1.0, delay=3.0), 1)
-        rngs = [np.random.default_rng(i) for i in range(4)]
-        model, version = pool._client_source()
-        future = pool.submit_batch(model, version, [_query()] * 4, rngs=rngs)
+        slow = SlowModel(tag=1.0, delay=3.0)
+        pool.publish(slow, 1)
+        future = pool.submit_batch(slow, 1, [_query()] * 4, rngs=_pinned(0, 4))
         deadline = time.time() + 10
         while not pool.worker_pids() and time.time() < deadline:
             time.sleep(0.01)
@@ -215,9 +214,9 @@ def test_worker_death_fails_fast_and_respawns(oracle_engine, workload):
         pool.publish(oracle_engine, 2)
         assert pool.stats()["respawns"] >= 1
         assert len(pool.worker_pids()) == 2
-        recovered = [
-            pool.estimate(q, seed=200 + i) for i, q in enumerate(workload)
-        ]
+        recovered = pool.submit_batch(
+            oracle_engine, 2, workload, rngs=_pinned(200, len(workload))
+        ).result(timeout=60).tolist()
         expected = [
             float(oracle_engine.estimate(q, rng=np.random.default_rng(200 + i)))
             for i, q in enumerate(workload)
@@ -232,7 +231,7 @@ def test_hot_swap_under_load_has_no_stale_or_failed_responses(workload):
     registry = ModelRegistry()
     registry.register("m", SlowModel(tag=1.0))
     config = ServingConfig(
-        workers=2, max_batch=8, max_wait_us=500, cache_size=0, min_shard=1
+        workers=2, max_batch=8, max_wait_us=500, min_shard=1
     )
     results: list = []
     failures: list = []
@@ -276,4 +275,4 @@ def test_pool_refuses_unpicklable_and_surfaces_closed(workload):
     finally:
         pool.close()
     with pytest.raises(ServingError, match="closed"):
-        pool.estimate_batch(workload[:1])
+        pool.submit_batch(SlowModel(tag=1.0), 1, workload[:1], rngs=_pinned(0, 1))
