@@ -92,8 +92,9 @@ def main() -> None:
     queries = job_light_ranges_queries(schema, n=args.batch_size, counts=counts)
 
     J = estimator.counts.full_join_size
-    reference = ProgressiveSampler(estimator.model, estimator.layout, J)
-    compiled = build_engine(estimator.model, estimator.layout, J)
+    model = estimator.training_model()
+    reference = ProgressiveSampler(model, estimator.layout, J)
+    compiled = build_engine(model, estimator.layout, J)
 
     def run(engine):
         return engine.estimate_batch(

@@ -94,13 +94,12 @@ def test_fig7d_batched_throughput(light_env, neurocard_light, benchmark):
     queries = light_env.queries["ranges"][: max(batch_sizes)]
 
     # Compiled-vs-reference batched engines over the same trained weights.
+    model = neurocard_light.training_model()
     reference = ProgressiveSampler(
-        neurocard_light.model, neurocard_light.layout,
-        neurocard_light.full_join_size,
+        model, neurocard_light.layout, neurocard_light.full_join_size,
     )
     compiled = build_engine(
-        neurocard_light.model, neurocard_light.layout,
-        neurocard_light.full_join_size,
+        model, neurocard_light.layout, neurocard_light.full_join_size,
     )
 
     def run():
@@ -192,7 +191,7 @@ def main() -> None:
     queries = job_light_ranges_queries(schema, n=args.batch_size, counts=counts)
 
     J = estimator.counts.full_join_size
-    compiled = build_engine(estimator.model, estimator.layout, J)
+    compiled = build_engine(estimator.training_model(), estimator.layout, J)
 
     # Per-query latencies (the paper's CDF view): one warm pass, then one
     # timed pass per round; per-query medians across rounds form the CDF.

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.baselines import BiasedJoinSampler, JoinSampleEstimator, PerTableAREstimator
 from repro.core.estimator import NeuroCard
-from repro.core.progressive import ProgressiveSampler
 from repro.eval.harness import evaluate_estimator
 
 from conftest import base_config, write_result
@@ -34,8 +33,8 @@ def fit_with_biased_sampler(schema, config):
     from repro.core.training import train_autoregressive
     from repro.joins.counts import JoinCounts
     from repro.joins.sampler import joined_column_specs
+    from repro.nn.compiled import CompiledResMADE
     from repro.nn.optim import Adam
-    from repro.nn.resmade import ResMADE
 
     start = time.perf_counter()
     estimator.counts = JoinCounts(schema)
@@ -43,22 +42,16 @@ def fit_with_biased_sampler(schema, config):
     estimator.sampler = BiasedJoinSampler(schema, estimator.counts, specs=specs)
     estimator.layout = Layout(schema, estimator.counts, specs, cfg.factorization_bits)
     estimator.prepare_seconds = time.perf_counter() - start
-    estimator.model = ResMADE(
-        estimator.layout.domains, d_emb=cfg.d_emb, d_ff=cfg.d_ff,
-        n_blocks=cfg.n_blocks, seed=cfg.seed,
-    )
-    estimator._optimizer = Adam(estimator.model.parameters(), lr=cfg.learning_rate)
+    model = estimator.training_model()  # the seeded initialization
     rng = np.random.default_rng(cfg.seed)
     estimator.train_result = train_autoregressive(
-        estimator.model, estimator.layout,
+        model, estimator.layout,
         lambda: estimator.sampler.sample_batch(cfg.batch_size, rng),
         cfg.train_tuples, cfg.batch_size, cfg.learning_rate,
-        cfg.wildcard_skipping, cfg.seed, optimizer=estimator._optimizer,
+        cfg.wildcard_skipping, cfg.seed,
+        optimizer=Adam(model.parameters(), lr=cfg.learning_rate),
     )
-    estimator.inference = ProgressiveSampler(
-        estimator.model, estimator.layout, estimator.counts.full_join_size
-    )
-    return estimator
+    return estimator.serve(CompiledResMADE.fold(model))
 
 
 def test_table5_ablations(light_env, neurocard_light, benchmark):

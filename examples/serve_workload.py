@@ -5,8 +5,8 @@ drives it with 8 closed-loop client threads: every client submits one
 query at a time, and the micro-batching scheduler coalesces the
 concurrent requests into shared ``estimate_batch`` passes. With
 ``workers=2`` in the :class:`ServingConfig`, each coalesced micro-batch
-is sharded across two worker processes that attach the model's weights
-and compiled buffers from a shared-memory blob (zero-copy). Finishes
+is sharded across two worker processes that serve the model's kernel
+table from a shared-memory blob (zero-copy). Finishes
 with a zero-downtime hot-swap refresh onto a new data snapshot — the
 registry republishes the new version to every worker before the swap
 returns.
@@ -86,10 +86,8 @@ def main() -> None:
     serving = ServingConfig(max_batch=64, max_wait_us=2000, workers=2)
     with EstimationService(config=serving) as service:
         service.register("shop", estimator)
-        # Fold the kernels before traffic arrives (the registry also does
-        # this on lazy loads and hot-swaps).
-        estimator.precompile()
-        print(f"compiled serving kernels ({estimator.size_mb:.2f} MB resident)")
+        # The fit already folded the kernel table; it is all the model holds.
+        print(f"serving the kernel table ({estimator.size_mb:.2f} MB resident)")
 
         # 8 closed-loop clients, each query's latency = submit -> result.
         n_clients, per_client = 8, 40

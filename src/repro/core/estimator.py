@@ -10,6 +10,12 @@ Usage::
 One fitted estimator answers queries over *any* connected subset of tables
 with arbitrary =, range and IN filters (§2.1). ``update`` implements the
 paper's incremental-training strategy for data ingests (§7.6).
+
+A fitted estimator holds its model in the served form only: the kernel
+table of :class:`~repro.nn.compiled.CompiledResMADE`, folded when training
+ends or weights load. Refresh, persistence and the reference oracle get the
+training form from :meth:`NeuroCard.training_model`, which rebuilds it
+exactly from the table.
 """
 
 from __future__ import annotations
@@ -21,17 +27,12 @@ import numpy as np
 
 from repro.core.config import NeuroCardConfig
 from repro.core.encoding import FusedEncoder, Layout
-from repro.core.inference import (
-    build_engine,
-    compiled_model,
-    compiled_size_bytes,
-    invalidate_compiled,
-)
 from repro.core.progressive import ProgressiveSampler
 from repro.core.training import TrainResult, train_autoregressive
 from repro.errors import EstimationError, SchemaError
 from repro.joins.counts import JoinCounts
 from repro.joins.sampler import FullJoinSampler, ThreadedSampler, joined_column_specs
+from repro.nn.compiled import CompiledResMADE
 from repro.nn.optim import Adam
 from repro.nn.resmade import ResMADE
 from repro.relational.query import Query
@@ -76,11 +77,16 @@ class NeuroCard:
         self.counts: Optional[JoinCounts] = None
         self.sampler: Optional[FullJoinSampler] = None
         self.layout: Optional[Layout] = None
-        self.model: Optional[ResMADE] = None
+        #: The served form of the model: the only weights held between
+        #: training runs (see :meth:`training_model`).
+        self.compiled: Optional[CompiledResMADE] = None
         self.inference: Optional[ProgressiveSampler] = None
         self.train_result: Optional[TrainResult] = None
         self.prepare_seconds = 0.0
+        #: Adam's moments and schedule outlive each training run; its
+        #: parameter list is bound to the training form only while one runs.
         self._optimizer: Optional[Adam] = None
+        self._schedule_steps = 1
         self._rng = np.random.default_rng(self.config.seed + 1)
         #: Monotonic id of the data snapshot this estimator was last trained
         #: on. 0 is the fit() snapshot; the streaming-ingest layer stamps
@@ -94,11 +100,7 @@ class NeuroCard:
         return self.inference is not None
 
     def fit(self, train_tuples: Optional[int] = None) -> "NeuroCard":
-        """Build join counts, train the AR model, prepare inference.
-
-        The engine serves compiled fp32 kernels; compilation is lazy —
-        kernels fold on first estimate (or on :meth:`precompile`).
-        """
+        """Build join counts, train the AR model, serve its kernel table."""
         cfg = self.config
         n_tuples = train_tuples if train_tuples is not None else cfg.train_tuples
         self._prepare_structures(n_tuples)
@@ -107,50 +109,64 @@ class NeuroCard:
         return self
 
     def prepare(self) -> "NeuroCard":
-        """Build counts/sampler/layout/model/engine WITHOUT training.
+        """Build counts/sampler/layout WITHOUT training or serving weights.
 
-        The weights stay at their seeded initialization. Two consumers
-        replace them immediately afterwards: ``persistence.load_model``
-        copies the artifact's weights in, and the serving worker pool's
-        processes attach published shared-memory weight views via
-        :meth:`attach_parameters` — both only need the deterministic
-        skeleton (same schema + config => same architecture and layout),
-        never a gradient step. The estimator reports ``is_fitted`` after
-        this call; estimates are meaningless until real weights arrive.
+        The deterministic skeleton (same schema + config => same layout and
+        architecture) that two consumers fill right afterwards:
+        ``persistence.load_model`` folds the artifact's weights and the
+        serving worker pool's processes adopt a published kernel table,
+        both through :meth:`serve`. The estimator is not fitted until then.
         """
         self._prepare_structures(self.config.train_tuples)
+        return self
+
+    def serve(self, compiled: CompiledResMADE) -> "NeuroCard":
+        """Serve ``compiled``: it becomes the only weights this estimator holds."""
+        if self.layout is None:
+            raise EstimationError("call fit() or prepare() before serve()")
+        cfg = self.config
+        want = (list(self.layout.domains), cfg.d_emb, cfg.d_ff, cfg.n_blocks)
+        got = (list(compiled.domains), compiled.d_emb, compiled.d_ff, compiled.n_blocks)
+        if got != want:
+            raise EstimationError(
+                f"kernel table (domains, d_emb, d_ff, n_blocks) = {got} does not "
+                f"match this estimator's {want}"
+            )
+        self.compiled = compiled
         self.inference = self.build_inference()
         return self
 
-    def attach_parameters(self, values: Sequence[np.ndarray]) -> None:
-        """Point the model's parameters at externally owned arrays (no copy).
+    def training_model(self) -> ResMADE:
+        """The training form of the served weights, rebuilt from the table.
 
-        ``values`` must match ``model.parameters()`` order/shape/dtype —
-        typically read-only views over a shared-memory blob published by
-        the serving worker pool, so N processes share one physical copy of
-        the weights. Compiled kernel state folded from the *old* values is
-        dropped (the pool attaches published kernel buffers right after).
-        Serving-only: training after attaching read-only views would fault
-        in the optimizer's in-place update.
+        The seeded skeleton ``ResMADE`` with the kernel table's live entries
+        scattered back into it; the masked entries keep their seeded values,
+        which is where training leaves them, so the result equals the model
+        the table was folded from, bitwise. Before any weights are served it
+        is the seeded initialization itself. Each call builds a new model.
         """
-        if self.model is None:
-            raise EstimationError("call fit() or prepare() before attach_parameters()")
-        params = self.model.parameters()
-        if len(values) != len(params):
-            raise EstimationError(
-                f"parameter count mismatch: got {len(values)}, "
-                f"model has {len(params)}"
-            )
-        for param, value in zip(params, values):
-            if value.shape != param.value.shape or value.dtype != param.value.dtype:
-                raise EstimationError(
-                    f"parameter {param.name!r} mismatch: got "
-                    f"{value.shape}/{value.dtype}, expected "
-                    f"{param.value.shape}/{param.value.dtype}"
-                )
-        for param, value in zip(params, values):
-            param.value = value
-        self.invalidate_compiled()
+        if self.layout is None:
+            raise EstimationError("call fit() or prepare() before training_model()")
+        cfg = self.config
+        model = ResMADE(
+            self.layout.domains,
+            d_emb=cfg.d_emb,
+            d_ff=cfg.d_ff,
+            n_blocks=cfg.n_blocks,
+            seed=cfg.seed,
+        )
+        if self.compiled is not None:
+            self.compiled.unfold_into(model)
+        return model
+
+    @property
+    def model(self) -> Optional[ResMADE]:
+        """:meth:`training_model` of a fitted estimator (None before).
+
+        A fresh rebuild per read; kept for callers that read the training
+        form as an attribute. Serving paths never read it.
+        """
+        return self.training_model() if self.compiled is not None else None
 
     def _prepare_structures(self, n_tuples: int) -> None:
         cfg = self.config
@@ -162,24 +178,16 @@ class NeuroCard:
         self.sampler = FullJoinSampler(self.schema, self.counts, specs=specs)
         self.layout = Layout(self.schema, self.counts, specs, cfg.factorization_bits)
         self.prepare_seconds = time.perf_counter() - start
-        self.model = ResMADE(
-            self.layout.domains,
-            d_emb=cfg.d_emb,
-            d_ff=cfg.d_ff,
-            n_blocks=cfg.n_blocks,
-            seed=cfg.seed,
-        )
-        self._optimizer = Adam(
-            self.model.parameters(),
-            lr=cfg.learning_rate,
-            total_steps=max(n_tuples // cfg.batch_size, 1),
-        )
+        self.compiled = None
+        self.inference = None
+        self._optimizer = None
+        self._schedule_steps = max(n_tuples // cfg.batch_size, 1)
 
     def build_inference(self) -> ProgressiveSampler:
-        """A fresh compiled inference engine over the current weights. Used
-        on fit/update and by the serving registry's hot-swap path, so stale
-        compiled state never survives a weight change."""
-        return build_engine(self.model, self.layout, self.counts.full_join_size)
+        """A fresh inference engine over the served kernel table (fresh plan
+        caches; the table itself is immutable and shared). Used on
+        fit/update/serve and by ``refresh.clone_estimator``."""
+        return ProgressiveSampler(self.compiled, self.layout, self.counts.full_join_size)
 
     @staticmethod
     def _check_throttle(throttle: Optional[float]) -> None:
@@ -191,11 +199,18 @@ class NeuroCard:
     def _train(self, n_tuples: int, throttle: Optional[float] = None) -> None:
         cfg = self.config
         self._check_throttle(throttle)
-        if self._optimizer is not None and self._optimizer.t > 0:
-            # Incremental update: re-anchor the LR schedule so the extra
-            # steps get a fresh warmup+decay segment instead of sitting at
-            # the floor of the (already exhausted) original cosine.
-            self._optimizer.extend_schedule(max(n_tuples // cfg.batch_size, 1))
+        model = self.training_model()
+        if self._optimizer is None:
+            self._optimizer = Adam(
+                model.parameters(), lr=cfg.learning_rate, total_steps=self._schedule_steps
+            )
+        else:
+            self._optimizer.params = model.parameters()
+            if self._optimizer.t > 0:
+                # Incremental update: re-anchor the LR schedule so the extra
+                # steps get a fresh warmup+decay segment instead of sitting
+                # at the floor of the (already exhausted) original cosine.
+                self._optimizer.extend_schedule(max(n_tuples // cfg.batch_size, 1))
         # Fused sampling+tokenization: batches arrive as ready token
         # matrices, drawn and encoded in one vectorized pass (and, on the
         # threaded path, produced off the training thread). Rebuilt per
@@ -213,20 +228,24 @@ class NeuroCard:
                 seed=cfg.seed, encode=fused.encode_row_ids,
             ) as threaded:
                 result = train_autoregressive(
-                    self.model, self.layout, paced(threaded.get_batch),
+                    model, self.layout, paced(threaded.get_batch),
                     n_tuples, cfg.batch_size, cfg.learning_rate,
                     cfg.wildcard_skipping, cfg.seed, optimizer=self._optimizer,
                 )
         else:
             rng = np.random.default_rng(cfg.seed)
             result = train_autoregressive(
-                self.model, self.layout,
+                model, self.layout,
                 paced(lambda: fused.encode_row_ids(
                     self.sampler.sample_row_id_matrix(cfg.batch_size, rng)
                 )),
                 n_tuples, cfg.batch_size, cfg.learning_rate,
                 cfg.wildcard_skipping, cfg.seed, optimizer=self._optimizer,
             )
+        # Serve the trained weights folded; the training form, its grads and
+        # masks go, and the optimizer keeps only its moments and schedule.
+        self._optimizer.params = []
+        self.compiled = CompiledResMADE.fold(model)
         if self.train_result is None:
             self.train_result = result
         else:  # accumulate across incremental updates
@@ -287,19 +306,10 @@ class NeuroCard:
 
     # ------------------------------------------------------------------
     def precompile(self) -> None:
-        """Fold the serving kernels now.
-
-        Compilation is otherwise lazy (first estimate pays it); serving
-        layers call this on load/hot-swap so the first request after a
-        swap is already on compiled kernels.
-        """
+        """No-op: the kernel table is folded when training ends or weights
+        load. Kept for callers written when kernels folded on first use."""
         if not self.is_fitted:
             raise EstimationError("call fit() before precompile()")
-        compiled_model(self.inference).compile()
-
-    def invalidate_compiled(self) -> None:
-        """Drop compiled kernel state (weights changed out from under it)."""
-        invalidate_compiled(self.inference)
 
     # ------------------------------------------------------------------
     def update(
@@ -364,24 +374,20 @@ class NeuroCard:
         self.data_version = (
             data_version if data_version is not None else self.data_version + 1
         )
-        # A fresh engine also discards compiled kernels folded from the
-        # pre-update weights.
+        # A fresh engine over the refreshed table (and the new |J|).
         self.inference = self.build_inference()
         return self
 
     # ------------------------------------------------------------------
     @property
     def size_bytes(self) -> int:
-        """Resident estimator size: model weights + compiled inference buffers.
-
-        The compiled term is the kernel's buffer table — the same arrays a
-        worker pool publishes: 0 until the first estimate folds the kernels
-        (compilation is lazy) and deterministic afterwards, so serving
-        memory budgets see a stable number per model.
-        """
-        if self.model is None:
+        """Resident model size: the served kernel table, which is all the
+        weights a fitted estimator holds and exactly what a worker pool
+        publishes; deterministic per model, so serving memory budgets see a
+        stable number."""
+        if self.compiled is None:
             raise EstimationError("not fitted")
-        return self.model.size_bytes + compiled_size_bytes(self.inference)
+        return self.compiled.size_bytes
 
     @property
     def size_mb(self) -> float:

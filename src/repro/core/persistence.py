@@ -2,10 +2,12 @@
 
 The paper reports estimator sizes of a few MB and sub-minute (re)build
 times; persisting the trained weights lets a DBMS ship the estimator with a
-snapshot and reload it without retraining. Only the *model parameters* and
-the architecture/config metadata are serialized (``.npz``); join counts and
-the sampler are cheap to rebuild from the data (seconds, §7.4) and are
-reconstructed on load.
+snapshot and reload it without retraining. Only the *model parameters* (the
+training form, rebuilt from the served kernel table by
+``NeuroCard.training_model``) and the architecture/config metadata are
+serialized (``.npz``); join counts and the sampler are cheap to rebuild
+from the data (seconds, §7.4) and are reconstructed on load, and the
+loaded weights are folded into the kernel table the estimator serves.
 
 Compatibility is checked *before* any model is built or weights are
 touched: the artifact records every table's column names and dictionary
@@ -30,6 +32,7 @@ import numpy as np
 from repro.core.config import NeuroCardConfig
 from repro.core.estimator import NeuroCard
 from repro.errors import EstimationError, PersistenceError, TrainingError
+from repro.nn.compiled import CompiledResMADE
 from repro.relational.schema import JoinSchema
 
 #: v1 artifacts lack the per-column ``columns`` map; they still load, with
@@ -158,7 +161,7 @@ def save_model(estimator: NeuroCard, path: str | Path) -> Path:
     path = Path(path)
     arrays = {
         f"param::{i}::{p.name}": p.value
-        for i, p in enumerate(estimator.model.parameters())
+        for i, p in enumerate(estimator.training_model().parameters())
     }
     config = asdict(estimator.config)
     config["exclude_columns"] = list(config["exclude_columns"])
@@ -249,13 +252,14 @@ def load_model(path: str | Path, schema: JoinSchema) -> NeuroCard:
                 f"saved config is not compatible with this build: {exc}"
             ) from exc
         estimator = NeuroCard(schema, config)
-        estimator.prepare()  # counts/layout/model skeleton, no gradient steps
+        estimator.prepare()  # counts/sampler/layout, no weights yet
         if estimator.layout.domains != meta["domains"]:
             raise PersistenceError(
                 "schema dictionaries do not match the saved estimator "
                 "(column domains differ)"
             )
-        params = estimator.model.parameters()
+        model = estimator.training_model()  # the seeded skeleton
+        params = model.parameters()
         keys = _ordered_param_keys(data.files)
         if len(keys) != len(params):
             raise PersistenceError("saved parameter count mismatch")
@@ -282,12 +286,9 @@ def load_model(path: str | Path, schema: JoinSchema) -> NeuroCard:
         estimator.data_version = int(
             meta.get("snapshot", {}).get("data_version", 0)
         )
-    # Compiled inference buffers are derived state: they are never written
-    # to the artifact and anything folded from prepare()'s seeded
-    # initialization would be stale. Drop defensively; kernels refold
-    # lazily from the loaded weights on the first estimate.
-    estimator.invalidate_compiled()
-    return estimator
+    # The kernel table is derived state, never written to the artifact:
+    # fold it from the loaded weights and serve it alone.
+    return estimator.serve(CompiledResMADE.fold(model))
 
 
 def read_snapshot_metadata(path: str | Path) -> dict:

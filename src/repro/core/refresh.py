@@ -60,14 +60,16 @@ class RefreshOutcome:
 
 
 def clone_estimator(estimator: NeuroCard) -> NeuroCard:
-    """Deep-copy a fitted estimator, excluding its live inference engine.
+    """Deep-copy a fitted estimator, sharing its immutable kernel table and
+    excluding its live inference engine.
 
     Serving threads mutate the engine's plan/region caches concurrently, and
-    ``deepcopy`` iterating those dicts mid-insert would crash; everything the
-    engine wraps (model, layout, |J|) is copied and a fresh engine is built
-    on the copy, so the clone can train while the original keeps serving.
+    ``deepcopy`` iterating those dicts mid-insert would crash; a fresh
+    engine is built on the copy over the same table (training reads it and
+    folds a new one, never writing into it), so the clone can train while
+    the original keeps serving.
     """
-    memo = {id(estimator.inference): None}
+    memo = {id(estimator.inference): None, id(estimator.compiled): estimator.compiled}
     clone = copy.deepcopy(estimator, memo)
     clone.inference = clone.build_inference()
     return clone

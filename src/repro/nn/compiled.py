@@ -2,15 +2,16 @@
 
 Training wants one graph with gradients; serving wants the cheapest possible
 per-column conditional. :class:`CompiledResMADE` is the serving side: it
-takes a trained :class:`~repro.nn.resmade.ResMADE` and lowers its forward
-pass into inference-only kernels that exploit everything that is constant
-per query plan:
+folds a trained :class:`~repro.nn.resmade.ResMADE` into one table of
+inference-only kernel operands that exploit everything that is constant
+per query plan, and a served estimator holds that table instead of the
+model:
 
 * **Embedding folding** — a column's input-layer contribution for a token
   is its embedding row times the column's slice of the input masked-linear.
-  The table stores only the slice (``win::i``); a fold multiplies the
-  embedding rows, read from the wrapped model's own table, through it. No
-  embedding concat and no full input matmul at inference.
+  The table stores the embeddings (``emb::i``) and only the slice
+  (``win::i``); a fold multiplies embedding rows through it. No embedding
+  concat and no full input matmul at inference.
 * **Degree-sorted prefix slicing** — hidden units are permuted so MADE
   degrees are non-decreasing. Column ``c``'s logits depend only on hidden
   units of degree ``< c``, which after the permutation is a contiguous
@@ -37,14 +38,16 @@ per query plan:
   (``fold(col, rows, ids)``, ascending columns) and asks for
   ``probs(rows, col)``; no token or wildcard matrix exists on that path.
 
-Everything :meth:`CompiledResMADE.compile` folds lives in one
+Everything :meth:`CompiledResMADE.fold` produces lives in one
 ``name -> array`` table: it is what :meth:`~CompiledResMADE.export_state`
-publishes, :meth:`~CompiledResMADE.attach_state` adopts and
-:attr:`~CompiledResMADE.size_bytes` counts, and every GEMM weight is a
-view of it, so no process holds a second copy. The one operand outside it
-is the embedding rows a fold reads from the wrapped model, which already
-holds them (a worker attaches the model's weights before the table). The
-session is the only kernel: the stateless
+publishes, what the constructor adopts (a worker's shared-memory views)
+and what :attr:`~CompiledResMADE.size_bytes` counts, and every kernel
+operand is a view of it, so no process holds a second copy. The table
+keeps no masked weight's value (block weights hold zeros there), so it is
+not the training form; it keeps every live one, so
+:meth:`~CompiledResMADE.unfold_into` rebuilds the training
+form exactly over the model's seeded skeleton (masked weights never leave
+their seeded values). The session is the only kernel: the stateless
 :meth:`~CompiledResMADE.conditional` opens a one-shot session over a
 private buffer, folds the prefix it was handed and asks for one column.
 
@@ -52,20 +55,15 @@ Precision
 ---------
 Conditionals match the reference forward to fp32 round-off (the
 estimator-level contract is ≤1e-4 relative drift on estimates, gated by
-``benchmarks/bench_compiled_inference.py``). The wrapped model itself is
-the oracle: an engine built over :attr:`CompiledResMADE.reference` runs the
-identical walk on the reference forward.
-
-The wrapper is **lazy**: nothing is folded until the first conditional is
-requested, so loading weights into an already-constructed model (see
-``persistence.load_model``) never captures stale parameters — callers that
-mutate weights must still :meth:`invalidate`.
+``benchmarks/bench_compiled_inference.py``). The trained model is the
+oracle: an engine built over it (``NeuroCard.training_model()`` for a
+served estimator) runs the identical walk on the reference forward.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -138,6 +136,12 @@ def read_blob(manifest: list, buf) -> Dict[str, np.ndarray]:
     return out
 
 
+def _degree_order(n_columns: int, d_ff: int) -> np.ndarray:
+    """The hidden-unit permutation that sorts MADE degrees ascending (stable),
+    the order every hidden axis of the kernel table is stored in."""
+    return np.argsort(made_masks.hidden_degrees(n_columns, d_ff), kind="stable")
+
+
 def _chunks(rows, n_rows: int) -> list:
     """``(out, part)`` per chunk of the ``n_rows`` rows ``rows`` selects:
     ``out`` slices the chunk's positions in the result, ``part`` selects its
@@ -165,104 +169,57 @@ def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
 
 
 class CompiledResMADE:
-    """Inference-only compiled view over a trained ResMADE.
+    """The served form of a trained ResMADE: its kernel table, and nothing else.
 
-    Exposes the same ``conditional`` / ``column_conditional`` surface the
-    progressive sampler consumes, so it drops in as the engine's model.
-    The wrapped model stays the single source of truth for weights (and the
-    correctness oracle); compiled state is derived, lazily built, and never
-    persisted.
+    Exposes the ``conditional`` / ``column_conditional`` / ``begin_session``
+    surface the progressive sampler consumes, so it is the engine's model.
+    Built by :meth:`fold` from a trained model, or directly from a table
+    :meth:`export_state` produced (a worker's shared-memory views); either
+    way the table is immutable and the object reads its architecture off
+    the table's shapes. :meth:`unfold_into` writes it back into a seeded
+    skeleton model, which recovers the training form exactly.
     """
 
-    def __init__(self, model):
+    def __init__(self, state: Dict[str, np.ndarray]):
+        self._state = dict(state)
+        self._cuts = self._state["cuts"]
+        self.n_columns = len(self._cuts)
+        self._heads = [self._state[f"head::{i}"] for i in range(self.n_columns)]
+        self.domains = [head.shape[1] for head in self._heads]
+        self.offsets = np.concatenate([[0], np.cumsum(self.domains)])
+        self._embs = [self._state[f"emb::{i}"] for i in range(self.n_columns)]
+        self._wins = [self._state[f"win::{i}"] for i in range(self.n_columns)]
+        self._mask_base = self._state["mask_base"]
+        self.d_emb = self._embs[0].shape[1]
+        self.d_ff = len(self._mask_base)
+        self.n_blocks = sum(name.endswith("::w1") for name in self._state)
+        self._block_ws = [
+            (self._state[f"block::{j}::w1"], self._state[f"block::{j}::w2"])
+            for j in range(self.n_blocks)
+        ]
+        self._size_bytes = int(sum(a.nbytes for a in self._state.values()))
+        self._local = threading.local()
+        self._scratch_bytes = 0
+
+    # ------------------------------------------------------------------
+    # Fold / unfold
+    # ------------------------------------------------------------------
+    @classmethod
+    def fold(cls, model) -> "CompiledResMADE":
+        """Fold a trained ResMADE's weights into a kernel table."""
         if not supports_compilation(model):
             raise EstimationError(
                 f"cannot compile {type(model).__name__}: not a ResMADE-like model"
             )
-        self.model = model
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        self._compiled = False
-        self._attached = False
-        # The buffer table and the hot-path views :meth:`_bind` points at it.
-        self._state: Dict[str, np.ndarray] = {}
-        self._cuts: Optional[np.ndarray] = None
-        self._embs: List[np.ndarray] = []
-        self._wins: List[np.ndarray] = []
-        self._heads: List[np.ndarray] = []
-        self._mask_base: Optional[np.ndarray] = None
-        self._block_ws: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._scratch_bytes = 0
-
-    def _bind(self, state: Dict[str, np.ndarray]) -> None:
-        """Adopt ``state`` as the buffer table and point the hot path at it.
-
-        ``state`` is everything deterministic the kernel holds — what
-        :meth:`_compile_locked` folds, :meth:`export_state` publishes and
-        :attr:`size_bytes` counts; nothing else lists the buffers. A fold
-        also reads the wrapped model's embedding tables, bound here as they
-        stand: the current weights, or the views a worker attached first.
-        """
-        self._state = state
-        self._cuts = state["cuts"]
-        self._embs = [emb.W.value for emb in self.model.embeddings]
-        self._wins = [state[f"win::{i}"] for i in range(self.model.n_columns)]
-        self._heads = [state[f"head::{i}"] for i in range(self.model.n_columns)]
-        self._mask_base = state["mask_base"]
-        self._block_ws = [
-            (state[f"block::{j}::w1"], state[f"block::{j}::w2"])
-            for j in range(len(self.model.blocks))
-        ]
-
-    # ------------------------------------------------------------------
-    # Delegated model surface
-    # ------------------------------------------------------------------
-    @property
-    def domains(self):
-        return self.model.domains
-
-    @property
-    def n_columns(self) -> int:
-        return self.model.n_columns
-
-    @property
-    def offsets(self):
-        return self.model.offsets
-
-    @property
-    def reference(self):
-        """The wrapped (uncompiled) model — the correctness oracle."""
-        return self.model
-
-    @property
-    def is_compiled(self) -> bool:
-        return self._compiled
-
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def compile(self) -> "CompiledResMADE":
-        """Fold the current weights into inference kernels (idempotent)."""
-        if self._compiled:
-            return self
-        with self._lock:
-            if self._compiled:
-                return self
-            self._compile_locked()
-            self._compiled = True
-        return self
-
-    def _compile_locked(self) -> None:
-        model = self.model
-        degrees = made_masks.hidden_degrees(model.n_columns, model.d_ff)
-        perm = np.argsort(degrees, kind="stable")
+        perm = _degree_order(model.n_columns, model.d_ff)
+        degrees = made_masks.hidden_degrees(model.n_columns, model.d_ff)[perm]
         state: Dict[str, np.ndarray] = {
-            "cuts": np.searchsorted(
-                degrees[perm], np.arange(model.n_columns), side="left"
-            ).astype(np.int64),
+            "cuts": np.searchsorted(degrees, np.arange(model.n_columns), side="left").astype(
+                np.int64
+            ),
+            # Folded into ``mask_base`` below; kept on its own for
+            # :meth:`unfold_into` only.
+            "b_in": model.input_linear.b.value[perm],
         }
 
         # Column ``i``'s contribution to the hidden pre-activation for token
@@ -272,11 +229,12 @@ class CompiledResMADE:
         # degree, so the table keeps only ``w_in_i``'s ``cut:`` columns and
         # a fold multiplies embedding rows through them.
         w_in = model.input_linear.effective_weight()[perm]
-        b_in64 = model.input_linear.b.value[perm].astype(np.float64)
         d_emb = model.d_emb
         cuts = state["cuts"]
         mask_rows = []
         for i, emb in enumerate(model.embeddings):
+            # The table's own copy: a fold gathers token rows from it.
+            state[f"emb::{i}"] = emb.W.value.copy()
             w = w_in[:, i * d_emb : (i + 1) * d_emb].T
             mask_rows.append(
                 (emb.W.value[-1:].astype(np.float64) @ w.astype(np.float64)).astype(np.float32)
@@ -287,7 +245,7 @@ class CompiledResMADE:
         # columns' MASK rows is invisible to every conditional until the
         # column is folded (replaced) — which lets fold sessions start here
         # and touch only non-wildcard rows.
-        state["mask_base"] = b_in64.astype(np.float32) + np.concatenate(mask_rows).sum(axis=0)
+        state["mask_base"] = state["b_in"] + np.concatenate(mask_rows).sum(axis=0)
 
         # GEMM weights, stored ``(1 + in, out)`` over the permuted units with
         # the bias as row 0. The kernels keep the constant-1 input at index 0
@@ -312,77 +270,73 @@ class CompiledResMADE:
         for i, cut in enumerate(cuts):
             lo, hi = model.offsets[i], model.offsets[i + 1]
             state[f"head::{i}"] = np.vstack([head.b.value[lo:hi], w_head[lo:hi, :cut].T])
-        self._bind(state)
+        return cls(state)
 
-    def invalidate(self) -> None:
-        """Drop all compiled state; the next call refolds current weights."""
-        with self._lock:
-            self._reset_state()
-        self._local = threading.local()
+    def unfold_into(self, model) -> None:
+        """Write the table back into ``model``'s parameters, in place.
 
-    # ------------------------------------------------------------------
-    # Deterministic-buffer export / attach (zero-copy worker serving)
-    # ------------------------------------------------------------------
+        ``model`` is the seeded skeleton of the architecture the table was
+        folded from. Every entry the MADE masks leave live is in the table
+        and is scattered back through the inverse degree permutation; the
+        masked entries keep ``model``'s seeded values, which is what
+        training left them at (their gradient is masked to zero, so Adam
+        never moves them). On a trained model's skeleton this recovers
+        every parameter bitwise.
+        """
+        perm = _degree_order(self.n_columns, self.d_ff)
+        d_emb = self.d_emb
+        for i, emb in enumerate(model.embeddings):
+            emb.W.value[...] = self._embs[i]
+        model.input_linear.b.value[perm] = self._state["b_in"]
+        w_in = model.input_linear.W.value
+        for i, cut in enumerate(self._cuts):
+            w_in[perm[cut:], i * d_emb : (i + 1) * d_emb] = self._wins[i].T
+        ix = np.ix_(perm, perm)
+        for block, (w1, w2) in zip(model.blocks, self._block_ws):
+            for lin, w in ((block.lin1, w1), (block.lin2, w2)):
+                lin.b.value[perm] = w[0, 1:]
+                lin.W.value[ix] = np.where(lin.mask[ix], w[1:, 1:].T, lin.W.value[ix])
+        head = model.output_linear
+        for i, cut in enumerate(self._cuts):
+            lo, hi = model.offsets[i], model.offsets[i + 1]
+            head.b.value[lo:hi] = self._heads[i][0]
+            head.W.value[lo:hi, perm[:cut]] = self._heads[i][1:].T
+
+    def compile(self) -> "CompiledResMADE":
+        """No-op: a table is folded when it is built."""
+        return self
+
     def export_state(self) -> Dict[str, np.ndarray]:
-        """Every deterministic compiled buffer, as a flat ``name -> array`` map.
+        """The kernel table, as a flat ``name -> array`` map.
 
-        Compiles first if needed. The map is the kernel's buffer table (the
-        per-column live input slices, the all-wildcard base row, and the
-        degree-permuted bias-first block weights and per-column heads):
-        exactly the state :meth:`attach_state` needs to reconstruct this
-        kernel without refolding, and exactly what
-        :attr:`size_bytes` counts, so a serving worker pool can publish one
-        copy in shared memory and attach it in every process. The kernels
-        read views of these buffers, plus the wrapped model's embedding
-        tables (a fold multiplies their rows through the input slices), so
-        the model's parameters must be the ones the table was folded from;
-        only thread-local scratch is per process.
+        Per-column embeddings and live input slices, the input bias, the
+        all-wildcard base row, and the degree-permuted bias-first block
+        weights and per-column heads: everything the constructor needs to
+        serve, and exactly what :attr:`size_bytes` counts, so a serving
+        worker pool can publish one copy in shared memory and every process
+        can build its kernel over read-only views of it. The kernels never
+        write into the table (all hot-path writes land in thread-local
+        scratch), so N processes share the same physical pages.
         """
-        self.compile()
-        with self._lock:
-            return dict(self._state)
-
-    def attach_state(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Adopt buffers produced by :meth:`export_state` without refolding.
-
-        ``arrays`` values are typically read-only views over one shared
-        memory segment: the kernels never write into the deterministic
-        buffers (all hot-path writes land in thread-local scratch), so N
-        worker processes can attach the same physical pages. Marks the
-        kernel compiled.
-        """
-        with self._lock:
-            self._reset_state()
-            self._bind(dict(arrays))
-            self._compiled = True
-            self._attached = True
-        self._local = threading.local()
+        return dict(self._state)
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     @property
     def size_bytes(self) -> int:
-        """Deterministic compiled-buffer footprint (0 until compiled).
-
-        The bytes of the buffer table :meth:`compile` fills — what
-        :meth:`export_state` publishes, no more and no less. Thread-local
+        """Bytes of the kernel table — what :meth:`export_state` publishes,
+        no more and no less, and fixed for the object's life. Thread-local
         scratch (chunk-sized kernel arrays and a fold buffer per walking
-        thread) is reported via :meth:`stats` instead — keeping
-        serving-layer memory accounting (registry eviction budgets) stable
-        across identical models. Taken under the compile lock: a scrape
-        beside :meth:`invalidate` (every hot-swap) must see the buffers
-        either all present or all gone.
-        """
-        with self._lock:
-            return int(sum(a.nbytes for a in self._state.values()))
+        thread) is reported via :meth:`stats` instead, keeping serving-layer
+        memory accounting (registry eviction budgets) stable across
+        identical models."""
+        return self._size_bytes
 
     def stats(self) -> Dict[str, float]:
         """Compiled-state telemetry."""
         return {
-            "compiled": int(self._compiled),
-            "attached": int(self._attached),
-            "size_bytes": self.size_bytes,
+            "size_bytes": self._size_bytes,
             # Constants: the caches they counted are gone, but their one
             # reader, the frozen benchmarks/perf/workloads.py::
             # scheduler_and_kernels, still reports both.
@@ -405,8 +359,7 @@ class CompiledResMADE:
         stateless call must not clobber a walk's live session on the same
         thread.
         """
-        self.compile()
-        buffer = np.empty((len(tokens), self.model.d_ff), dtype=np.float32)
+        buffer = np.empty((len(tokens), self.d_ff), dtype=np.float32)
         session = FoldSession(self, buffer)
         if wildcard is None:
             given = np.ones((len(tokens), col), dtype=bool)
@@ -414,7 +367,7 @@ class CompiledResMADE:
             given = ~wildcard[:, :col]
         # The sequential oracle loop wildcards whole columns: those are
         # skipped in one test and the rest fold by slice, which is what
-        # makes refolding the prefix on every call affordable there.
+        # makes folding the whole prefix again on every call affordable there.
         for i in np.flatnonzero(given.any(axis=0)):
             rows = slice(None) if given[:, i].all() else np.flatnonzero(given[:, i])
             session.fold(i, rows, tokens[rows, i])
@@ -430,7 +383,7 @@ class CompiledResMADE:
 
         Column 0 of ``h`` is the constant-1 input and row 0 of every stored
         weight its bias, so each layer is one GEMM on the ``(cut + 1)²``
-        corner view of the table (see :meth:`_compile_locked`) and the whole
+        corner view of the table (see :meth:`CompiledResMADE.fold`) and the whole
         stack runs as bare ``relu``/``matmul``/``add`` passes with no
         separate bias traversals over the batch. A block's second GEMM
         lands in ``r``, free again once ``a`` holds its first.
@@ -455,21 +408,21 @@ class CompiledResMADE:
         """
         loc = self._local
         if not hasattr(loc, "scratch"):
-            loc.scratch = np.empty((3, CHUNK_ROWS * (self.model.d_ff + 1)), dtype=np.float32)
+            loc.scratch = np.empty((3, CHUNK_ROWS * (self.d_ff + 1)), dtype=np.float32)
             self._scratch_bytes += loc.scratch.nbytes
         return loc.scratch[:, : n * (cut + 1)].reshape(3, n, cut + 1)
 
     def _session_buffer(self, n: int) -> np.ndarray:
         """A reusable fp32 ``(n, d_ff)`` fold buffer (thread-local pool)."""
         loc = self._local
-        need = n * self.model.d_ff
+        need = n * self.d_ff
         if getattr(loc, "fold_capacity", 0) < need:
             loc.fold = np.empty(need, dtype=np.float32)
             self._scratch_bytes += (
                 need - getattr(loc, "fold_capacity", 0)
             ) * loc.fold.itemsize
             loc.fold_capacity = need
-        return loc.fold[:need].reshape(n, self.model.d_ff)
+        return loc.fold[:need].reshape(n, self.d_ff)
 
     def begin_session(self, n_rows: int) -> "FoldSession":
         """Open an incremental-fold session over a batched sampling walk.
@@ -482,7 +435,6 @@ class CompiledResMADE:
         prefix straight from it instead of re-gathering every earlier
         column per forward pass.
         """
-        self.compile()
         return FoldSession(self, self._session_buffer(n_rows))
 
 

@@ -11,8 +11,9 @@ batched inference fast path:
   ``max_wait_us`` bounds the wait for a straggler) with per-caller futures,
   each answered fresh at the model's own sample budget;
 * :class:`WorkerPool` — the scheduler's executor: shards those
-  micro-batches across N worker processes that attach the model's weights and compiled buffers from
-  immutable versioned shared-memory blobs (zero-copy, hot-swap aware);
+  micro-batches across N worker processes that serve the model's kernel
+  table from immutable versioned shared-memory blobs (zero-copy, hot-swap
+  aware);
 * :class:`ServingConfig` — every serving knob in one validated,
   dict-round-trippable dataclass;
 * :class:`EstimationService` — the façade tying all of it together;

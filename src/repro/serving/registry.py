@@ -154,9 +154,6 @@ class ModelRegistry:
                 if injector is not None:
                     injector.check("registry.load")
                 loaded = load_model(path, schema)
-                # Fold the serving kernels before the model goes live, so
-                # the first request after a lazy load is already compiled.
-                loaded.precompile()
                 with self._lock:
                     # A swap may have raced the load; the swapped-in model
                     # wins and the stale load is discarded.
@@ -204,11 +201,6 @@ class ModelRegistry:
         injector = faults.get_active()
         if injector is not None:
             injector.check("registry.swap")  # fails the swap; old model serves
-        # Compile outside the registry lock so a slow fold never stalls
-        # lookups; duck-typed test models without the hook are fine.
-        precompile = getattr(estimator, "precompile", None)
-        if precompile is not None:
-            precompile()
         with self._lock:
             entry = self._entry(name)
             entry.model = estimator

@@ -26,10 +26,9 @@ estimator stays accurate while the data changes under load:
   :meth:`~repro.serving.registry.ModelRegistry.swap` without ever blocking
   in-flight :class:`~repro.serving.scheduler.MicroBatchScheduler` traffic:
   training happens on a clone, the swap is one reference assignment that
-  the next flushed batch reads, and the clone's rebuilt engine discards
-  compiled kernels folded from pre-refresh weights (fresh ones fold on
-  swap via ``precompile``). A failed refresh leaves the old model serving
-  and is retried only when new data arrives.
+  the next flushed batch reads, and the clone serves the kernel table its
+  training folded. A failed refresh leaves the old model serving and is
+  retried only when new data arrives.
 """
 
 from __future__ import annotations

@@ -12,18 +12,19 @@ Zero-copy model memory
 ----------------------
 Model state is published as immutable **versioned blobs** in
 ``multiprocessing.shared_memory``: one segment per registry version,
-holding the trained weights plus every deterministic compiled buffer of
-:class:`~repro.nn.compiled.CompiledResMADE` (live input slices,
-degree-permuted block weights, per-column heads — see
-``CompiledResMADE.export_state``; a fold reads the embedding rows from the
-attached weights). Workers rebuild only the cheap
-skeleton (counts/sampler/layout, deterministic given schema + config) and
-*attach* read-only views — no weight copy, no refolding, and N workers
-share one physical copy of the kernels. ``ModelRegistry.swap()`` /
-``refresh()`` publish one new version; the pool ships it in-band on each
-worker's command pipe, so a worker never interleaves an old batch with a
-new model (no torn reads across processes), and segments older than every
-worker's attached version are unlinked.
+holding the served model's kernel table and nothing else — the
+:class:`~repro.nn.compiled.CompiledResMADE` buffers (embeddings, live
+input slices, degree-permuted block weights, per-column heads — see
+``CompiledResMADE.export_state``), which is all the weights a served
+estimator holds. Workers rebuild only the cheap skeleton
+(counts/sampler/layout, deterministic given schema + config) and serve a
+kernel built over read-only views of the table — no weight copy, no fold,
+no training-form model, and N workers share one physical copy.
+``ModelRegistry.swap()`` / ``refresh()`` publish one new version; the pool
+ships it in-band on each worker's command pipe, so a worker never
+interleaves an old batch with a new model (no torn reads across
+processes), and segments older than every worker's attached version are
+unlinked.
 
 Models that are not shared-memory exportable (duck-typed test models, the
 tabular-oracle engine) fall back to a pickled-blob transport with the
@@ -57,9 +58,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.estimator import NeuroCard
-from repro.core.inference import attach_engine_state, export_engine_state
 from repro.errors import ServingError
-from repro.nn.compiled import pack_layout, read_blob, write_blob
+from repro.nn.compiled import CompiledResMADE, pack_layout, read_blob, write_blob
 from repro.relational.query import Query
 from repro.serving import faults
 
@@ -67,8 +67,6 @@ from repro.serving import faults
 #: blocks in :meth:`WorkerPool.submit_batch` (backpressure that lets new
 #: requests coalesce behind it): one running, one queued on the pipe.
 MAX_INFLIGHT = 2
-
-_COMPILED_PREFIX = "compiled::"
 
 
 def _disable_shm_tracking() -> None:
@@ -141,19 +139,8 @@ class _WorkerState:
             # swaps ship ``schema=None`` and reuse it.
             if payload.get("schema") is not None or not isinstance(est, NeuroCard):
                 est = NeuroCard(payload["schema"], payload["config"]).prepare()
-            est.attach_parameters(
-                [arrays[f"param::{i}"] for i in range(payload["n_params"])]
-            )
-            attach_engine_state(
-                est.inference,
-                {
-                    key[len(_COMPILED_PREFIX):]: value
-                    for key, value in arrays.items()
-                    if key.startswith(_COMPILED_PREFIX)
-                },
-            )
+            self.est = est.serve(CompiledResMADE(arrays))
             del arrays
-            self.est = est
             self.segment = segment
         self.version = payload["version"]
         if old_segment is not None:
@@ -502,22 +489,16 @@ class WorkerPool:
     def _build_payload(self, model, version: int):
         """``(payload, segment)`` for one immutable model version.
 
-        Estimators with a real parameterized model export through shared
-        memory (weights + compiled deterministic buffers, zero-copy on
-        attach); anything else — duck-typed test models, bare oracle
-        engines — ships as one pickled blob. When a fault plan is installed
+        Fitted estimators export their kernel table through shared memory
+        (zero-copy on attach); anything else — duck-typed test models, bare
+        oracle engines — ships as one pickled blob. When a fault plan is installed
         in this (parent) process it rides along, so worker processes run
         the same chaos experiment under their own per-slot scopes.
         """
         injector = faults.get_active()
         fault_plan = injector.plan if injector is not None else None
-        if isinstance(model, NeuroCard) and model.model is not None:
-            arrays: Dict[str, np.ndarray] = {}
-            params = model.model.parameters()
-            for i, param in enumerate(params):
-                arrays[f"param::{i}"] = param.value
-            for key, value in export_engine_state(model.inference).items():
-                arrays[_COMPILED_PREFIX + key] = value
+        if isinstance(model, NeuroCard) and model.compiled is not None:
+            arrays = model.compiled.export_state()
             manifest, nbytes = pack_layout(arrays)
             segment = shared_memory.SharedMemory(create=True, size=nbytes)
             write_blob(arrays, manifest, segment.buf)
@@ -526,7 +507,6 @@ class WorkerPool:
                 "version": version,
                 "shm": segment.name,
                 "manifest": manifest,
-                "n_params": len(params),
                 "schema": model.schema,
                 "config": model.config,
                 "fault_plan": fault_plan,

@@ -4,31 +4,22 @@ The reference engine (a ``ProgressiveSampler`` built directly over the
 trained model) is the correctness oracle throughout — both engines run the
 same batched walk (pinned to the sequential loop in ``test_batched.py``),
 so the served fp32 engine must match it to fp32 round-off on conditionals
-and estimates; every GEMM operand is a view of the one
-exported table, and per-process state (fold sessions, scratch) must never
-leak across queries, calls, or weight changes.
+and estimates; every kernel operand is a view of the one exported table,
+and per-process state (fold sessions, scratch) must never leak across
+queries or calls.
 """
-
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.core.estimator import NeuroCard
-from repro.core.inference import (
-    attach_engine_state,
-    build_engine,
-    compiled_model,
-    compiled_size_bytes,
-    export_engine_state,
-)
+from repro.core.inference import build_engine, compiled_model
 from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError
 from repro.nn import compiled as compiled_module
 from repro.nn.compiled import CHUNK_ROWS, CompiledResMADE, FoldSession
 from repro.nn.masks import hidden_degrees
+from repro.nn.resmade import ResMADE
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
 from repro.relational.schema import JoinEdge, JoinSchema
@@ -57,13 +48,22 @@ def workload():
 
 
 def served(estimator):
-    """A fresh serving engine over the estimator's weights."""
-    return build_engine(estimator.model, estimator.layout, estimator.full_join_size)
+    """A fresh serving engine (a newly folded table, cold scratch) over the
+    estimator's weights."""
+    return build_engine(estimator.training_model(), estimator.layout, estimator.full_join_size)
 
 
 def reference(estimator):
     """The oracle: the same walk over the trained model's own forward."""
-    return ProgressiveSampler(estimator.model, estimator.layout, estimator.full_join_size)
+    return ProgressiveSampler(
+        estimator.training_model(), estimator.layout, estimator.full_join_size
+    )
+
+
+def untrained(schema, config):
+    """An estimator serving its seeded, untrained weights."""
+    estimator = NeuroCard(schema, config).prepare()
+    return estimator.serve(CompiledResMADE.fold(estimator.training_model()))
 
 
 def batch(engine, queries, n=96, base_seed=700):
@@ -79,8 +79,8 @@ class TestKernelEquivalence:
         call) reproduces the reference forward to fp32 noise, for every
         column under per-row mixed wildcards and under none."""
         _, estimator = fitted
-        model = estimator.model
-        compiled = CompiledResMADE(model)
+        model = estimator.training_model()
+        compiled = CompiledResMADE.fold(model)
         rng = np.random.default_rng(3)
         tokens = np.column_stack([rng.integers(0, d, 64) for d in model.domains])
         wildcard = rng.random((64, model.n_columns)) < 0.5
@@ -93,9 +93,9 @@ class TestKernelEquivalence:
     def test_scratch_reuse_is_bitwise_stable(self, fitted):
         """Reused fp32 scratch buffers never bleed between calls."""
         _, estimator = fitted
-        compiled = CompiledResMADE(estimator.model)
+        model = estimator.training_model()
+        compiled = CompiledResMADE.fold(model)
         rng = np.random.default_rng(5)
-        model = estimator.model
         tokens = np.column_stack([rng.integers(0, d, 40) for d in model.domains])
         wildcard = rng.random((40, model.n_columns)) < 0.3
         col = model.n_columns - 1
@@ -109,13 +109,13 @@ class TestKernelEquivalence:
         """``conditional`` folds into a private buffer: a call made while a
         walk's session is open on the same thread changes none of its bits."""
         _, estimator = fitted
-        model = estimator.model
+        model = estimator.training_model()
         rng = np.random.default_rng(6)
         tokens = np.column_stack([rng.integers(0, d, 24) for d in model.domains])
         col = model.n_columns - 1
 
         def walk(interrupt):
-            compiled = CompiledResMADE(model)
+            compiled = CompiledResMADE.fold(model)
             session = compiled.begin_session(len(tokens))
             for i in range(col):
                 session.fold(i, slice(None), tokens[:, i])
@@ -173,7 +173,7 @@ class TestKernelEquivalence:
             Query.make(["R", last], [Predicate("R", "x", "=", 6)]),
             Query.make(["R", "C00"], []),
         ]
-        estimator = NeuroCard(schema, config).prepare()
+        estimator = untrained(schema, config)
         indicator_specs = [
             s.name for s in estimator.layout.specs if s.kind == "indicator"
         ]
@@ -207,8 +207,8 @@ class TestDynamicCaches:
         """Rows of one call may wildcard different columns: each row folds
         only its own constrained prefix."""
         _, estimator = fitted
-        model = estimator.model
-        compiled = CompiledResMADE(model)
+        model = estimator.training_model()
+        compiled = CompiledResMADE.fold(model)
         col = model.n_columns - 1
         a = np.zeros(model.n_columns, dtype=bool)
         b = np.zeros(model.n_columns, dtype=bool)
@@ -236,7 +236,7 @@ class TestBoundedWorkingSet:
         config = small_config(exclude_columns=(), sampler_threads=1, progressive_samples=96)
         # Untrained weights: near-uniform conditionals over 200 codes, so
         # prefixes stop repeating after two columns.
-        estimator = NeuroCard(schema, config).prepare()
+        estimator = untrained(schema, config)
         queries = [
             Query.make(["T"], [Predicate("T", "a", "<", 150 + i), Predicate("T", "b", ">=", i),
                                Predicate("T", "c", "<", 190)])
@@ -260,10 +260,10 @@ class TestBoundedWorkingSet:
             compiled = compiled_model(engine)
             batch(engine, queries[:size])
             fold = compiled._local.fold
-            assert fold.nbytes == size * 96 * estimator.model.d_ff * 4
+            assert fold.nbytes == size * 96 * compiled.d_ff * 4
             kernel[size] = compiled.stats()["scratch_bytes"] - fold.nbytes
             assert widest[0] > CHUNK_ROWS
-        assert kernel[32] <= 3 * CHUNK_ROWS * (estimator.model.d_ff + 1) * 4
+        assert kernel[32] <= 3 * CHUNK_ROWS * (estimator.compiled.d_ff + 1) * 4
         assert kernel[8] == kernel[32]
 
     @pytest.mark.parametrize("indexed", [False, True], ids=["slice", "index array"])
@@ -273,7 +273,7 @@ class TestBoundedWorkingSet:
         covers every row; the one-shot ``conditional`` takes the same path
         and still matches the reference forward."""
         _, estimator = fitted
-        model = estimator.model
+        model = estimator.training_model()
         n, n_rows = model.n_columns, 2 * CHUNK_ROWS + 37
         rng = np.random.default_rng(12)
         tokens = np.column_stack([rng.integers(0, d, n_rows) for d in model.domains])
@@ -282,7 +282,7 @@ class TestBoundedWorkingSet:
         cols = [n - 4, n - 3, n - 1]
 
         def answers():
-            compiled = CompiledResMADE(model)
+            compiled = CompiledResMADE.fold(model)
             session = compiled.begin_session(n_rows)
             for i in range(cols[-1]):
                 at = np.flatnonzero(given[:, i])
@@ -299,7 +299,7 @@ class TestBoundedWorkingSet:
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
         wildcard = ~given
         np.testing.assert_allclose(
-            CompiledResMADE(model).conditional(tokens, n - 1, wildcard),
+            CompiledResMADE.fold(model).conditional(tokens, n - 1, wildcard),
             model.column_conditional(tokens, n - 1, wildcard),
             rtol=1e-4, atol=1e-6,
         )
@@ -322,11 +322,12 @@ def matmul_operands(run, monkeypatch):
 class TestOneTable:
     def test_export_attach_roundtrip_is_bitwise(self, fitted, monkeypatch):
         """The exported table is the whole kernel: it is what ``size_bytes``
-        counts, warm walks add nothing beside it, every GEMM operand is a view
-        of it, and read-only views of it serve bitwise-identical estimates."""
+        counts, warm walks add nothing beside it, every GEMM operand and every
+        embedding a fold reads is a view of it, and a kernel built over
+        read-only views of it serves bitwise-identical estimates."""
         _, estimator = fitted
         source = served(estimator)
-        compiled = compiled_model(source).compile()
+        compiled = compiled_model(source)
         size = compiled.size_bytes
         queries = workload() + workload()[:2]  # one batch of 8
         for query in queries:
@@ -336,21 +337,22 @@ class TestOneTable:
         assert compiled.size_bytes == size
         assert compiled.stats()["dynamic_cache_bytes"] == 0
 
-        state = export_engine_state(source)
+        state = compiled.export_state()
         assert size == sum(a.nbytes for a in state.values())
-        stale = [n for n in state if n.startswith("pattern_") or n in ("perm", "b_in")]
+        stale = [n for n in state if n.startswith("pattern_") or n == "perm"]
         assert not stale
         views = {name: array.view() for name, array in state.items()}
         for view in views.values():
             view.flags.writeable = False
-        clone = served(estimator)
-        attach_engine_state(clone, views)
-        attached = compiled_model(clone)
-        assert attached.is_compiled and attached.stats()["attached"] == 1
+        attached = CompiledResMADE(views)
+        clone = ProgressiveSampler(attached, estimator.layout, estimator.full_join_size)
         assert attached.size_bytes == size
+        for i in range(attached.n_columns):
+            assert attached._embs[i] is views[f"emb::{i}"]
+            assert attached._wins[i] is views[f"win::{i}"]
         np.testing.assert_array_equal(batch(clone, queries), want)
 
-        model = estimator.model
+        model = estimator.training_model()
         rng = np.random.default_rng(2)
         tokens = np.column_stack([rng.integers(0, d, 16) for d in model.domains])
         session = attached.begin_session(len(tokens))
@@ -374,15 +376,20 @@ class TestOneTable:
         would add is an exact zero, no folded LUT is stored beside the
         embeddings, and the table stores nothing else."""
         _, estimator = fitted
-        model = estimator.model
-        compiled = CompiledResMADE(model).compile()
+        model = estimator.training_model()
+        compiled = CompiledResMADE.fold(model)
         state = compiled.export_state()
-        stale = [n for n in state if n.startswith("lut::") or n in ("w_out", "mask_stack")]
-        assert not stale
+        n, n_blocks = model.n_columns, len(model.blocks)
+        assert set(state) == (
+            {"cuts", "mask_base", "b_in"}
+            | {f"{kind}::{i}" for kind in ("emb", "win", "head") for i in range(n)}
+            | {f"block::{j}::w{k}" for j in range(n_blocks) for k in "12"}
+        )
         assert compiled.size_bytes == sum(a.nbytes for a in state.values())
 
         # The full-width fold, in float64.
         perm = np.argsort(hidden_degrees(model.n_columns, model.d_ff), kind="stable")
+        np.testing.assert_array_equal(state["b_in"], model.input_linear.b.value[perm])
         w_in = model.input_linear.effective_weight()[perm]
         head = model.output_linear
         w_out = np.vstack(
@@ -398,6 +405,7 @@ class TestOneTable:
             assert state[f"head::{i}"].shape == (cut + 1, dom), i
             assert np.all(lut[:, :cut] == 0), i
             assert np.all(w_out[cut + 1 :, lo:hi] == 0), i
+            np.testing.assert_array_equal(state[f"emb::{i}"], model.embeddings[i].W.value)
             np.testing.assert_array_equal(state[f"win::{i}"], w_in_i[:, cut:])
             np.testing.assert_array_equal(state[f"head::{i}"], w_out[: cut + 1, lo:hi])
 
@@ -406,8 +414,8 @@ class TestOneTable:
         elsewhere, for array and scalar ids and for ``rows`` as a slice or an
         index array, within fp32 round-off of the float64 product."""
         _, estimator = fitted
-        model = estimator.model
-        compiled = CompiledResMADE(model).compile()
+        model = estimator.training_model()
+        compiled = CompiledResMADE.fold(model)
         perm = np.argsort(hidden_degrees(model.n_columns, model.d_ff), kind="stable")
         w_in = model.input_linear.effective_weight()[perm].astype(np.float64)
         base = compiled._mask_base.astype(np.float64)
@@ -445,8 +453,8 @@ class TestOneTable:
         outputs: every column's answer matches its own ``probs``, whether the
         last column continues the run or not."""
         _, estimator = fitted
-        model = estimator.model
-        compiled = CompiledResMADE(model)
+        model = estimator.training_model()
+        compiled = CompiledResMADE.fold(model)
         n = model.n_columns
         rng = np.random.default_rng(8)
         tokens = np.column_stack([rng.integers(0, d, 40) for d in model.domains])
@@ -457,7 +465,7 @@ class TestOneTable:
             "non-adjacent tail": [n - 4, n - 3, n - 1],
         }
         for shape, cols in shapes.items():
-            assert compiled.compile()._cuts[cols[0]] > 0
+            assert compiled._cuts[cols[0]] > 0
             session = compiled.begin_session(len(tokens))
             for i in range(cols[-1]):
                 rows = np.flatnonzero(given[:, i])
@@ -472,60 +480,26 @@ class TestOneTable:
 
 
 class TestLifecycle:
-    def test_lazy_compile_and_size_accounting(self, fitted):
+    def test_fit_serves_the_table_alone_and_counts_it(self, fitted):
+        """A fitted estimator's size is its kernel table: folded when the fit
+        ends, the same object the engine serves, unchanged by walks, and a
+        fresh fold of the same weights answers bitwise alike."""
         schema, _ = fitted
         config = small_config(
             train_tuples=2_000, sampler_threads=1, progressive_samples=32
         )
         estimator = NeuroCard(schema, config).fit()
-        assert compiled_size_bytes(estimator.inference) == 0  # not folded yet
-        assert estimator.size_bytes == estimator.model.size_bytes
+        compiled = compiled_model(estimator.inference)
+        assert compiled is estimator.compiled
+        size = sum(a.nbytes for a in compiled.export_state().values())
+        assert estimator.size_bytes == compiled.size_bytes == size > 0
         before = estimator.estimate(workload()[0], rng=np.random.default_rng(4))
-        extra = compiled_size_bytes(estimator.inference)
-        assert extra > 0
-        assert estimator.size_bytes == estimator.model.size_bytes + extra
-        stats = compiled_model(estimator.inference).stats()
-        assert stats["compiled"] == 1 and stats["size_bytes"] == extra
-
-        estimator.invalidate_compiled()
-        assert compiled_size_bytes(estimator.inference) == 0
-        again = estimator.estimate(workload()[0], rng=np.random.default_rng(4))
+        assert estimator.size_bytes == size
+        assert compiled.stats()["size_bytes"] == size
+        again = served(estimator).estimate_batch(
+            [workload()[0]], n_samples=32, rngs=[np.random.default_rng(4)]
+        )[0]
         assert before == again  # refolding identical weights is exact
-
-    def test_stats_scrape_beside_warming_kernels(self, fitted):
-        """``/metrics`` and ``/healthz`` call ``stats()`` from another thread
-        while the serving thread refolds the table and grows its scratch
-        (after start-up and after every hot-swap's ``invalidate``): the
-        scrape must never see half-dropped buffers under it."""
-        _, estimator = fitted
-        engine = served(estimator)
-        compiled = compiled_model(engine)
-        errors, scrapes, stop = [], [0], threading.Event()
-
-        def scrape():
-            while not stop.is_set():
-                try:
-                    compiled.stats()
-                    scrapes[0] += 1
-                except Exception as error:  # e.g. dictionary changed size
-                    errors.append(error)
-                    return
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        scraper = threading.Thread(target=scrape)
-        scraper.start()
-        try:
-            deadline = time.monotonic() + 1.5
-            while time.monotonic() < deadline and not errors:
-                compiled.invalidate()
-                batch(engine, workload())
-        finally:
-            stop.set()
-            scraper.join(timeout=10)
-            sys.setswitchinterval(interval)
-        assert not scraper.is_alive()
-        assert errors == [] and scrapes[0] > 0
 
     def test_estimate_routes_through_batched_engine(self, fitted):
         _, estimator = fitted
@@ -542,10 +516,10 @@ class TestLifecycle:
         _, estimator = fitted
         assert compiled_model(estimator.inference) is not None
         oracle = reference(estimator)
-        assert oracle.model is estimator.model  # raw reference engine
+        assert isinstance(oracle.model, ResMADE)  # raw reference engine
         assert compiled_model(oracle) is None
         with pytest.raises(EstimationError):
-            CompiledResMADE(object())
+            CompiledResMADE.fold(object())
 
     def test_compile_modes_and_validation(self, fitted):
         """One served mode: every place that used to pick an inference mode
@@ -553,7 +527,7 @@ class TestLifecycle:
         schema, estimator = fitted
         with pytest.raises(TypeError):
             build_engine(
-                estimator.model, estimator.layout, estimator.full_join_size, "fp32"
+                estimator.training_model(), estimator.layout, estimator.full_join_size, "fp32"
             )
         with pytest.raises(TypeError):
             NeuroCard(schema, small_config(train_tuples=1_000)).prepare(compile="off")
@@ -561,6 +535,8 @@ class TestLifecycle:
             NeuroCard(schema, small_config(train_tuples=1_000)).fit(compile=False)
         with pytest.raises(TypeError):
             small_config(compiled_inference="off")
-        # The served engine is the compiled one, whatever the config says.
+        # The served engine is the compiled one, whatever the config says; a
+        # prepared skeleton serves nothing until a table arrives.
         skeleton = NeuroCard(schema, small_config(train_tuples=1_000)).prepare()
-        assert compiled_model(skeleton.inference) is not None
+        assert not skeleton.is_fitted and skeleton.compiled is None
+        assert compiled_model(estimator.inference) is estimator.compiled

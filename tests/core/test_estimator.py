@@ -122,17 +122,15 @@ class TestEndToEnd:
         assert est_bad < 0.15 * est_good
 
     def test_size_accounting(self, fitted):
-        """size_bytes = weights + compiled inference buffers (once folded)."""
-        from repro.core.inference import compiled_size_bytes
-
+        """size_bytes = the served kernel table, the only weights held; it is
+        smaller than the training form it was folded from."""
         _, estimator = fitted
         assert estimator.size_mb > 0
-        extra = compiled_size_bytes(estimator.inference)
-        assert estimator.size_bytes == estimator.model.size_bytes + extra
-        # Earlier tests in this class ran estimates, so the lazily compiled
-        # kernels (default fp32 mode) are resident and accounted for.
+        table = estimator.compiled.export_state()
+        assert estimator.size_bytes == sum(a.nbytes for a in table.values())
         estimator.estimate(Query.make(["R"]), rng=np.random.default_rng(0))
-        assert estimator.size_bytes > estimator.model.size_bytes
+        assert estimator.size_bytes == sum(a.nbytes for a in table.values())
+        assert estimator.size_bytes < estimator.training_model().size_bytes
 
 
 class TestAPI:

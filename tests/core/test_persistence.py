@@ -5,12 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.persistence import load_model, save_model
+from repro.core.persistence import _params_crc, load_model, save_model
 from repro.errors import EstimationError, PersistenceError
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
 from repro.relational.table import Table
 from tests.core.test_estimator import correlated_schema, small_config
+from tests.nn.test_unfold import fit_capturing
 from repro.core.estimator import NeuroCard
 
 
@@ -220,17 +221,13 @@ class TestCompatibilityValidation:
 
 
 class TestCompiledCacheExemption:
-    """Compiled kernels are derived state: never persisted, lazily refolded."""
+    """The kernel table is derived state: never persisted, folded on load."""
 
     def test_artifact_is_weights_only_and_excludes_compiled_buffers(
         self, trained, tmp_path
     ):
-        from repro.core.inference import compiled_size_bytes
-
         schema, estimator = trained
-        query = Query.make(["R", "C1"], [Predicate("C1", "kind", "=", 1)])
-        estimator.estimate(query, rng=np.random.default_rng(2))  # fold kernels
-        assert compiled_size_bytes(estimator.inference) > 0
+        assert estimator.compiled.size_bytes > 0
         path = save_model(estimator, tmp_path / "compiled.npz")
         with np.load(path) as data:
             meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
@@ -239,22 +236,91 @@ class TestCompiledCacheExemption:
                 key == "__meta__" or key.startswith("param::") for key in data.files
             )
 
-    def test_load_recompiles_lazily_from_loaded_weights(self, trained, tmp_path):
-        from repro.core.inference import compiled_size_bytes
-
+    def test_load_folds_the_loaded_weights(self, trained, tmp_path):
         schema, estimator = trained
-        path = save_model(estimator, tmp_path / "lazy.npz")
+        path = save_model(estimator, tmp_path / "folded.npz")
         loaded = load_model(path, schema)
-        # Nothing folded at load time — especially nothing folded from the
-        # throwaway initialization load_model trains before copying weights.
-        assert compiled_size_bytes(loaded.inference) == 0
+        # The served table is folded from the *loaded* weights, not from the
+        # seeded skeleton they were copied into: entry for entry the
+        # original's, so a pinned stream answers identically.
+        want = estimator.compiled.export_state()
+        got = loaded.compiled.export_state()
+        assert list(got) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
         query = Query.make(["R"], [Predicate("R", "year", ">=", 1995)])
         a = estimator.estimate(query, rng=np.random.default_rng(6))
         b = loaded.estimate(query, rng=np.random.default_rng(6))
-        # First estimate folds kernels from the *loaded* weights; identical
-        # weights + pinned stream = identical estimate.
-        assert a == pytest.approx(b, rel=1e-9)
-        assert compiled_size_bytes(loaded.inference) > 0
+        assert a == b
+
+
+class TestServedFormArtifacts:
+    """A served estimator saves the training form its table was folded from."""
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        schema = correlated_schema(n_root=80)
+        estimator, (model, params) = fit_capturing(
+            schema, small_config(train_tuples=4096, sampler_threads=1)
+        )
+        names = [p.name for p in model.parameters()]
+        return schema, estimator, names, params
+
+    @staticmethod
+    def saved(path):
+        """``(arrays, crc)``: the artifact's parameter arrays and stored CRC."""
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+        return arrays, meta["checksum"]["params"]
+
+    def test_save_writes_the_trained_parameters_and_their_crc(self, captured, tmp_path):
+        schema, estimator, names, params = captured
+        want = {f"param::{i}::{name}": value for i, (name, value) in enumerate(zip(names, params))}
+        arrays, crc = self.saved(save_model(estimator, tmp_path / "m.npz"))
+        assert sorted(arrays) == sorted(want)
+        for key, value in want.items():
+            assert arrays[key].dtype == value.dtype and np.array_equal(arrays[key], value), key
+        assert crc == _params_crc(sorted(want.items()))
+
+    def test_load_then_save_round_trips_bitwise(self, captured, tmp_path):
+        schema, estimator, _, _ = captured
+        first = save_model(estimator, tmp_path / "first.npz")
+        again = save_model(load_model(first, schema), tmp_path / "again.npz")
+        (a, crc_a), (b, crc_b) = self.saved(first), self.saved(again)
+        assert crc_a == crc_b and sorted(a) == sorted(b)
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
+
+    def test_unseeded_masked_entries_resave_seeded(self, captured, tmp_path):
+        """An artifact whose masked weights are not the seeded ones (dead
+        bytes: no forward reads them) loads to the same answers and re-saves
+        with the seeded values there."""
+        schema, estimator, names, _ = captured
+        path = save_model(estimator, tmp_path / "m.npz")
+        arrays, _ = self.saved(path)
+        model = estimator.training_model()
+        i = names.index("block0.lin1.W")
+        key = f"param::{i}::block0.lin1.W"
+        masked = ~model.blocks[0].lin1.mask
+        assert masked.any()
+        arrays[key] = np.where(masked, np.float32(7.0), arrays[key])
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        meta["checksum"]["params"] = _params_crc(sorted(arrays.items()))
+        np.savez_compressed(
+            path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+            **arrays,
+        )
+        loaded = load_model(path, schema)
+        query = Query.make(["R", "C1"], [Predicate("C1", "kind", "=", 1)])
+        assert loaded.estimate(query, rng=np.random.default_rng(1)) == estimator.estimate(
+            query, rng=np.random.default_rng(1)
+        )
+        resaved, crc = self.saved(save_model(loaded, tmp_path / "resaved.npz"))
+        original, crc_original = self.saved(save_model(estimator, tmp_path / "orig.npz"))
+        assert crc == crc_original
+        assert np.array_equal(resaved[key], original[key])
 
 
 def _corrupt_meta(path, mutate) -> None:

@@ -126,9 +126,8 @@ class TestHotSwap:
         new_compiled = compiled_model(refreshed.inference)
         assert refreshed.inference is not old_engine
         assert new_compiled is not compiled_model(old_engine)
-        # swap() precompiles before publishing: the first request after a
-        # hot-swap is already on folded kernels.
-        assert new_compiled.is_compiled
+        # The refreshed clone serves the table its training folded.
+        assert new_compiled is refreshed.compiled
         # And those kernels reflect the refreshed weights: a fresh engine
         # built from the refreshed model must agree bitwise.
         query = Query.make(["R"])

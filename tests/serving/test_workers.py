@@ -2,8 +2,8 @@
 
 The pool's contracts under test:
 
-* **zero-copy equivalence** — a worker skeleton attaching the published
-  shared-memory blob (weights + compiled buffers) answers bitwise like
+* **zero-copy equivalence** — a worker skeleton serving the published
+  shared-memory blob (the kernel table, nothing else) answers bitwise like
   the training process's estimator;
 * **fail-fast worker death** — a SIGKILL'd worker fails its in-flight
   batches with a chained ServingError, is respawned, and pinned-seed
@@ -26,15 +26,10 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import NeuroCard
-from repro.core.inference import (
-    attach_engine_state,
-    compiled_model,
-    compiled_size_bytes,
-    export_engine_state,
-)
+from repro.core.inference import compiled_model
 from repro.core.progressive import ProgressiveSampler
 from repro.errors import EstimationError, ServingError
-from repro.nn.compiled import pack_layout, read_blob, write_blob
+from repro.nn.compiled import CompiledResMADE, pack_layout, read_blob, write_blob
 from repro.relational.predicate import Predicate
 from repro.relational.query import Query
 from repro.serving import (
@@ -43,6 +38,7 @@ from repro.serving import (
     ServingConfig,
     WorkerPool,
 )
+from tests.core.test_estimator import small_config
 
 
 class SlowModel:
@@ -76,34 +72,19 @@ def _pinned(seed0: int, n: int):
 # Zero-copy export/attach (in-process, no workers involved)
 # ----------------------------------------------------------------------
 def test_blob_round_trip_is_bitwise(tiny_trained):
-    """Skeleton + attached blob answers bitwise like the trained original."""
+    """Skeleton + a kernel over the published table answers bitwise like the
+    trained original."""
     schema, est = tiny_trained
-    arrays = {
-        f"param::{i}": p.value for i, p in enumerate(est.model.parameters())
-    }
-    arrays.update(
-        ("compiled::" + key, value)
-        for key, value in export_engine_state(est.inference).items()
-    )
+    arrays = est.compiled.export_state()
     manifest, nbytes = pack_layout(arrays)
     buf = bytearray(nbytes)
     write_blob(arrays, manifest, buf)
     views = read_blob(manifest, buf)
     assert all(not view.flags.writeable for view in views.values())
 
-    twin = NeuroCard(schema, est.config).prepare()
-    twin.attach_parameters(
-        [views[f"param::{i}"] for i in range(len(est.model.parameters()))]
-    )
-    compiled_views = {
-        k[len("compiled::"):]: v for k, v in views.items() if k.startswith("compiled::")
-    }
-    attach_engine_state(twin.inference, compiled_views)
-    # What the blob carries for the kernels is what both sides count.
-    assert twin.size_bytes == est.size_bytes
-    assert compiled_size_bytes(twin.inference) == sum(
-        view.nbytes for view in compiled_views.values()
-    )
+    twin = NeuroCard(schema, est.config).prepare().serve(CompiledResMADE(views))
+    # What the blob carries is what both sides count.
+    assert twin.size_bytes == est.size_bytes == sum(view.nbytes for view in views.values())
     queries = [_query()] * 4
     rngs_a = [np.random.default_rng(7 + i) for i in range(4)]
     rngs_b = [np.random.default_rng(7 + i) for i in range(4)]
@@ -112,26 +93,26 @@ def test_blob_round_trip_is_bitwise(tiny_trained):
     np.testing.assert_array_equal(np.asarray(attached), np.asarray(original))
 
 
-def test_attach_parameters_rejects_mismatched_shapes(tiny_trained):
+def test_serve_rejects_a_table_of_another_architecture(tiny_trained):
     schema, est = tiny_trained
     twin = NeuroCard(schema, est.config).prepare()
-    values = [p.value for p in est.model.parameters()]
-    with pytest.raises(EstimationError, match="parameter count"):
-        twin.attach_parameters(values[:-1])
-    bad = list(values)
-    bad[0] = np.zeros((3, 3), dtype=np.float64)
-    with pytest.raises(EstimationError, match="mismatch"):
-        twin.attach_parameters(bad)
+    state = est.compiled.export_state()
+    del state[f"head::{est.compiled.n_columns - 1}"]
+    state["cuts"] = state["cuts"][:-1]
+    with pytest.raises(EstimationError, match="does not match"):
+        twin.serve(CompiledResMADE(state))
+    wider = NeuroCard(schema, small_config(d_ff=64, train_tuples=1_000)).prepare()
+    with pytest.raises(EstimationError, match="does not match"):
+        wider.serve(est.compiled)
+    assert not twin.is_fitted and not wider.is_fitted
 
 
 def test_reference_engine_has_no_state_to_share(tiny_trained):
     """Only the served engine holds kernels; the oracle is built directly."""
     schema, est = tiny_trained
-    skeleton = NeuroCard(schema, est.config).prepare()
-    assert compiled_model(skeleton.inference) is not None
-    reference = ProgressiveSampler(est.model, est.layout, est.full_join_size)
+    assert compiled_model(est.inference) is est.compiled
+    reference = ProgressiveSampler(est.training_model(), est.layout, est.full_join_size)
     assert compiled_model(reference) is None
-    assert compiled_size_bytes(reference) == 0
 
 
 # ----------------------------------------------------------------------
@@ -144,9 +125,23 @@ def test_pool_matches_inline_compiled(tiny_trained):
     inline = est.estimate_batch(queries, rngs=_pinned(40, 8))
     with WorkerPool(n_workers=2, name="fp32", min_shard=1) as pool:
         pool.publish(est, 1)
-        assert pool.shared_bytes > 0  # zero-copy transport, not pickle
         pooled = pool.submit_batch(est, 1, queries, rngs=_pinned(40, 8)).result(timeout=60)
     np.testing.assert_allclose(pooled, np.asarray(inline), rtol=5e-6)
+
+
+def test_pool_publishes_the_table_alone(tiny_trained):
+    """The shared blob is the kernel table: no parameter array rides in it,
+    and its bytes are the served size plus at most the 64-byte alignment
+    padding of each entry."""
+    _schema, est = tiny_trained
+    with WorkerPool(n_workers=1, name="table", min_shard=1) as pool:
+        pool.publish(est, 1)
+        manifest = pool._current_payload["manifest"]
+        names = [entry[0] for entry in manifest]
+        assert sorted(names) == sorted(est.compiled.export_state())
+        assert not [name for name in names if name.startswith("param::")]
+        shared = pool.stats()["shared_bytes"]
+        assert est.size_bytes <= shared <= est.size_bytes + 64 * len(manifest)
 
 
 def test_pool_is_bitwise_on_reference_engine(oracle_engine, workload):

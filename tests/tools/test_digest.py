@@ -29,12 +29,19 @@ class TestMaxRelDev:
             digest.max_rel_dev([1.0], [1.0, 2.0])
 
 
-def side(answers, losses=(1.0, 0.5), params=None, table=None, model_bytes=100):
+def side(
+    answers, losses=(1.0, 0.5), params=None, table=None, model_bytes=100,
+    refresh_losses=(0.4,), refresh_params=None,
+):
     return {
         "scale": "tiny",
         "answers": {k: np.asarray(v, dtype=np.float64) for k, v in answers.items()},
         "losses": np.asarray(losses),
         "params": params if params is not None else [np.ones((2, 3), np.float32)],
+        "refresh_losses": np.asarray(refresh_losses),
+        "refresh_params": (
+            refresh_params if refresh_params is not None else [np.zeros(3, np.float32)]
+        ),
         "model_bytes": model_bytes,
         "table": table if table is not None else {
             "a": {"shape": [2], "dtype": "float32", "nbytes": 8}
@@ -56,6 +63,9 @@ class TestDigest:
         assert all(entry["equal"] for entry in result["answers"].values())
         assert result["fit"] == {
             "losses_equal": True, "params_equal": True, "n_losses": [2, 2], "n_params": [1, 1]
+        }
+        assert result["refresh"] == {
+            "losses_equal": True, "params_equal": True, "n_losses": [1, 1], "n_params": [1, 1]
         }
         json.dumps(result)  # the report's last line
 
@@ -84,6 +94,21 @@ class TestDigest:
         assert not result["fit"]["params_equal"] and not result["all_equal"]
         result = digest.digest(side(answers), side(answers, losses=(1.0, 0.5 + 1e-12)))
         assert not result["fit"]["losses_equal"]
+
+    def test_refresh_is_compared_apart_from_the_fit(self):
+        """A refresh that lands on other weights, or took another loss path,
+        breaks equality even when the fit matched bitwise."""
+        answers = answer_sets([1.0])
+        nudged = [np.nextafter(np.zeros(3, np.float32), 1, dtype=np.float32)]
+        result = digest.digest(side(answers), side(answers, refresh_params=nudged))
+        assert result["fit"]["params_equal"] and not result["refresh"]["params_equal"]
+        assert not result["all_equal"]
+        result = digest.digest(side(answers), side(answers, refresh_losses=(0.41,)))
+        assert not result["refresh"]["losses_equal"] and not result["all_equal"]
+        moved = answer_sets([1.0])
+        moved["refresh"] = [1.5]
+        result = digest.digest(side(answers), side(moved))
+        assert not result["answers"]["refresh"]["equal"] and not result["all_equal"]
 
     def test_model_bytes_alone_breaks_equality(self):
         answers = answer_sets([1.0])
@@ -138,4 +163,5 @@ def test_side_record_roundtrips_through_its_file(tmp_path):
     assert loaded["scale"] == "tiny" and loaded["model_bytes"] == 100
     assert loaded["table"] == record["table"]
     assert digest.arrays_equal(loaded["params"], record["params"])
+    assert digest.arrays_equal(loaded["refresh_params"], record["refresh_params"])
     assert digest.digest(record, loaded)["all_equal"]

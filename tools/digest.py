@@ -11,12 +11,17 @@ pinned environment (one BLAS thread, ``PYTHONHASHSEED=0``) and its own
   stream ``EVAL_SEED + i``): the sequential engine loop and
   ``estimate_batch`` at batch 1, 8 and 32;
 * the fit's per-step losses and every trained parameter array;
+* the in-process refresh path: the fitted model cloned with
+  ``clone_estimator`` and updated on the same schema with
+  ``REFRESH_TUPLES`` tuples, then its pinned-seed answers (``refresh``,
+  batch 8), the refresh's own losses and the refreshed parameters;
 * ``model_bytes`` (``NeuroCard.size_bytes``) and the compiled kernel table's
   entries with their shapes and bytes.
 
 The report gives each answer set's maximum relative deviation and whether
 the two sides are ``array_equal``, each side's batched-against-sequential
-deviation, whether losses and parameters are bitwise equal, both
+deviation, whether losses and parameters (of the fit and of the refresh)
+are bitwise equal, both
 ``model_bytes`` and the table entries added, removed or resized. Its last
 line is one JSON object.
 
@@ -49,7 +54,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 BATCH_SIZES = (1, 8, 32)
-ANSWER_SETS = ("sequential",) + tuple(f"b{size}" for size in BATCH_SIZES)
+ANSWER_SETS = ("sequential",) + tuple(f"b{size}" for size in BATCH_SIZES) + ("refresh",)
+
+#: Tuples the refresh trains on: four steps of the fixture's 512-row batch.
+REFRESH_TUPLES = 2048
 
 
 # ----------------------------------------------------------------------
@@ -116,23 +124,30 @@ def table_diff(parent: Dict[str, dict], change: Dict[str, dict]) -> dict:
     }
 
 
+def compare_training(parent: dict, change: dict, prefix: str) -> dict:
+    """Bitwise comparison of one training run's ``<prefix>losses`` and
+    ``<prefix>params`` on both sides."""
+    losses = [parent[f"{prefix}losses"], change[f"{prefix}losses"]]
+    params = [parent[f"{prefix}params"], change[f"{prefix}params"]]
+    return {
+        "losses_equal": bool(
+            np.array_equal(*losses) and losses[0].dtype == losses[1].dtype
+        ),
+        "params_equal": arrays_equal(*params),
+        "n_losses": [len(side) for side in losses],
+        "n_params": [len(side) for side in params],
+    }
+
+
 def digest(parent: dict, change: dict) -> dict:
     """The report's JSON object from two sides' records (see :func:`collect`)."""
     answers = compare_answers(parent["answers"], change["answers"])
-    fit = {
-        "losses_equal": bool(
-            np.array_equal(parent["losses"], change["losses"])
-            and parent["losses"].dtype == change["losses"].dtype
-        ),
-        "params_equal": arrays_equal(parent["params"], change["params"]),
-        "n_losses": [len(parent["losses"]), len(change["losses"])],
-        "n_params": [len(parent["params"]), len(change["params"])],
-    }
+    fit = compare_training(parent, change, "")
+    refresh = compare_training(parent, change, "refresh_")
     table = table_diff(parent["table"], change["table"])
     all_equal = (
         all(entry["equal"] for entry in answers.values())
-        and fit["losses_equal"]
-        and fit["params_equal"]
+        and all(run["losses_equal"] and run["params_equal"] for run in (fit, refresh))
         and parent["model_bytes"] == change["model_bytes"]
         and not (table["added"] or table["removed"] or table["resized"])
     )
@@ -146,6 +161,7 @@ def digest(parent: dict, change: dict) -> dict:
             "change": batched_vs_sequential(change["answers"]),
         },
         "fit": fit,
+        "refresh": refresh,
         "model_bytes": {"parent": parent["model_bytes"], "change": change["model_bytes"]},
         "table": table,
         "all_equal": bool(all_equal),
@@ -159,7 +175,8 @@ def collect(scale: str) -> dict:
     """Fit the fixture with whatever ``repro`` and ``fixture`` are importable
     and record what :func:`digest` compares."""
     import fixture
-    from repro.core.inference import export_engine_state
+    from repro.core.inference import compiled_model
+    from repro.core.refresh import clone_estimator
     from repro.workloads import job_light_ranges_queries
 
     fx = fixture.build_fixture(1, scale)
@@ -179,22 +196,31 @@ def collect(scale: str) -> dict:
             for q, rng in zip(queries, streams(0, len(queries)))
         ]
     }
-    for size in BATCH_SIZES:
+    def batched(engine, size):
         out = []
         for lo in range(0, len(queries), size):
             batch = queries[lo : lo + size]
             rngs = streams(lo, len(batch))
             out.extend(engine.estimate_batch(batch, n_samples=n_samples, rngs=rngs))
-        answers[f"b{size}"] = out
+        return out
+
+    for size in BATCH_SIZES:
+        answers[f"b{size}"] = batched(engine, size)
     table = {
         name: {"shape": list(a.shape), "dtype": str(a.dtype), "nbytes": int(a.nbytes)}
-        for name, a in export_engine_state(engine).items()
+        for name, a in compiled_model(engine).export_state().items()
     }
+    n_fit_losses = len(model.train_result.losses)
+    refreshed = clone_estimator(model)
+    refreshed.update(fx.schema, train_tuples=REFRESH_TUPLES)
+    answers["refresh"] = batched(refreshed.inference, 8)
     return {
         "scale": scale,
         "answers": {k: np.asarray(v, dtype=np.float64) for k, v in answers.items()},
-        "losses": np.asarray(model.train_result.losses),
+        "losses": np.asarray(model.train_result.losses[:n_fit_losses]),
         "params": [p.value for p in model.model.parameters()],
+        "refresh_losses": np.asarray(refreshed.train_result.losses[n_fit_losses:]),
+        "refresh_params": [p.value for p in refreshed.model.parameters()],
         "model_bytes": int(model.size_bytes),
         "table": table,
     }
@@ -202,18 +228,21 @@ def collect(scale: str) -> dict:
 
 def save_side(record: dict, path: str) -> None:
     arrays = {f"answers::{k}": v for k, v in record["answers"].items()}
-    arrays.update({f"param::{i}": p for i, p in enumerate(record["params"])})
+    for prefix in ("", "refresh_"):
+        arrays[f"{prefix}losses"] = record[f"{prefix}losses"]
+        arrays.update({f"{prefix}param::{i}": p for i, p in enumerate(record[f"{prefix}params"])})
     meta = {k: record[k] for k in ("scale", "model_bytes", "table")}
-    np.savez(path, losses=record["losses"], meta=np.array(json.dumps(meta)), **arrays)
+    np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_side(path: str) -> dict:
     with np.load(path) as data:
         record = json.loads(str(data["meta"]))
-        record["losses"] = data["losses"]
         record["answers"] = {name: data[f"answers::{name}"] for name in ANSWER_SETS}
-        n_params = sum(1 for key in data.files if key.startswith("param::"))
-        record["params"] = [data[f"param::{i}"] for i in range(n_params)]
+        for prefix in ("", "refresh_"):
+            record[f"{prefix}losses"] = data[f"{prefix}losses"]
+            n_params = sum(1 for key in data.files if key.startswith(f"{prefix}param::"))
+            record[f"{prefix}params"] = [data[f"{prefix}param::{i}"] for i in range(n_params)]
     return record
 
 
@@ -248,11 +277,12 @@ def report(result: dict, parent: Path) -> List[str]:
     sides = result["batched_vs_sequential"]
     for name in sides["change"]:
         lines.append(f"  {name:20s} {sides['parent'][name]:12.3g}  {sides['change'][name]:12.3g}")
-    fit = result["fit"]
-    lines.append(
-        f"fit: losses bitwise equal {fit['losses_equal']} ({fit['n_losses'][1]} steps), "
-        f"parameters bitwise equal {fit['params_equal']} ({fit['n_params'][1]} arrays)"
-    )
+    for name in ("fit", "refresh"):
+        run = result[name]
+        lines.append(
+            f"{name}: losses bitwise equal {run['losses_equal']} ({run['n_losses'][1]} steps), "
+            f"parameters bitwise equal {run['params_equal']} ({run['n_params'][1]} arrays)"
+        )
     mb = result["model_bytes"]
     lines.append(f"model_bytes: parent {mb['parent']}, change {mb['change']}")
     table = result["table"]
