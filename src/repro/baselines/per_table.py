@@ -107,6 +107,8 @@ class PerTableStatsEstimator:
 
     name = "PerTableStats"
     is_fitted = True
+    #: Bound on cached per-table selectivities before the cache is reset.
+    SELECTIVITY_CACHE_LIMIT = 4096
 
     def __init__(self, schema: JoinSchema, counts: Optional[JoinCounts] = None):
         self.schema = schema
@@ -126,14 +128,13 @@ class PerTableStatsEstimator:
         return self._size_cache[tables]
 
     def _selectivity(self, tname: str, preds) -> float:
-        key = None
+        key = (tname, tuple(preds))
         try:
-            key = (tname, tuple(preds))
-            hash(key)
+            cached = self._sel_cache.get(key)
         except TypeError:  # unhashable predicate values: compute uncached
-            key = None
-        if key is not None and key in self._sel_cache:
-            return self._sel_cache[key]
+            key = cached = None
+        if cached is not None:
+            return cached
         table = self.schema.table(tname)
         if table.n_rows == 0:
             return 0.0
@@ -142,6 +143,8 @@ class PerTableStatsEstimator:
             mask &= pred.mask(table)
         selectivity = float(mask.mean())
         if key is not None:
+            if len(self._sel_cache) >= self.SELECTIVITY_CACHE_LIMIT:
+                self._sel_cache.clear()
             self._sel_cache[key] = selectivity
         return selectivity
 

@@ -64,9 +64,17 @@ def _plain_value(value: Any) -> Any:
     return value
 
 
+def _all_str(items) -> bool:
+    for item in items:
+        if not isinstance(item, str):
+            return False
+    return True
+
+
 def predicate_from_dict(obj: Mapping[str, Any]) -> Predicate:
     """Compile one wire-format filter document into a :class:`Predicate`."""
-    if not isinstance(obj, Mapping):
+    # ``dict`` first: a decoded JSON object passes without the ABC check.
+    if not isinstance(obj, (dict, Mapping)):
         raise QueryError(f"filter must be an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - _FILTER_KEYS)
     if unknown:
@@ -117,7 +125,7 @@ def query_from_dict(obj: Mapping[str, Any]) -> Query:
     constructors' own invariants (empty table list, duplicate tables,
     filters naming tables outside the join set).
     """
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, (dict, Mapping)):
         raise QueryError(f"query must be an object, got {type(obj).__name__}")
     unknown = sorted(set(obj) - _QUERY_KEYS)
     if unknown:
@@ -125,11 +133,7 @@ def query_from_dict(obj: Mapping[str, Any]) -> Query:
             f"unknown query key(s) {unknown}; known: {sorted(_QUERY_KEYS)}"
         )
     tables = obj.get("tables")
-    if (
-        not isinstance(tables, (list, tuple))
-        or not tables
-        or not all(isinstance(t, str) for t in tables)
-    ):
+    if not isinstance(tables, (list, tuple)) or not tables or not _all_str(tables):
         raise QueryError("query requires 'tables': a non-empty list of table names")
     filters = obj.get("filters", [])
     if not isinstance(filters, (list, tuple)):

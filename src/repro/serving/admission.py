@@ -126,6 +126,9 @@ class AdmissionDecision:
     retry_after: float = 0.0
 
 
+_ADMITTED = AdmissionDecision(True)
+
+
 class AdmissionController:
     """Per-tenant token buckets + one bounded in-flight queue + shedding.
 
@@ -192,12 +195,18 @@ class AdmissionController:
         ``deadline_s`` is the remaining time the caller can wait (already
         relative); pass None for no deadline.
         """
-        quota = self.quota_for(tenant)
-        if quota is None:
-            return self._reject(tenant, "tenant", 403, 0.0)
-        wait = self._bucket(quota).acquire(float(cost))
-        if wait > 0.0:
-            return self._reject(tenant, "rate", 429, wait)
+        # A tenant's bucket exists only once its quota resolved, so a known
+        # tenant skips the quota lookup.
+        bucket = self._buckets.get(tenant)
+        if bucket is None:
+            quota = self.quota_for(tenant)
+            if quota is None:
+                return self._reject(tenant, "tenant", 403, 0.0)
+            bucket = self._bucket(quota)
+        if bucket.rate is not None:
+            wait = bucket.acquire(float(cost))
+            if wait > 0.0:
+                return self._reject(tenant, "rate", 429, wait)
         with self._lock:
             ewma = self._ewma_latency
             if self._in_flight >= self.max_queue:
@@ -213,11 +222,10 @@ class AdmissionController:
             else:
                 self._in_flight += 1
                 self.admitted[tenant] = self.admitted.get(tenant, 0) + 1
-                return AdmissionDecision(True)
+                return _ADMITTED
         # The bucket took this request's tokens but the queue/deadline gate
         # turned it away; refund so the gates stay independent.
-        if quota.rate is not None:
-            bucket = self._bucket(quota)
+        if bucket.rate is not None:
             with bucket._lock:
                 bucket._tokens = min(bucket.burst, bucket._tokens + float(cost))
         return self._reject(tenant, reason, 503, retry)

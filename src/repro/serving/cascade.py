@@ -74,6 +74,20 @@ def _q_error(estimate: float, actual: float) -> float:
 # ----------------------------------------------------------------------
 # Per-query features and class bucketing
 # ----------------------------------------------------------------------
+def _region_fraction(pred, schema: JoinSchema) -> float:
+    """A predicate's code region as a fraction of its column's domain."""
+    table = schema.table(pred.table)
+    region = Region.from_predicate(pred.code_region(table))
+    domain = max(table.column(pred.column).domain_size, 1)
+    if region.is_empty:
+        width = 0
+    elif region.kind == "interval":
+        width = min(region.hi, domain - 1) - region.lo + 1
+    else:
+        width = len(region.codes)
+    return width / domain
+
+
 @dataclass(frozen=True)
 class QueryFeatures:
     """The routing feature vector of one query (all cheap to extract)."""
@@ -91,36 +105,64 @@ class QueryFeatures:
     min_region_fraction: float
 
     @staticmethod
-    def extract(query: Query, schema: JoinSchema) -> "QueryFeatures":
-        """Compute features; raises :class:`QueryError` for invalid queries."""
-        query.validate(schema)
+    def extract(
+        query: Query, schema: JoinSchema, memo: Optional[dict] = None
+    ) -> "QueryFeatures":
+        """Compute features; raises :class:`QueryError` for invalid queries.
+
+        ``memo`` (a cascade's bounded map, see
+        :attr:`EstimatorCascade.FEATURE_MEMO_LIMIT`) keeps each predicate's
+        region fraction and each table list's column count across calls. An
+        entry is stored only after its query validated, so a query whose
+        parts are all memoized skips re-validation; the features are the
+        same as without a memo.
+        """
+        if memo is None:
+            memo = {}
+        # Two key shapes share the map: a table list is a tuple of names,
+        # a predicate key carries its value's type, which no name equals.
+        n_columns = memo.get(query.tables)
+        complete = n_columns is not None
         n_equality = n_range = 0
         min_fraction = 1.0
+        filtered = set()
+        missing = []
         for pred in query.predicates:
             if pred.op in _RANGE_OPS:
                 n_range += 1
             else:
                 n_equality += 1
-            table = schema.table(pred.table)
-            region = Region.from_predicate(pred.code_region(table))
-            domain = max(table.column(pred.column).domain_size, 1)
-            if region.is_empty:
-                width = 0
-            elif region.kind == "interval":
-                width = min(region.hi, domain - 1) - region.lo + 1
+            filtered.add((pred.table, pred.column))
+            key = (pred.table, pred.column, pred.op, type(pred.value), pred.value)
+            try:
+                fraction = memo.get(key)
+            except TypeError:  # unhashable value (an IN list): not memoized
+                key = fraction = None
+            if fraction is None:
+                complete = False
+                missing.append((pred, key))
             else:
-                width = len(region.codes)
-            min_fraction = min(min_fraction, width / domain)
-        n_columns = sum(
-            len(schema.table(t).column_names) for t in query.tables
-        )
-        filtered = len({(p.table, p.column) for p in query.predicates})
+                min_fraction = min(min_fraction, fraction)
+        if not complete:
+            query.validate(schema)
+            if len(memo) >= EstimatorCascade.FEATURE_MEMO_LIMIT:
+                memo.clear()
+            if n_columns is None:
+                n_columns = sum(
+                    len(schema.table(t).column_names) for t in query.tables
+                )
+                memo[query.tables] = n_columns
+            for pred, key in missing:
+                fraction = _region_fraction(pred, schema)
+                if key is not None:
+                    memo[key] = fraction
+                min_fraction = min(min_fraction, fraction)
         return QueryFeatures(
             n_tables=len(query.tables),
             n_predicates=len(query.predicates),
             n_equality=n_equality,
             n_range=n_range,
-            wildcard_fraction=1.0 - filtered / max(n_columns, 1),
+            wildcard_fraction=1.0 - len(filtered) / max(n_columns, 1),
             min_region_fraction=min_fraction,
         )
 
@@ -164,9 +206,6 @@ class CascadeCalibration:
     ):
         self.entries = entries
         self.n_queries = n_queries
-
-    def lookup(self, tier: str, class_key: str) -> Optional[Dict[str, float]]:
-        return self.entries.get(tier, {}).get(class_key)
 
     def tiers(self) -> List[str]:
         return list(self.entries)
@@ -242,6 +281,9 @@ class EstimatorCascade:
     routing-path complement of the breaker's failure path.
     """
 
+    #: Bound on memoized routing-feature entries before the map is reset.
+    FEATURE_MEMO_LIMIT = 4096
+
     def __init__(
         self,
         schema: JoinSchema,
@@ -275,6 +317,9 @@ class EstimatorCascade:
         self._escalations = 0
         self._answered: Dict[str, int] = {}
         self._tier_errors: Dict[str, int] = {}
+        #: Region fractions and column counts routing has computed
+        #: (:meth:`QueryFeatures.extract`), reset at ``FEATURE_MEMO_LIMIT``.
+        self._feature_memo: dict = {}
 
     # ------------------------------------------------------------------
     # Tier registration
@@ -386,7 +431,7 @@ class EstimatorCascade:
         """
         if not self._tiers:
             raise ServingError("cascade has no registered tiers")
-        features = QueryFeatures.extract(query, self.schema)
+        features = QueryFeatures.extract(query, self.schema, self._feature_memo)
         max_q = max_q_error if max_q_error is not None else self.default_max_q_error
         if max_q < 1.0:
             raise ServingError("max_q_error must be >= 1")
@@ -395,13 +440,11 @@ class EstimatorCascade:
             raise ServingError("budget_ms must be positive (or None)")
         demotion = self.staleness_demotion()
 
+        class_key = features.class_key
+        entries = self.calibration.entries if self.calibration is not None else {}
         scored: List[Tuple[Tier, float, Optional[float]]] = []
         for t in self._tiers:
-            entry = (
-                self.calibration.lookup(t.name, features.class_key)
-                if self.calibration is not None
-                else None
-            )
+            entry = entries.get(t.name, {}).get(class_key)
             if entry is None or entry.get("n", 0) < self.min_class_queries:
                 bound, latency = math.inf, None
             else:

@@ -28,10 +28,18 @@ only — no framework dependency) exposing an
     histograms plus scheduler, worker-pool, registry, and
     DriftMonitor-staleness gauges scraped live from the service.
 
+Framing: a request head (request line, headers, blank line) is read in one
+piece of at most 64 KiB, asyncio's stream limit; a longer head is answered
+431 and the connection closed. ``Content-Length`` frames the body: absent
+means empty, a value that is not a non-negative integer is a 400 and one
+past ``max_body_bytes`` a 413, both closing the connection. Requests on one
+connection may be pipelined; they are answered in order.
+
 Concurrency model: the event loop parses requests and compiles the DSL;
 ``service.submit`` hands queries to the micro-batching scheduler whose
 flusher/pool threads do the heavy lifting, and the resulting
-``concurrent.futures.Future`` is awaited via :func:`asyncio.wrap_future`.
+``concurrent.futures.Future`` is awaited via :func:`asyncio.wrap_future`
+(a batch body gathers one per query).
 The loop therefore stays responsive while NumPy crunches — wire requests
 coalesce into micro-batches exactly like in-process submits do. Futures
 already answered when ``submit`` returns (cheap cascade tiers, fallback
@@ -60,7 +68,7 @@ from repro.relational.dsl import query_from_dict
 from repro.serving import faults
 from repro.serving.admission import AdmissionController
 from repro.serving.config import HttpConfig
-from repro.serving.metrics import MetricsRegistry
+from repro.serving.metrics import MetricsRegistry, series_key
 from repro.serving.service import EstimationService
 
 _REASONS = {
@@ -71,10 +79,21 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: Status line per code, built once.
+_STATUS_LINES = {code: f"HTTP/1.1 {code} {reason}" for code, reason in _REASONS.items()}
+
+#: Tenants whose metric series keys are kept before the map is reset.
+_TENANT_SERIES_LIMIT = 1024
+
+#: Longest accepted request head (request line + headers + blank line):
+#: the server's stream-reader limit, asyncio's default. Longer is a 431.
+_HEAD_LIMIT = 64 * 1024
 
 _ESTIMATE_KEYS = frozenset(
     {
@@ -90,12 +109,21 @@ _ESTIMATE_KEYS = frozenset(
 
 
 class _BadRequest(Exception):
-    """Internal: maps straight to a 400 with its message."""
+    """Internal: maps straight to a 4xx (400 unless given) with its message."""
+
+    def __init__(self, message: str, status: int = 400):
+        super().__init__(message)
+        self.status = status
 
 
 def _reject_constant(name: str):
     """``json.loads`` hook: NaN / Infinity / -Infinity are not JSON numbers."""
     raise _BadRequest(f"non-finite number {name} is not allowed")
+
+
+#: Body decoder and response encoder, built once rather than per request.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_encode_json = json.JSONEncoder().encode
 
 
 class _Conn:
@@ -155,6 +183,8 @@ class EstimationHttpServer:
             "repro_http_degraded_total",
             "Queries answered by the degraded-mode fallback, by tenant.",
         )
+        #: tenant -> (tenant series, tenant + code 200 series), see _series_for.
+        self._tenant_series: Dict[str, Tuple[tuple, tuple]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._conns: set = set()
         self._draining = False
@@ -169,7 +199,7 @@ class EstimationHttpServer:
         if self._server is not None:
             raise ServingError("server already started")
         self._server = await asyncio.start_server(
-            self._serve_conn, self.config.host, self.config.port
+            self._serve_conn, self.config.host, self.config.port, limit=_HEAD_LIMIT
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -240,24 +270,54 @@ class EstimationHttpServer:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:  # pragma: no cover - platform-dependent
                 pass
+        transport = writer.transport
         conn = _Conn(writer)
         self._conns.add(conn)
         try:
             while True:
                 conn.busy = False
                 try:
-                    request_line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
+                    # The whole head in one read: request line and headers
+                    # up to the blank line, at most the reader's limit.
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except asyncio.LimitOverrunError:
+                    self._reject(transport, 431, f"request head exceeds {_HEAD_LIMIT} bytes")
                     break
-                if not request_line:
+                except (ConnectionError, asyncio.IncompleteReadError):
                     break  # client closed (or drain closed an idle conn)
                 conn.busy = True
-                keep_alive = await self._serve_request(
-                    request_line, reader, writer
+                try:
+                    method, path, headers, length = self._parse_head(head)
+                except _BadRequest as exc:
+                    self._reject(transport, exc.status, str(exc))
+                    break
+                body = await reader.readexactly(length) if length else b""
+                path = path.partition("?")[0]
+                parts = path.split("/")
+                # /v1/models/{name}/estimate -> ["", "v1", "models", name, "estimate"]
+                if (
+                    method == "POST" and len(parts) == 5
+                    and parts[1:3] == ["v1", "models"] and parts[4] == "estimate"
+                ):
+                    status, payload, extra = await self._estimate(parts[3], headers, body)
+                else:
+                    status, payload, extra = self._route(method, path, parts)
+                if isinstance(payload, str):
+                    data = payload.encode()
+                    content_type = "text/plain; version=0.0.4; charset=utf-8"
+                else:
+                    data = _encode_json(payload).encode()
+                    content_type = "application/json"
+                keep_alive = (
+                    not self._draining
+                    and headers.get("connection", "keep-alive").lower() != "close"
                 )
+                self._write(transport, status, data, keep_alive, content_type, extra)
+                if transport.get_write_buffer_size():
+                    await writer.drain()  # the socket took less than all of it
                 if not keep_alive or self._draining:
                     break
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, asyncio.IncompleteReadError, asyncio.CancelledError):
             pass
         finally:
             self._conns.discard(conn)
@@ -267,107 +327,71 @@ class EstimationHttpServer:
             except (ConnectionError, RuntimeError):
                 pass
 
-    async def _serve_request(
-        self,
-        request_line: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Parse one request, route it, write the response; True = keep alive."""
+    def _parse_head(self, head: bytes) -> Tuple[str, str, Dict[str, str], int]:
+        """Method, path, lower-cased headers and body length of one head;
+        raises :class:`_BadRequest` for a head that frames no request."""
+        lines = head.decode("latin-1").split("\r\n")
         try:
-            method, path, _version = request_line.decode("latin-1").split(" ", 2)
+            method, path, _version = lines[0].split(" ", 2)
         except ValueError:
-            await self._respond(writer, 400, {"error": "malformed request line"})
-            return False
+            raise _BadRequest("malformed request line") from None
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
+        for line in lines[1:-2]:  # the head ends with an empty line
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
-            await self._respond(writer, 400, {"error": "bad Content-Length"})
-            return False
+            length = -1
+        if length < 0:
+            raise _BadRequest("bad Content-Length")
         if length > self.config.max_body_bytes:
-            await self._respond(
-                writer,
-                413,
-                {"error": f"body exceeds {self.config.max_body_bytes} bytes"},
-            )
-            return False
-        body = b""
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                return False
-        status, payload, extra = await self._route(method, path, headers, body)
-        content_type = "application/json"
-        if isinstance(payload, str):
-            data = payload.encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(payload).encode()
-        keep_alive = (
-            not self._draining
-            and headers.get("connection", "keep-alive").lower() != "close"
-        )
-        await self._respond(
-            writer, status, data, keep_alive=keep_alive,
-            content_type=content_type, extra=extra, encoded=True,
-        )
-        return keep_alive
+            raise _BadRequest(f"body exceeds {self.config.max_body_bytes} bytes", 413)
+        return method, path, headers, length
 
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
+    @classmethod
+    def _reject(cls, transport: asyncio.Transport, status: int, message: str) -> None:
+        """An error response after which the connection closes."""
+        cls._write(transport, status, _encode_json({"error": message}).encode())
+
+    @staticmethod
+    def _write(
+        transport: asyncio.Transport,
         status: int,
-        payload,
-        *,
+        data: bytes,
         keep_alive: bool = False,
         content_type: str = "application/json",
         extra: Sequence[Tuple[str, str]] = (),
-        encoded: bool = False,
     ) -> None:
-        data = payload if encoded else json.dumps(payload).encode()
-        head = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(data)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        head.extend(f"{name}: {value}" for name, value in extra)
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + data)
-        try:
-            await writer.drain()
-        except ConnectionError:
-            pass
+        head = (
+            f"{_STATUS_LINES.get(status) or f'HTTP/1.1 {status} Unknown'}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        )
+        for name, value in extra:
+            head += f"{name}: {value}\r\n"
+        transport.write((head + "\r\n").encode("latin-1") + data)
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
-    ) -> Tuple[int, object, List[Tuple[str, str]]]:
-        path = path.partition("?")[0]
+    def _route(
+        self, method: str, path: str, parts: List[str]
+    ) -> Tuple[int, object, Sequence[Tuple[str, str]]]:
+        """Every response but a POST to the estimate endpoint, which
+        ``_serve_conn`` awaits itself."""
         if path == "/healthz":
             if method != "GET":
-                return 405, {"error": "use GET"}, []
+                return 405, {"error": "use GET"}, ()
             return self._healthz()
         if path == "/metrics":
             if method != "GET":
-                return 405, {"error": "use GET"}, []
-            return 200, self._render_metrics(), []
-        parts = path.split("/")
-        # /v1/models/{name}/estimate -> ["", "v1", "models", name, "estimate"]
+                return 405, {"error": "use GET"}, ()
+            return 200, self._render_metrics(), ()
         if len(parts) == 5 and parts[1:3] == ["v1", "models"] and parts[4] == "estimate":
-            if method != "POST":
-                return 405, {"error": "use POST"}, []
-            return await self._estimate(parts[3], headers, body)
-        return 404, {"error": f"no route for {path!r}"}, []
+            return 405, {"error": "use POST"}, ()
+        return 404, {"error": f"no route for {path!r}"}, ()
 
     # ------------------------------------------------------------------
     # POST /v1/models/{name}/estimate
@@ -377,9 +401,16 @@ class EstimationHttpServer:
     ) -> Tuple[int, object, List[Tuple[str, str]]]:
         tenant = headers.get("x-tenant", "default")
         started = time.perf_counter()
+        series = self._tenant_series.get(tenant)
+        if series is None:
+            series = self._series_for(tenant)
+        tenant_key, ok_key = series
 
         def finish(status: int, payload, extra=()) -> Tuple[int, object, list]:
-            self._requests.inc(tenant=tenant, code=str(status))
+            if status == 200:
+                self._requests.inc_series(ok_key)
+            else:
+                self._requests.inc(tenant=tenant, code=str(status))
             return status, payload, list(extra)
 
         if self._draining:
@@ -410,31 +441,38 @@ class EstimationHttpServer:
             time.monotonic() + deadline_s if deadline_s is not None else None
         )
         try:
+            futures = []
             try:
-                futures = [
-                    self.service.submit(
-                        query, model=model, seed=seed, deadline=abs_deadline,
-                        budget_ms=budget_ms, max_q_error=max_q_error,
+                for query, seed in zip(queries, seeds):
+                    futures.append(
+                        self.service.submit(
+                            query, model=model, seed=seed, deadline=abs_deadline,
+                            budget_ms=budget_ms, max_q_error=max_q_error,
+                        )
                     )
-                    for query, seed in zip(queries, seeds)
-                ]
             except QueryError as exc:
                 return finish(400, {"error": str(exc)})
             except ServingError as exc:
                 return finish(503, {"error": str(exc)})
+            one = len(futures) == 1
             try:
-                if all(f.done() for f in futures):
+                if futures[0].done() if one else all(f.done() for f in futures):
                     # Answered inline (cheap cascade tier, open-circuit
                     # fallback): skip the loop round trip a wrapped future
                     # costs.
                     estimates = [f.result() for f in futures]
                 else:
-                    gathered = asyncio.gather(*[asyncio.wrap_future(f) for f in futures])
+                    # One query awaits its own wrapped future; only a batch
+                    # gathers.
+                    waiting = (
+                        asyncio.wrap_future(futures[0]) if one
+                        else asyncio.gather(*[asyncio.wrap_future(f) for f in futures])
+                    )
                     if deadline_s is not None:
                         remaining = deadline_s - (time.perf_counter() - started)
-                        estimates = await asyncio.wait_for(gathered, max(remaining, 0.001))
-                    else:
-                        estimates = await gathered
+                        waiting = asyncio.wait_for(waiting, max(remaining, 0.001))
+                    answer = await waiting
+                    estimates = [answer] if one else answer
             except asyncio.TimeoutError:
                 return finish(504, {"error": "deadline exceeded in flight"})
             except DeadlineError as exc:
@@ -448,11 +486,12 @@ class EstimationHttpServer:
         finally:
             elapsed = time.perf_counter() - started
             self.admission.release(elapsed)
-            self._latency.observe(elapsed, tenant=tenant)
-        self._queries.inc(len(queries), tenant=tenant)
-        n_degraded = sum(
-            1 for f in futures if getattr(f, "degraded", False)
-        )
+            self._latency.observe_series(tenant_key, elapsed)
+        self._queries.inc_series(tenant_key, len(queries))
+        n_degraded = 0
+        for f in futures:
+            if getattr(f, "degraded", False):
+                n_degraded += 1
         if n_degraded:
             self._degraded_queries.inc(n_degraded, tenant=tenant)
         payload: Dict[str, object] = {"model": model}
@@ -462,20 +501,30 @@ class EstimationHttpServer:
             payload["estimates"] = [float(e) for e in estimates]
         if n_degraded:
             payload["degraded"] = True
-        tiers = [getattr(f, "tier", None) for f in futures]
-        if any(t is not None for t in tiers):
-            # Cascade-routed answers report who answered; responses keep
-            # their pre-cascade shape when no cascade is attached.
-            if single:
-                payload["tier"] = tiers[0]
-            else:
+        # Cascade-routed answers report who answered; responses keep their
+        # pre-cascade shape when no cascade is attached.
+        if single:
+            tier = getattr(futures[0], "tier", None)
+            if tier is not None:
+                payload["tier"] = tier
+        else:
+            tiers = [getattr(f, "tier", None) for f in futures]
+            if any(t is not None for t in tiers):
                 payload["tiers"] = tiers
         return finish(200, payload)
+
+    def _series_for(self, tenant: str) -> Tuple[tuple, tuple]:
+        """``tenant``'s metric series keys, built once per tenant."""
+        if len(self._tenant_series) >= _TENANT_SERIES_LIMIT:
+            self._tenant_series.clear()
+        series = (series_key(tenant=tenant), series_key(code="200", tenant=tenant))
+        self._tenant_series[tenant] = series
+        return series
 
     def _parse_estimate(self, body: bytes):
         """Decode and validate an estimate body; raises :class:`_BadRequest`."""
         try:
-            doc = json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
+            doc = _DECODER.decode(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _BadRequest(f"body is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
@@ -532,7 +581,10 @@ class EstimationHttpServer:
                 raise _BadRequest("'max_q_error' must be a number >= 1")
             max_q_error = float(max_q_error)
         try:
-            queries = [query_from_dict(q) for q in raw_queries]
+            if single:
+                queries = [query_from_dict(doc["query"])]
+            else:
+                queries = [query_from_dict(q) for q in raw_queries]
         except QueryError as exc:
             raise _BadRequest(str(exc)) from exc
         deadline_s = deadline_ms / 1e3 if deadline_ms is not None else None

@@ -11,7 +11,8 @@ instead of a model and nothing else changes.
 Built on a plain socket per thread (thread-local, so the harness's
 ``concurrency=N`` closed loop gets N independent keep-alive connections),
 with ``TCP_NODELAY`` against Nagle/delayed-ACK stalls. A request is one
-``sendall`` of head plus body; a response is read into a buffer up to the
+``sendall`` of head plus body (the head up to its body headers is encoded
+once per route); a response is read into a buffer up to the
 blank line, framed by ``Content-Length``, and any surplus bytes stay
 buffered for the next response on that connection (no ``Content-Length``
 means the body runs to EOF; chunked bodies are refused, the server never
@@ -43,6 +44,11 @@ import numpy as np
 from repro.errors import QueryError, ServingError
 from repro.relational.dsl import query_to_dict
 from repro.relational.query import Query
+
+
+#: Built once, not per request.
+_DECODER = json.JSONDecoder()
+_encode_json = json.JSONEncoder().encode
 
 
 class _Headers(dict):
@@ -91,16 +97,16 @@ class _Connection:
         code = rest[:3]
         if not version.startswith("HTTP/") or not (len(code) == 3 and code.isdigit()):
             raise ConnectionError(f"unparsable status line {lines[0]!r}")
-        headers = _Headers()
+        fields = {}
         for line in lines[1:]:
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if headers.get("transfer-encoding", "identity").lower() != "identity":
+            fields[name.strip().lower()] = value.strip()
+        if fields.get("transfer-encoding", "identity").lower() != "identity":
             raise ServingError(
-                f"unsupported Transfer-Encoding {headers['transfer-encoding']!r}"
+                f"unsupported Transfer-Encoding {fields['transfer-encoding']!r}"
             )
-        closes = headers.get("connection", "").lower() == "close"
-        length = headers.get("content-length")
+        closes = fields.get("connection", "").lower() == "close"
+        length = fields.get("content-length")
         if length is None:
             # No framing: the body is whatever arrives before EOF.
             closes = True
@@ -119,7 +125,7 @@ class _Connection:
             while len(self.buf) < n:
                 self.buf += self._recv()
             body, self.buf = self.buf[:n], self.buf[n:]
-        return int(code), headers, body, closes
+        return int(code), _Headers(fields), body, closes
 
 
 class HttpEstimationClient:
@@ -183,6 +189,9 @@ class HttpEstimationClient:
         #: owns it, so :meth:`close` can end them all.
         self._connections: Set[_Connection] = set()
         self._connections_lock = threading.Lock()
+        #: Encoded request head up to the body headers, per (method, path,
+        #: tenant): built on first use, not per request.
+        self._heads: Dict[tuple, bytes] = {}
 
     # ------------------------------------------------------------------
     # Transport
@@ -237,19 +246,23 @@ class HttpEstimationClient:
         *,
         retry_statuses: "tuple[int, ...]" = (),
     ) -> "tuple[int, _Headers, bytes]":
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "Connection: keep-alive\r\n"
-        )
-        if body is not None:
-            head += (
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
+        key = (method, path, self.tenant)
+        head = self._heads.get(key)
+        if head is None:
+            head = (
+                f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}:{self.port}\r\n"
+                "Connection: keep-alive\r\n"
             )
-        if self.tenant is not None:
-            head += f"X-Tenant: {self.tenant}\r\n"
-        request = (head + "\r\n").encode("latin-1") + (body or b"")
+            if self.tenant is not None:
+                head += f"X-Tenant: {self.tenant}\r\n"
+            head = self._heads[key] = head.encode("latin-1")
+        if body is None:
+            request = head + b"\r\n"
+        else:
+            request = b"%sContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s" % (
+                head, len(body), body,
+            )
         # Estimates are read-only, so retrying is always safe. Two failure
         # shapes are retried with exponential backoff + jitter: dropped
         # connections (drain, idle timeout, mid-flight crash) and — for the
@@ -287,7 +300,7 @@ class HttpEstimationClient:
     @staticmethod
     def _decode(status: int, payload: bytes) -> dict:
         try:
-            doc = json.loads(payload.decode("utf-8"))
+            doc = _DECODER.decode(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServingError(
                 f"server returned non-JSON body (status {status})"
@@ -363,7 +376,7 @@ class HttpEstimationClient:
         status, _, payload = self._request(
             "POST",
             f"/v1/models/{self.model}/estimate",
-            json.dumps(body).encode("utf-8"),
+            _encode_json(body).encode("utf-8"),
             retry_statuses=(429, 503),
         )
         return self._decode(status, payload)

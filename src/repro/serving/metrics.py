@@ -32,6 +32,13 @@ DEFAULT_BUCKETS = (
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 
+def series_key(**labels: str) -> _LabelKey:
+    """The canonical key of one labelset: build it once, then pass it to
+    :meth:`Counter.inc_series` / :meth:`Histogram.observe_series` on a hot
+    path instead of re-sorting keyword labels on every call."""
+    return _label_key(labels)
+
+
 def _label_key(labels: Dict[str, str]) -> _LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -80,9 +87,12 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
+        self.inc_series(_label_key(labels), amount)
+
+    def inc_series(self, key: _LabelKey, amount: float = 1.0) -> None:
+        """:meth:`inc` for a labelset whose :func:`series_key` is at hand."""
         if amount < 0:
             raise ServingError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -150,7 +160,10 @@ class Histogram(_Instrument):
         self._hist: Dict[_LabelKey, Tuple[List[int], float]] = {}
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_key(labels)
+        self.observe_series(_label_key(labels), value)
+
+    def observe_series(self, key: _LabelKey, value: float) -> None:
+        """:meth:`observe` for a labelset whose :func:`series_key` is at hand."""
         with self._lock:
             counts, total = self._hist.get(key, (None, 0.0))
             if counts is None:
@@ -273,4 +286,5 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "parse_samples",
+    "series_key",
 ]

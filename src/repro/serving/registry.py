@@ -135,7 +135,8 @@ class ModelRegistry:
             entry = self._entry(name)
             if entry.model is not None:
                 self._touch(name)
-                self._evict_over_budget(keep=name)
+                if self.budget_bytes is not None:
+                    self._evict_over_budget(keep=name)
                 return entry.model, entry.version
         # Load outside the registry lock: rebuilding counts/sampler takes
         # seconds and must not stall serving on other (resident) models.

@@ -56,7 +56,7 @@ import numpy as np
 from repro.errors import DeadlineError, QueryError, ServingError
 from repro.relational.query import Query
 from repro.serving import faults
-from repro.serving.metrics import Histogram
+from repro.serving.metrics import Histogram, series_key
 
 #: Why a nonzero ``cache_size`` fails: the parameter stays (accepting only
 #: 0) for callers that still pass the old "off" value.
@@ -169,6 +169,7 @@ class MicroBatchScheduler:
         #: An :class:`~repro.serving.service.EstimationService` points this
         #: at the one histogram all its schedulers share.
         self.queue_wait = queue_wait_histogram()
+        self._queue_wait_series = series_key(model=name)
         self._flusher = threading.Thread(
             target=self._run, name=f"microbatch-{name}", daemon=True
         )
@@ -408,8 +409,8 @@ class MicroBatchScheduler:
         ]
         dispatched_at = time.perf_counter()
         for request in batch:
-            self.queue_wait.observe(
-                dispatched_at - request.submitted_at, model=self.name
+            self.queue_wait.observe_series(
+                self._queue_wait_series, dispatched_at - request.submitted_at
             )
         if self._executor is not None:
             # Sharded path: hand the whole micro-batch to the worker pool.

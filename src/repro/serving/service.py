@@ -324,13 +324,6 @@ class EstimationService:
         with self._lock:
             return self._cascades.get(name)
 
-    def _neural_latency_ms(self, name: str) -> Optional[float]:
-        with self._lock:
-            scheduler = self._schedulers.get(name)
-        if scheduler is None:
-            return None
-        return scheduler.predicted_latency_ms()
-
     @staticmethod
     def _wire_staleness(
         name: str, cascade: EstimatorCascade, refreshers
@@ -421,14 +414,17 @@ class EstimationService:
         escalated queries reach the scheduler (and the breaker's failure
         path). Without a cascade both knobs are ignored.
         """
-        name = self._resolve(model)
+        name = model if model is not None else self._resolve(None)
         cascade = self._cascades.get(name)
         if cascade is not None:
+            scheduler = self._schedulers.get(name)
             decision = cascade.route(
                 query,
                 max_q_error=max_q_error,
                 budget_ms=budget_ms,
-                neural_latency_ms=self._neural_latency_ms(name),
+                neural_latency_ms=(
+                    scheduler.predicted_latency_ms() if scheduler is not None else None
+                ),
             )
             if not decision.tier.neural:
                 inline = self._answer_inline(
@@ -492,7 +488,8 @@ class EstimationService:
         if fallback is None:
             # No fallback registered: original semantics, untouched — the
             # breaker isn't even consulted, so errors surface verbatim.
-            return self.scheduler(name).submit(query, seed=seed, deadline=deadline)
+            scheduler = self._schedulers.get(name) or self.scheduler(name)
+            return scheduler.submit(query, seed=seed, deadline=deadline)
 
         breaker = self.breaker(name)
         route = breaker.allow()

@@ -241,6 +241,118 @@ class TestBadRequests:
             tiny.close()
 
 
+def _estimate_bytes(doc, *headers: str, length=None) -> bytes:
+    """One raw estimate request for the ``oracle`` model."""
+    body = json.dumps(doc).encode()
+    head = [
+        "POST /v1/models/oracle/estimate HTTP/1.1",
+        "Host: test",
+        f"Content-Length: {len(body) if length is None else length}",
+        *headers,
+    ]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+def _read_responses(sock: socket.socket, n: int):
+    """``n`` responses off ``sock`` as (status, headers, JSON body)."""
+    out, buf = [], b""
+    for _ in range(n):
+        message = _read_request(sock, buf)  # same framing as a request
+        assert message is not None, "connection closed without a response"
+        raw, buf = message
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        fields = (line.partition(":") for line in lines[1:])
+        headers = {name.strip().lower(): value.strip() for name, _, value in fields}
+        out.append((int(lines[0].split(" ")[1]), headers, json.loads(body)))
+    return out
+
+
+def _closed(sock: socket.socket) -> bool:
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestRequestHead:
+    """The head is read once up to its blank line; framing stays exact."""
+
+    QUERY = {"tables": ["R"], "filters": [{"column": "R.year", "op": ">=", "value": 1995}]}
+
+    @pytest.fixture()
+    def raw(self, http_stack):
+        _, server = http_stack
+        sock = socket.create_connection((server.host, server.port), timeout=10)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        yield sock
+        sock.close()
+
+    @pytest.fixture()
+    def no_loop_errors(self, caplog):
+        yield
+        errors = [r for r in caplog.records if r.name == "asyncio" and r.levelname == "ERROR"]
+        assert errors == []
+
+    def expected(self, http_stack, seed: int) -> float:
+        service, _ = http_stack
+        return service.estimate(Query.make(["R"], [Predicate("R", "year", ">=", 1995)]), seed=seed)
+
+    def test_head_sent_one_byte_per_send(self, http_stack, raw):
+        for byte in _estimate_bytes({"query": self.QUERY, "seed": 3}):
+            raw.sendall(bytes([byte]))
+        [(status, headers, doc)] = _read_responses(raw, 1)
+        assert status == 200 and headers["connection"] == "keep-alive"
+        assert doc["estimate"] == self.expected(http_stack, 3)
+
+    def test_pipelined_requests_answer_in_order_on_one_connection(self, http_stack, raw):
+        raw.sendall(
+            _estimate_bytes({"query": self.QUERY, "seed": 4})
+            + _estimate_bytes({"query": {"tables": ["C1"]}, "seed": 5})
+        )
+        first, second = _read_responses(raw, 2)
+        assert first[0] == second[0] == 200
+        assert first[2]["estimate"] == self.expected(http_stack, 4)
+        service, _ = http_stack
+        assert second[2]["estimate"] == service.estimate(Query.make(["C1"], []), seed=5)
+        raw.sendall(_estimate_bytes({"query": self.QUERY, "seed": 6}))
+        assert _read_responses(raw, 1)[0][2]["estimate"] == self.expected(http_stack, 6)
+
+    def test_header_names_match_in_any_case(self, http_stack, raw, client):
+        body = json.dumps({"query": self.QUERY, "seed": 7}).encode()
+        raw.sendall(
+            b"POST /v1/models/oracle/estimate HTTP/1.1\r\n"
+            b"cOnTeNt-LeNgTh: %d\r\nX-TENANT: MixedCase\r\nConnection: CLOSE\r\n\r\n%s"
+            % (len(body), body)
+        )
+        [(status, headers, doc)] = _read_responses(raw, 1)
+        assert status == 200 and doc["estimate"] == self.expected(http_stack, 7)
+        assert headers["connection"] == "close" and _closed(raw)
+        samples = parse_samples(client.metrics_text())
+        assert samples['repro_http_requests_total{code="200",tenant="MixedCase"}'] == 1
+
+    @pytest.mark.parametrize("where", ["header", "request line"])
+    def test_head_over_64_kib_is_431_and_closes(self, raw, client, no_loop_errors, where):
+        if where == "header":
+            request = _estimate_bytes({"query": self.QUERY}, "X-Pad: " + "a" * 70_000)
+        else:
+            request = f"GET /{'a' * 70_000} HTTP/1.1\r\n\r\n".encode()
+        raw.sendall(request)
+        [(status, headers, doc)] = _read_responses(raw, 1)
+        assert status == 431 and headers["connection"] == "close"
+        assert doc == {"error": "request head exceeds 65536 bytes"}
+        assert _closed(raw)
+        assert client.estimate(Query.make(["R"], []), seed=1) > 0  # still serving
+
+    def test_negative_content_length_is_400_and_closes(self, raw, client, no_loop_errors):
+        raw.sendall(_estimate_bytes({"query": self.QUERY}, length=-5))
+        [(status, headers, doc)] = _read_responses(raw, 1)
+        assert status == 400 and headers["connection"] == "close"
+        assert doc == {"error": "bad Content-Length"}
+        assert _closed(raw)
+        assert client.estimate(Query.make(["R"], []), seed=1) > 0
+
+
 class TestAdmissionOverTheWire:
     def test_unknown_tenant_is_403_when_strict(self, oracle_engine):
         config = ServingConfig(
